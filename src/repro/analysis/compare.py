@@ -16,7 +16,6 @@ compare cleanly.
 from __future__ import annotations
 
 import contextlib
-import warnings
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -169,20 +168,8 @@ def compare_datasets(left: FOTDataset, right: FOTDataset) -> DatasetComparison:
     )
 
 
-def comparison_rows(result: DatasetComparison) -> List[Tuple[str, str, str]]:
-    """Deprecated alias for :meth:`DatasetComparison.rows`."""
-    warnings.warn(
-        "repro.analysis.compare.comparison_rows is deprecated; use "
-        "DatasetComparison.rows() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return result.rows()
-
-
 __all__ = [
     "MetricComparison",
     "DatasetComparison",
     "compare_datasets",
-    "comparison_rows",
 ]

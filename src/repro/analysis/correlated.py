@@ -52,27 +52,6 @@ class CorrelatedStats:
         return sum(self.pair_counts.values())
 
 
-def _same_day_pairs(dataset: FOTDataset) -> Dict[Tuple[int, int], set]:
-    """(host, day) -> set of component classes failing that day."""
-    failures = dataset.failures()
-    days = day_index(failures.error_times).astype(np.int64)
-    # Dedup (host, day, class) triples in numpy, then expand the much
-    # smaller unique set into the dict-of-sets the callers consume.
-    n_classes = len(COMPONENT_ORDER)
-    triples = np.unique(
-        composite_key(failures.host_ids, days) * n_classes
-        + failures.component_codes.astype(np.int64)
-    )
-    day_low = int(days.min()) if days.size else 0
-    day_span = (int(days.max()) - day_low + 1) if days.size else 1
-    out: Dict[Tuple[int, int], set] = defaultdict(set)
-    for triple in triples:
-        host_day, code = divmod(int(triple), n_classes)
-        host, day = divmod(host_day, day_span)
-        out[(host, day + day_low)].add(COMPONENT_ORDER[code])
-    return out
-
-
 def component_pair_counts(dataset: FOTDataset) -> CorrelatedStats:
     """Table VI: count same-server same-day class pairs.
 
@@ -83,33 +62,43 @@ def component_pair_counts(dataset: FOTDataset) -> CorrelatedStats:
     failures = dataset.failures()
     if len(failures) == 0:
         raise ValueError("no failures in dataset")
-    by_host_day = _same_day_pairs(dataset)
-
+    days = day_index(failures.error_times).astype(np.int64)
+    # The classes failing on each (host, day), as one bit mask per day.
+    order, starts, _ = group_slices(composite_key(failures.host_ids, days))
+    bits = 1 << failures.component_codes.astype(np.int64)
+    classes = np.bitwise_or.reduceat(bits[order], starts)
+    multi = (classes & (classes - 1)) != 0  # two or more bits set
+    # Expand each distinct multi-class mask once, weighted by the days
+    # that show it, in the order those days first appear.
+    masks, first, n_days = np.unique(
+        classes[multi], return_index=True, return_counts=True
+    )
     pair_counts: Dict[ClassPair, int] = defaultdict(int)
-    correlated_servers = set()
     misc_pairs = 0
     non_misc_pairs = 0
     non_misc_with_hdd = 0
-    for (host, _), classes in by_host_day.items():
-        if len(classes) < 2:
-            continue
-        correlated_servers.add(host)
-        ordered = sorted(classes, key=lambda c: c.value)
+    for k in np.argsort(first):
+        n = int(n_days[k])
+        ordered = sorted(
+            (c for code, c in enumerate(COMPONENT_ORDER) if masks[k] >> code & 1),
+            key=lambda c: c.value,
+        )
         for i, a in enumerate(ordered):
             for b in ordered[i + 1:]:
-                pair_counts[_pair(a, b)] += 1
+                pair_counts[_pair(a, b)] += n
                 if ComponentClass.MISC in (a, b):
-                    misc_pairs += 1
+                    misc_pairs += n
                 else:
-                    non_misc_pairs += 1
+                    non_misc_pairs += n
                     if ComponentClass.HDD in (a, b):
-                        non_misc_with_hdd += 1
+                        non_misc_with_hdd += n
 
     total_pairs = misc_pairs + non_misc_pairs
+    correlated_hosts = failures.host_ids[order[starts[multi]]]
     n_failed = int(np.unique(failures.host_ids).size)
     return CorrelatedStats(
         pair_counts=dict(pair_counts),
-        n_correlated_servers=len(correlated_servers),
+        n_correlated_servers=int(np.unique(correlated_hosts).size),
         n_failed_servers=n_failed,
         misc_share=misc_pairs / total_pairs if total_pairs else 0.0,
         hdd_share_of_non_misc=(

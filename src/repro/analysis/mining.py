@@ -30,10 +30,12 @@ import numpy as np
 
 from repro.core.columns import COMPONENT_CODE
 from repro.core.dataset import FOTDataset
+from repro.core.grouping import group_slices
 from repro.core.ticket import FOT
 from repro.core.timeutil import DAY, HOUR
 from repro.core.types import ComponentClass
 from repro.analysis.batch import detect_batches
+from repro.analysis.repeating import _identity_keys
 
 
 @dataclass(frozen=True)
@@ -82,32 +84,42 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+def _consecutive_pairs(
+    keys: np.ndarray, times: np.ndarray, window_seconds: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions ``(a, b)`` of each time-ordered ticket ``a`` and the
+    next ticket ``b`` with the same key, where ``b`` follows within the
+    window."""
+    order, _, stops = group_slices(keys)
+    first, second = order[:-1], order[1:]
+    close = times[second] - times[first] <= window_seconds
+    close[stops[:-1] - 1] = False
+    return first[close], second[close]
+
+
+def _union_pairs(uf: _UnionFind, first: np.ndarray, second: np.ndarray) -> None:
+    for a, b in zip(first.tolist(), second.tolist()):
+        uf.union(a, b)
+
+
 def _link_repeats(
-    tickets: Sequence[FOT], uf: _UnionFind, window_seconds: float
+    failures: FOTDataset, uf: _UnionFind, window_seconds: float
 ) -> None:
     """Link consecutive tickets on the same (host, class, slot, type)."""
-    by_component: Dict[tuple, List[int]] = defaultdict(list)
-    for i, t in enumerate(tickets):
-        by_component[(t.host_id, t.error_device, t.device_slot, t.error_type)].append(i)
-    for indices in by_component.values():
-        for a, b in zip(indices, indices[1:]):
-            if tickets[b].error_time - tickets[a].error_time <= window_seconds:
-                uf.union(a, b)
+    keys = _identity_keys(failures)
+    _union_pairs(uf, *_consecutive_pairs(keys, failures.error_times, window_seconds))
 
 
 def _link_same_server_same_day(
-    tickets: Sequence[FOT], uf: _UnionFind, window_seconds: float
+    failures: FOTDataset, uf: _UnionFind, window_seconds: float
 ) -> None:
     """Link different-class tickets on one server within a day."""
-    by_host: Dict[int, List[int]] = defaultdict(list)
-    for i, t in enumerate(tickets):
-        by_host[t.host_id].append(i)
-    for indices in by_host.values():
-        for a, b in zip(indices, indices[1:]):
-            close = tickets[b].error_time - tickets[a].error_time <= window_seconds
-            different = tickets[a].error_device is not tickets[b].error_device
-            if close and different:
-                uf.union(a, b)
+    first, second = _consecutive_pairs(
+        failures.host_ids, failures.error_times, window_seconds
+    )
+    codes = failures.component_codes
+    different = codes[first] != codes[second]
+    _union_pairs(uf, first[different], second[different])
 
 
 def _link_batches(
@@ -158,8 +170,8 @@ def mine_incidents(
     if not tickets:
         return []
     uf = _UnionFind(len(tickets))
-    _link_repeats(tickets, uf, repeat_window_days * DAY)
-    _link_same_server_same_day(tickets, uf, same_server_window_hours * HOUR)
+    _link_repeats(failures, uf, repeat_window_days * DAY)
+    _link_same_server_same_day(failures, uf, same_server_window_hours * HOUR)
     _link_batches(tickets, uf, failures, min_batch)
 
     groups: Dict[int, List[int]] = defaultdict(list)

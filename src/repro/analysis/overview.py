@@ -7,14 +7,10 @@ its first positional argument and returns a frozen dataclass with a
 also implement the ``Mapping`` protocol over their natural keys, so
 dict-style callers (``shares[ComponentClass.HDD]``, ``shares.values()``)
 keep working.
-
-The pre-1.1 names (``category_breakdown`` & friends) remain as thin
-deprecated aliases.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
@@ -157,43 +153,6 @@ def table_iii() -> List[Tuple[str, str, str]]:
     return table_iii_rows()
 
 
-# ---------------------------------------------------------------------------
-# Deprecated pre-1.1 names.
-
-def _warn(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.analysis.overview.{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def category_breakdown(dataset: FOTDataset) -> CategoryBreakdown:
-    """Deprecated alias for :func:`categories`."""
-    _warn("category_breakdown", "categories")
-    return categories(dataset)
-
-
-def component_breakdown(dataset: FOTDataset) -> ComponentShares:
-    """Deprecated alias for :func:`components`."""
-    _warn("component_breakdown", "components")
-    return components(dataset)
-
-
-def failure_type_breakdown(
-    dataset: FOTDataset, component: ComponentClass
-) -> FailureTypeShares:
-    """Deprecated alias for :func:`failure_types`."""
-    _warn("failure_type_breakdown", "failure_types")
-    return failure_types(dataset, component)
-
-
-def detection_source_breakdown(dataset: FOTDataset) -> DetectionSourceShares:
-    """Deprecated alias for :func:`detection_sources`."""
-    _warn("detection_source_breakdown", "detection_sources")
-    return detection_sources(dataset)
-
-
 __all__ = [
     "CategoryBreakdown",
     "ComponentShares",
@@ -204,8 +163,4 @@ __all__ = [
     "failure_types",
     "detection_sources",
     "table_iii",
-    "category_breakdown",
-    "component_breakdown",
-    "failure_type_breakdown",
-    "detection_source_breakdown",
 ]

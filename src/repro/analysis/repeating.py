@@ -21,14 +21,17 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.columns import CATEGORY_CODE
 from repro.core.dataset import FOTDataset
-from repro.core.grouping import group_slices
+from repro.core.grouping import composite_key, group_slices
 from repro.core.timeutil import DAY
 from repro.core.ticket import FOT
 from repro.core.types import FOTCategory
 
 #: A component identity for repeat detection: host, class, slot, type.
 RepeatKey = Tuple[int, str, int, str]
+
+_FIXING = CATEGORY_CODE[FOTCategory.FIXING]
 
 
 @dataclass(frozen=True)
@@ -59,19 +62,58 @@ class RepeatingStats:
         return self.n_repeating_servers / self.n_failed_servers
 
 
-def _repeat_key(ticket: FOT) -> RepeatKey:
-    return (
-        ticket.host_id,
-        ticket.error_device.value,
-        ticket.device_slot,
-        ticket.error_type,
-    )
-
-
 #: Default linking window: a recurrence more than this long after the
 #: previous occurrence is treated as a *new* failure of the replacement
 #: module, not a repeat of the "solved" problem.
 DEFAULT_REPEAT_WINDOW_DAYS = 60.0
+
+
+def _identity_keys(failures: FOTDataset) -> np.ndarray:
+    """One key per ticket for its (host, class, slot, type) identity."""
+    return composite_key(
+        failures.host_ids,
+        failures.component_codes,
+        failures.device_slots,
+        failures.error_type_codes,
+    )
+
+
+def _chain_slices(
+    failures: FOTDataset, window: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The repeat chain of each component identity, as row slices.
+
+    Returns ``(rows, starts, stops)``: chain ``c`` is the ``failures``
+    positions ``rows[starts[c]:stops[c]]`` in time order, and chains
+    come in the order their identity first fails.
+    """
+    times = failures.error_times
+    by_time = np.argsort(times, kind="stable")
+    order, group_starts, group_stops = group_slices(
+        _identity_keys(failures)[by_time]
+    )
+    rows = by_time[order]
+    # joined[i]: rows[i + 1] is the same identity failing again within
+    # the window, so it extends the run rows[i] belongs to.
+    joined = np.diff(times[rows]) <= window
+    joined[group_stops[:-1] - 1] = False
+    breaks = np.r_[True, ~joined]
+    run_of = np.cumsum(breaks) - 1
+    run_starts = np.flatnonzero(breaks)
+    run_stops = np.r_[run_starts[1:], rows.size]
+    # A run counts when a non-final member was closed as D_fixing (an
+    # unrepaired D_error component failing again is expected).
+    fixed = joined & (failures.category_codes[rows[:-1]] == _FIXING)
+    runs = np.unique(run_of[:-1][fixed])
+    lengths = run_stops[runs] - run_starts[runs]
+    groups = np.searchsorted(group_starts, run_starts[runs], side="right") - 1
+    # The longest run per identity; lexsort is stable, so the earliest
+    # of equally long runs wins.
+    pick = np.lexsort((-lengths, groups))
+    _, heads = np.unique(groups[pick], return_index=True)
+    best = pick[heads]
+    best = best[np.argsort(order[group_starts[groups[best]]])]
+    return rows, run_starts[runs[best]], run_stops[runs[best]]
 
 
 def repeat_chains(
@@ -87,43 +129,22 @@ def repeat_chains(
     ineffective repair.  Only chains where a non-final occurrence was
     actually closed as D_fixing count (an unrepaired D_error component
     failing again is expected, not a repeat of a "solved" problem).
-    Returned chains are time-ordered and have length >= 2.
+    Each identity keeps its longest such run (the earliest on a tie).
+    Returned chains are time-ordered, have length >= 2 and are keyed in
+    the order their identity first fails; only their tickets are
+    materialized.
     """
     if window_days <= 0:
         raise ValueError("window_days must be positive")
-    window = window_days * DAY
-    by_key: Dict[RepeatKey, List[FOT]] = defaultdict(list)
-    # The chain splitter consumes every FOT object (category flags,
-    # per-occurrence gaps), so materializing each row once IS the work.
-    for ticket in dataset.failures().sorted_by_time():  # reprolint: disable=RPL301 -- chain splitter consumes each FOT object
-        by_key[_repeat_key(ticket)].append(ticket)
-
+    failures = dataset.failures()
+    rows, starts, stops = _chain_slices(failures, window_days * DAY)
     chains: Dict[RepeatKey, List[FOT]] = {}
-    for key, tickets in by_key.items():
-        if len(tickets) < 2:
-            continue
-        # Split the occurrence list into runs with gaps <= window.
-        run: List[FOT] = [tickets[0]]
-        best: List[FOT] = []
-
-        def consider(candidate: List[FOT]) -> None:
-            nonlocal best
-            if len(candidate) < 2:
-                return
-            if not any(t.category is FOTCategory.FIXING for t in candidate[:-1]):
-                return
-            if len(candidate) > len(best):
-                best = list(candidate)
-
-        for prev, cur in zip(tickets, tickets[1:]):
-            if cur.error_time - prev.error_time <= window:
-                run.append(cur)
-            else:
-                consider(run)
-                run = [cur]
-        consider(run)
-        if best:
-            chains[key] = best
+    for start, stop in zip(starts, stops):
+        chain = list(failures.take(rows[start:stop]))
+        first = chain[0]
+        key = (first.host_id, first.error_device.value, first.device_slot,
+               first.error_type)
+        chains[key] = chain
     return chains
 
 
@@ -132,21 +153,19 @@ def repeating_stats(dataset: FOTDataset) -> RepeatingStats:
     failures = dataset.failures()
     if len(failures) == 0:
         raise ValueError("no failures in dataset")
-
-    fixed_components = {
-        _repeat_key(t) for t in failures if t.category is FOTCategory.FIXING
-    }
-    chains = repeat_chains(dataset)
-    repeating_components = set(chains) & fixed_components
-    repeating_servers = {key[0] for key in chains}
-
+    fixing = failures.category_codes == _FIXING
+    rows, starts, _ = _chain_slices(
+        failures, DEFAULT_REPEAT_WINDOW_DAYS * DAY
+    )
     host_ids, counts = np.unique(failures.host_ids, return_counts=True)
     worst = int(np.argmax(counts))
     return RepeatingStats(
-        n_fixed_components=len(fixed_components),
-        n_repeating_components=len(repeating_components),
+        n_fixed_components=int(np.unique(_identity_keys(failures)[fixing]).size),
+        # Every chain has a D_fixing member, so every repeating
+        # component is also a fixed one.
+        n_repeating_components=int(starts.size),
         n_failed_servers=int(host_ids.size),
-        n_repeating_servers=len(repeating_servers),
+        n_repeating_servers=int(np.unique(failures.host_ids[rows[starts]]).size),
         max_failures_single_server=int(counts[worst]),
         max_failures_host_id=int(host_ids[worst]),
     )

@@ -13,8 +13,7 @@ Core subcommands::
     fouryears replay-deadletter dead_letters/ --out recovered.jsonl
     fouryears telemetry run.telemetry.jsonl   # where did the time go?
 
-(``repro`` is installed as an alias of ``fouryears``; ``generate`` is a
-deprecated alias of ``simulate``.)
+(``repro`` is installed as an alias of ``fouryears``.)
 
 ``convert`` re-encodes a dump between the text interchange formats
 (csv/jsonl, optionally gzipped) and the native binary columnar format
@@ -540,18 +539,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("simulate", "generate a synthetic FOT trace"),
-        ("generate", "deprecated alias of 'simulate'"),
-    ):
-        gen = sub.add_parser(name, help=help_text)
-        gen.add_argument("--scale", type=float, default=0.05)
-        gen.add_argument("--seed", type=int, default=20170626)
-        gen.add_argument("--out", default="trace.jsonl")
-        gen.add_argument("--inventory", default=None)
-        _add_jobs_flag(gen)
-        _add_telemetry_flag(gen)
-        gen.set_defaults(func=_cmd_simulate)
+    gen = sub.add_parser("simulate", help="generate a synthetic FOT trace")
+    gen.add_argument("--scale", type=float, default=0.05)
+    gen.add_argument("--seed", type=int, default=20170626)
+    gen.add_argument("--out", default="trace.jsonl")
+    gen.add_argument("--inventory", default=None)
+    _add_jobs_flag(gen)
+    _add_telemetry_flag(gen)
+    gen.set_defaults(func=_cmd_simulate)
 
     conv = sub.add_parser(
         "convert",
@@ -718,8 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run reprolint, the repo-specific invariant checker "
-        "(engines: ast, dataflow, effects; see 'fouryears lint -- "
-        "--help' for its own flags)",
+        "(engines: ast, dataflow, effects, perf; see 'fouryears lint "
+        "-- --help' for its own flags)",
     )
     lint.add_argument(
         "lint_args", nargs=argparse.REMAINDER, metavar="ARGS",

@@ -8,8 +8,9 @@
   :class:`~repro.core.ticket.FOT` objects are allocated**;
 * columns of a view are fancy-indexed from the store lazily and
   memoized, so the statistical analyses vectorize instead of looping;
-* group-bys (`by_component()`, `by_idc()`, ...) partition one stable
-  ``argsort`` into a dict of views, preserving first-appearance order;
+* group-bys (`by_component()`, `by_idc()`, ...) partition one
+  :func:`~repro.core.grouping.group_slices` call into a dict of views,
+  preserving first-appearance order;
 * ``FOT`` dataclasses materialize only on demand — iteration,
   ``dataset[i]`` and the ``tickets`` property — and are memoized per
   store row.
@@ -45,6 +46,7 @@ from repro.core.columns import (
     SOURCE_ORDER,
     ColumnStore,
 )
+from repro.core.grouping import group_slices
 from repro.core.ticket import FOT
 from repro.core.timeutil import DAY
 from repro.core.types import ComponentClass, DetectionSource, FOTCategory
@@ -444,23 +446,16 @@ class FOTDataset:
     # grouping
     # ------------------------------------------------------------------
     def _grouped(self, values: np.ndarray) -> List[Tuple[int, "FOTDataset"]]:
-        """Partition this view by an integer key column with a single
-        stable argsort; groups come back in first-appearance order and
-        each keeps its tickets in original view order."""
+        """Partition this view by an integer key column; groups come
+        back in first-appearance order and each keeps its tickets in
+        original view order."""
         values = np.asarray(values)
-        n = values.size
-        if n == 0:
-            return []
-        order = np.argsort(values, kind="stable")
-        ordered = values[order]
-        bounds = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [n]))
-        groups = sorted(
-            ((int(ordered[s]), order[s:e]) for s, e in zip(starts, ends)),
-            key=lambda group: int(group[1][0]),
-        )
-        return [(key, self._take_local(rows)) for key, rows in groups]
+        order, starts, stops = group_slices(values)
+        firsts = order[starts]
+        return [
+            (int(values[firsts[g]]), self._take_local(order[starts[g]:stops[g]]))
+            for g in np.argsort(firsts, kind="stable")
+        ]
 
     def by_component(self) -> Dict[ComponentClass, "FOTDataset"]:
         return {

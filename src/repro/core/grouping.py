@@ -1,17 +1,19 @@
-"""Vectorized group-by primitives for hot analysis paths.
+"""The group-by primitive every hot path in ``core`` and ``analysis`` uses.
 
 The perf lint rules (RPL301/RPL304) forbid Python-level row loops in
 the hot packages; the idiom that replaces ``for ticket in failures:
 bucket[key(ticket)].append(...)`` is one stable argsort over an integer
 key column plus boundary detection — O(n log n) in numpy instead of n
-interpreter round-trips.  This module centralizes that idiom so every
-analysis groups the same way:
+interpreter round-trips.  Dataset group-bys (``FOTDataset.by_*``),
+repeat chains, incident links and correlated-pair counts all group this
+way:
 
-* :func:`composite_key` packs two integer columns into one collision
-  free ``int64`` key.
+* :func:`composite_key` packs any number of integer columns into one
+  collision-free ``int64`` key that orders lexicographically.
 * :func:`group_slices` sorts a key column once and returns the group
   boundaries; callers slice per group (the per-*group* loop is over the
-  handful of groups, not over n rows).
+  handful of groups, not over n rows), or compare neighbours inside
+  ``order`` to walk each group in its original order.
 
 Both are pure functions over immutable inputs — safe on frozen
 ``ColumnStore`` column views.
@@ -23,25 +25,46 @@ from typing import Tuple
 
 import numpy as np
 
+_INT64 = np.iinfo(np.int64)
 
-def composite_key(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
-    """Pack two integer columns into one collision-free ``int64`` key.
 
-    Keys order lexicographically by (major, minor).  ``minor`` may
-    contain negative values (e.g. -1 sentinel codes); it is shifted to
-    zero before packing.
+def _dense_ranks(column: np.ndarray) -> np.ndarray:
+    """Order-preserving ranks ``0..k-1`` of the ``k`` distinct values."""
+    return np.unique(column, return_inverse=True)[1].reshape(column.shape)
+
+
+def composite_key(*columns: np.ndarray) -> np.ndarray:
+    """Pack integer columns into one collision-free ``int64`` key.
+
+    Keys order lexicographically by the columns, first column most
+    significant.  Later columns may hold negative values (e.g. -1
+    sentinel codes); each is shifted to zero before packing.  When the
+    packed value would overflow ``int64`` (ids from an outside dump can
+    be arbitrarily large), the key so far and the next column are
+    replaced by their dense ranks first, which keeps the order and
+    bounds the key below ``n ** 2``.
     """
-    major = np.asarray(major).astype(np.int64)
-    minor = np.asarray(minor).astype(np.int64)
-    if major.shape != minor.shape:
-        raise ValueError(
-            f"key columns differ in shape: {major.shape} vs {minor.shape}"
-        )
-    if major.size == 0:
-        return major
-    low = int(minor.min())
-    span = int(minor.max()) - low + 1
-    return major * span + (minor - low)
+    if not columns:
+        raise ValueError("composite_key needs at least one column")
+    key: np.ndarray = np.asarray(columns[0]).astype(np.int64)
+    for column in columns[1:]:
+        minor: np.ndarray = np.asarray(column).astype(np.int64)
+        if minor.shape != key.shape:
+            raise ValueError(
+                f"key columns differ in shape: {key.shape} vs {minor.shape}"
+            )
+        if key.size == 0:
+            continue
+        low = int(minor.min())
+        span = int(minor.max()) - low + 1
+        if (
+            int(key.min()) * span < _INT64.min
+            or int(key.max()) * span + span - 1 > _INT64.max
+        ):
+            key, minor = _dense_ranks(key), _dense_ranks(minor)
+            low, span = 0, int(minor.max()) + 1
+        key = key * span + (minor - low)
+    return key
 
 
 def group_slices(
@@ -53,6 +76,8 @@ def group_slices(
     of ``keys`` (ties keep input order, so time-sorted input stays
     time-sorted within each group); group ``g`` occupies
     ``order[starts[g]:stops[g]]`` and groups appear in ascending key
+    order.  ``order[starts]`` is each group's first input position, so
+    ``np.argsort(order[starts])`` lists the groups in first-appearance
     order.
     """
     keys = np.asarray(keys)

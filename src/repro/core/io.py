@@ -29,7 +29,7 @@ Loading has two modes:
 
 All ``save*`` functions are crash-safe: they write to a temporary file
 in the destination directory and atomically rename, so an interrupted
-``fouryears generate`` never leaves a truncated dump behind.
+``fouryears simulate`` never leaves a truncated dump behind.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_generate_defaults(self):
-        args = build_parser().parse_args(["generate"])
+        args = build_parser().parse_args(["simulate"])
         assert args.scale == 0.05
         assert args.out == "trace.jsonl"
 
@@ -23,7 +23,7 @@ class TestGenerateAnalyze:
         trace = out_dir / "trace.jsonl"
         inventory = out_dir / "inventory.csv"
         code = main([
-            "generate", "--scale", "0.01", "--seed", "7",
+            "simulate", "--scale", "0.01", "--seed", "7",
             "--out", str(trace), "--inventory", str(inventory),
         ])
         assert code == 0

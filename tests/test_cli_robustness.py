@@ -10,7 +10,7 @@ from repro.cli import build_parser, main
 @pytest.fixture(scope="module")
 def trace(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli-robust") / "trace.jsonl"
-    assert main(["generate", "--scale", "0.01", "--seed", "7", "--out", str(out)]) == 0
+    assert main(["simulate", "--scale", "0.01", "--seed", "7", "--out", str(out)]) == 0
     return out
 
 
