@@ -1,16 +1,14 @@
-"""Wall-time benchmark for reprolint's engines.
+"""Wall-time benchmark for reprolint.
 
-Times ``run_lint`` over ``src/`` and over the full default tree
-(``src tests benchmarks``) for both engines, prints a comparison, and
-records the numbers in a ``reprolint`` section of ``BENCH_perf.json``
-alongside the core-substrate timings.
+Times one ``run_lint`` pass (the whole rule catalogue) over ``src/``
+and over the full default tree (``src tests benchmarks``), prints the
+numbers, and records them in a ``reprolint`` section of
+``BENCH_perf.json`` alongside the core-substrate timings.
 
-The dataflow, effects and perf engines re-analyze every function
-against call-graph summary fixpoints, so their wall-time is what grows
+The dataflow and effects analyses re-analyze every function against
+call-graph summary fixpoints, so the pass's wall time is what grows
 with the repo; the CI timing gate (``--check --budget 60``) keeps the
-heaviest engine (perf, which also runs the ast+dataflow+effects
-passes) inside the budget the ISSUE set for the analysis to stay
-usable::
+lint of ``src/`` inside the budget that keeps the analysis usable::
 
     PYTHONPATH=src python benchmarks/bench_reprolint.py --check --budget 60
 
@@ -27,34 +25,30 @@ import sys
 import time
 from pathlib import Path
 
-from repro.devtools.lint import run_lint
+from repro.devtools.lint import collect_files, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PERF_PATH = REPO_ROOT / "BENCH_perf.json"
 
-#: (label, lint targets) timed per engine.
+#: (label, lint targets) timed.
 TARGETS = (
     ("src", ("src",)),
     ("tree", ("src", "tests", "benchmarks")),
 )
 
 
-def time_lint(paths, engine: str, repeats: int) -> dict:
+def time_lint(paths, repeats: int) -> dict:
+    targets = [str(REPO_ROOT / p) for p in paths]
     best = float("inf")
-    findings = files = 0
+    findings = 0
     for _ in range(repeats):
         start = time.perf_counter()
-        result = run_lint([str(REPO_ROOT / p) for p in paths],
-                          baseline=REPO_ROOT / "reprolint-baseline.json",
-                          engine=engine)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
+        result = run_lint(targets,
+                          baseline=REPO_ROOT / "reprolint-baseline.json")
+        best = min(best, time.perf_counter() - start)
         findings = len(result.new)
-        files = sum(
-            1 for p in paths
-            for _ in (REPO_ROOT / p).rglob("*.py")
-        )
-    return {"seconds": best, "files": files, "new_findings": findings}
+    return {"seconds": best, "files": len(collect_files(targets)),
+            "new_findings": findings}
 
 
 def main(argv=None) -> int:
@@ -62,8 +56,8 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=3,
                         help="take the best of N runs (default 3)")
     parser.add_argument("--check", action="store_true",
-                        help="fail when the perf lint of src/ "
-                             "exceeds --budget seconds")
+                        help="fail when the lint of src/ exceeds "
+                             "--budget seconds")
     parser.add_argument("--budget", type=float, default=60.0,
                         help="timing budget in seconds for --check "
                              "(default 60)")
@@ -71,20 +65,14 @@ def main(argv=None) -> int:
                         help="record timings in BENCH_perf.json")
     args = parser.parse_args(argv)
 
-    timings: dict = {}
-    for engine in ("ast", "dataflow", "effects", "perf"):
-        timings[engine] = {}
-        for label, paths in TARGETS:
-            timings[engine][label] = time_lint(paths, engine, args.repeats)
+    timings = {label: time_lint(paths, args.repeats)
+               for label, paths in TARGETS}
 
-    print(f"{'target':<8} {'engine':<10} {'files':>6} {'seconds':>9}")
-    for label, _ in TARGETS:
-        for engine in ("ast", "dataflow", "effects", "perf"):
-            entry = timings[engine][label]
-            print(f"{label:<8} {engine:<10} {entry['files']:>6} "
-                  f"{entry['seconds']:>9.3f}")
-    perf_src = timings["perf"]["src"]["seconds"]
-    print(f"\nperf lint of src/: {perf_src:.3f}s "
+    print(f"{'target':<8} {'files':>6} {'seconds':>9}")
+    for label, entry in timings.items():
+        print(f"{label:<8} {entry['files']:>6} {entry['seconds']:>9.3f}")
+    src_seconds = timings["src"]["seconds"]
+    print(f"\nlint of src/: {src_seconds:.3f}s "
           f"(budget {args.budget:.0f}s)")
 
     if args.json:
@@ -93,14 +81,14 @@ def main(argv=None) -> int:
         payload["reprolint"] = {
             "python": platform.python_version(),
             "budget_seconds": args.budget,
-            "engines": timings,
+            "targets": timings,
         }
         PERF_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True)
                              + "\n", encoding="utf-8")
         print(f"recorded reprolint timings in {PERF_PATH.name}")
 
-    if args.check and perf_src > args.budget:
-        print(f"FAIL: perf lint of src/ took {perf_src:.1f}s "
+    if args.check and src_seconds > args.budget:
+        print(f"FAIL: lint of src/ took {src_seconds:.1f}s "
               f"> budget {args.budget:.0f}s", file=sys.stderr)
         return 1
     return 0

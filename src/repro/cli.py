@@ -712,9 +712,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run reprolint, the repo-specific invariant checker "
-        "(engines: ast, dataflow, effects, perf; see 'fouryears lint "
-        "-- --help' for its own flags)",
+        help="run reprolint, the repo-specific invariant checker, with "
+        "its whole rule catalogue (RPL000-305; see 'fouryears lint -- "
+        "--help' for its own flags)",
     )
     lint.add_argument(
         "lint_args", nargs=argparse.REMAINDER, metavar="ARGS",

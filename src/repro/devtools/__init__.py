@@ -1,15 +1,23 @@
 """Developer tooling — the static invariant linter and its runtime
 complement.
 
-* :mod:`repro.devtools.rules` — the RPL rule catalog and AST checkers.
 * :mod:`repro.devtools.lint` — ``reprolint`` driver
-  (``python -m repro.devtools.lint`` / ``repro lint``): suppressions,
-  baseline, reporters, ``--engine`` selection.
-* :mod:`repro.devtools.dataflow` — abstract-interpretation engine
-  (``--engine=dataflow``): per-function CFGs (:mod:`~repro.devtools.cfg`)
-  analyzed to fixpoint over a product fact lattice
-  (:mod:`~repro.devtools.lattice`) for the RPL101–104 unit/dtype/order
-  rules and interprocedural RPL001/RPL002 via call-graph summaries.
+  (``python -m repro.devtools.lint`` / ``repro lint``): one pass over
+  the whole rule catalogue, suppressions, baseline, reporters.
+* :mod:`repro.devtools.rules` — the RPL rule catalog and the syntactic
+  RPL000–005 checkers.
+* :mod:`repro.devtools.dataflow` — abstract interpretation: per-function
+  CFGs (:mod:`~repro.devtools.cfg`) analyzed to fixpoint over a product
+  fact lattice (:mod:`~repro.devtools.lattice`) for the RPL101–104
+  unit/dtype/order rules and interprocedural RPL001/RPL002 via
+  call-graph summaries.
+* :mod:`repro.devtools.effects` / :mod:`~repro.devtools.effect_rules` —
+  effect summaries and the RPL201–213 concurrency & resource-safety
+  rules.
+* :mod:`repro.devtools.perf_rules` — the RPL301–305 scale-hazard rules,
+  read off the dataflow pass's per-statement environments.
+* :mod:`repro.devtools.fixer` — applies the fixes rules attach
+  (``--fix``).
 * :mod:`repro.devtools.sarif` — SARIF 2.1.0 reporter for code-scanning
   upload (``--format sarif``).
 * :mod:`repro.devtools.sanitize` — runtime sanitizer that asserts
@@ -20,4 +28,3 @@ Nothing here is imported by the library itself; the package is
 deliberately dependency-light so the linter can run in CI before the
 scientific stack is exercised.
 """
-

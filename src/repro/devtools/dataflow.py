@@ -4,8 +4,10 @@ Every function (and each module body) is lowered to a CFG
 (:mod:`repro.devtools.cfg`) and interpreted over the fact lattice in
 :mod:`repro.devtools.lattice` with a classic worklist fixpoint; rules
 query the stable per-block environments instead of doing ad-hoc taint
-walks.  The engine powers four semantic rules on top of the syntactic
-RPL001–005 set:
+walks.  The reporting pass also records the environment at every
+statement, which the RPL3xx checks in :mod:`repro.devtools.perf_rules`
+read instead of running a second fixpoint.  The interpreter powers four
+semantic rules on top of the syntactic RPL001–005 set:
 
 * **RPL101 — time-unit safety.** Facts are seeded from
   :mod:`repro.core.timeutil` (``HOUR``/``DAY``/... are *conversion
@@ -46,7 +48,9 @@ import dataclasses
 import re
 from collections import deque
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.devtools.cfg import CFG, build_cfg
 from repro.devtools.lattice import (
@@ -177,7 +181,7 @@ ACCUMULATORS = frozenset({"sum", "cumsum", "nansum", "prod", "cumprod"})
 FS_LISTING_METHODS = frozenset({"iterdir", "glob", "rglob", "scandir"})
 
 # ---------------------------------------------------------------------------
-# dataset-scale taint (the perf engine's "n is actually large" seed)
+# dataset-scale taint (the RPL3xx rules' "n is actually large" seed)
 # ---------------------------------------------------------------------------
 #: Plain-name callables whose result is a whole dataset/trace.
 DATASET_PRODUCERS = frozenset(
@@ -624,6 +628,7 @@ class _Analyzer:
         if body is None:
             assert fn is not None
             body = [s for s in fn.body]
+        self.body = body
         self.cfg: CFG = build_cfg(
             [s for s in body
              if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -642,6 +647,12 @@ class _Analyzer:
         self._return_fact = BOTTOM
         self._comp_scale: Optional[str] = None
         self.exit_env: Env = {}
+        #: stable environment in force at each CFG item (keyed by node
+        #: id), recorded by the reporting pass of the scopes
+        #: :func:`analyze_module` runs (the project's summary passes
+        #: have no path and record nothing); the RPL3xx checks read
+        #: value sizes from it.
+        self.stmt_envs: Dict[int, Env] = {}
 
     # -- driver ---------------------------------------------------------
     def run(self) -> Fact:
@@ -692,13 +703,14 @@ class _Analyzer:
         if self._emitting:
             self.findings.append(
                 Finding(rule, self.path, getattr(node, "lineno", 1),
-                        getattr(node, "col_offset", 0), message,
-                        engine="dataflow", fix=fix)
+                        getattr(node, "col_offset", 0), message, fix=fix)
             )
 
     # -- block transfer --------------------------------------------------
     def _transfer_block(self, idx: int, env: Env) -> Env:
         for item in self.cfg.blocks[idx].items:
+            if self._emitting and self.path:
+                self.stmt_envs[id(item)] = dict(env)
             self._transfer_item(item, env)
         return env
 
@@ -1461,30 +1473,29 @@ def _flags_for(parts: Tuple[str, ...]) -> _RuleFlags:
 
 
 def analyze_module(path: Path, tree: ast.Module,
-                   project: DataflowProject) -> List[Finding]:
-    """All dataflow findings for one file."""
+                   project: DataflowProject) -> Iterator[_Analyzer]:
+    """The reporting pass over one file: its module body, then every
+    function, each run to fixpoint and yielded with its ``findings``
+    and the ``stmt_envs`` the RPL3xx checks read (one scope at a time,
+    so the recorded environments never pile up)."""
     parts = module_parts(path)
     flags = _flags_for(parts)
     if not (flags.units or flags.order or flags.inter_determinism
             or flags.inter_immutability):
-        return []
+        return
     module = module_name(path)
     ctx = project.contexts.get(module) or ModuleContext(module, tree)
     rel = path.as_posix()
 
-    findings: List[Finding] = []
     module_scope = _Analyzer(rel, ctx, project, flags, body=tree.body)
     module_scope.run()
     ctx.module_env = module_scope.exit_env
-    findings.extend(module_scope.findings)
-
+    yield module_scope
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             analyzer = _Analyzer(rel, ctx, project, flags, fn=node)
             analyzer.run()
-            findings.extend(analyzer.findings)
-    findings.sort(key=lambda f: (f.line, f.col, f.rule, f.message))
-    return findings
+            yield analyzer
 
 
 __all__ = [

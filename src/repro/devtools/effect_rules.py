@@ -1,4 +1,4 @@
-"""RPL201–RPL213: the effects-engine rule checkers.
+"""RPL201–RPL213: the concurrency & resource-safety rule checkers.
 
 Six rules over the :class:`~repro.devtools.effects.EffectsProject`
 summaries, scoped to the ``repro`` package (fixtures exercise them via
@@ -45,6 +45,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.devtools.cfg import build_cfg
 from repro.devtools.effects import (
     EffectsProject,
+    FunctionEffects,
     blocking_call_reason,
     executor_exempt_nodes,
     is_executor_handoff,
@@ -81,9 +82,11 @@ _POOL_SUBMIT_METHODS = frozenset(
 )
 
 
-def _parents(fn: ast.AST) -> Dict[int, ast.AST]:
+def _parents(tree: ast.AST) -> Dict[int, ast.AST]:
+    """Child node id -> parent node, for every node under ``tree``.
+    Built once per module and dropped after it, never per function."""
     out: Dict[int, ast.AST] = {}
-    for node in ast.walk(fn):
+    for node in ast.walk(tree):
         for child in ast.iter_child_nodes(node):
             out[id(child)] = node
     return out
@@ -107,7 +110,7 @@ def _flag(findings: List[Finding], rule: str, path: str, node: ast.AST,
           message: str) -> None:
     findings.append(
         Finding(rule, path, getattr(node, "lineno", 1),
-                getattr(node, "col_offset", 0), message, engine="effects")
+                getattr(node, "col_offset", 0), message)
     )
 
 
@@ -337,10 +340,9 @@ def _is_task_spawn(ctx, call: ast.Call) -> bool:
 
 def check_fire_and_forget(
     fn: ast.AST, module: str, project: EffectsProject, path: str,
-    findings: List[Finding],
+    findings: List[Finding], parents: Dict[int, ast.AST],
 ) -> None:
     ctx = project.contexts[module]
-    parents = _parents(fn)
     name_loads: Dict[str, int] = {}
     for node in _own_walk(fn):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -646,41 +648,47 @@ def _name_is_returned(fn: ast.AST, name: str) -> bool:
     return False
 
 
-def seed_resource_returns(project: EffectsProject) -> None:
+def seed_resource_returns(project: EffectsProject,
+                          trees: Dict[Path, ast.Module]) -> None:
     """Mark every summary whose function hands back an open resource
     (directly returned, or bound to a name that is returned without a
     local close).  Runs at project-build time so callers see callee
     summaries regardless of file order."""
+    by_module: Dict[str, List[FunctionEffects]] = {}
     for effects in project.functions.values():
-        ctx = project.contexts[effects.module]
-        fn = effects.node
-        parents = _parents(fn)
-        for node in _own_walk(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            reason = _resource_call_reason(ctx, node, project,
-                                           effects.module,
-                                           effects.class_key)
-            if reason is None:
-                continue
-            parent = parents.get(id(node))
-            if isinstance(parent, (ast.Return, ast.Yield)):
-                effects.returns_resource = True
-            elif isinstance(parent, ast.Assign) \
-                    and len(parent.targets) == 1 \
-                    and isinstance(parent.targets[0], ast.Name) \
-                    and _name_is_returned(fn, parent.targets[0].id) \
-                    and not _name_has_close(fn, parent.targets[0].id):
-                effects.returns_resource = True
+        by_module.setdefault(effects.module, []).append(effects)
+    for path, tree in trees.items():
+        module = module_name(path)
+        if module not in by_module:
+            continue
+        ctx = project.contexts[module]
+        parents = _parents(tree)
+        for effects in by_module[module]:
+            fn = effects.node
+            for node in _own_walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                reason = _resource_call_reason(ctx, node, project, module,
+                                               effects.class_key)
+                if reason is None:
+                    continue
+                parent = parents.get(id(node))
+                if isinstance(parent, (ast.Return, ast.Yield)):
+                    effects.returns_resource = True
+                elif isinstance(parent, ast.Assign) \
+                        and len(parent.targets) == 1 \
+                        and isinstance(parent.targets[0], ast.Name) \
+                        and _name_is_returned(fn, parent.targets[0].id) \
+                        and not _name_has_close(fn, parent.targets[0].id):
+                    effects.returns_resource = True
 
 
 def check_resource_lifetime(
     fn: ast.AST, module: str, class_key: Optional[str],
     project: EffectsProject, path: str, findings: List[Finding],
-    summary_key: Optional[str] = None,
+    parents: Dict[int, ast.AST], summary_key: Optional[str] = None,
 ) -> None:
     ctx = project.contexts[module]
-    parents = _parents(fn)
     local_types = project._local_types(module, fn)
     managed_names: Set[str] = set()
     for node in _own_walk(fn):
@@ -925,6 +933,7 @@ def check_module(path: Path, tree: ast.Module,
     findings: List[Finding] = []
     functions: List[Tuple[ast.AST, Optional[str], str]] = []
     _iter_functions(tree.body, module, None, "", functions)
+    parents = _parents(tree)
     for fn, class_key, qualname in functions:
         summary_key = f"{module}.{qualname}" \
             if f"{module}.{qualname}" in project.functions else None
@@ -933,13 +942,12 @@ def check_module(path: Path, tree: ast.Module,
             check_async_blocking(fn, module, class_key, project, rel,
                                  findings)
             _SharedStateAnalyzer(fn, qualname, rel).run(findings)
-        check_fire_and_forget(fn, module, project, rel, findings)
+        check_fire_and_forget(fn, module, project, rel, findings, parents)
         check_pool_captures(fn, module, tree, project, rel, findings)
         check_resource_lifetime(fn, module, class_key, project, rel,
-                                findings, summary_key)
+                                findings, parents, summary_key)
         if package in ATOMIC_WRITE_PACKAGES:
             check_atomic_writes(fn, module, project, rel, findings)
-    findings.sort(key=lambda f: (f.line, f.col, f.rule, f.message))
     return findings
 
 

@@ -1,10 +1,10 @@
-"""The effects engine — concurrency & resource-safety analysis
-(``--engine=effects``).
+"""Concurrency & resource-safety summaries for *reprolint*.
 
-Third analysis family of *reprolint*, layered on the same per-function
-CFGs (:mod:`repro.devtools.cfg`) and worklist-fixpoint style as the
-dataflow engine.  Where the dataflow engine tracks *value* facts (time
-units, dtypes, orderedness), this one tracks *effect* summaries:
+Layered on the same per-function CFGs (:mod:`repro.devtools.cfg`) and
+worklist-fixpoint style as :mod:`repro.devtools.dataflow`, and built on
+its per-module import contexts.  Where the dataflow analysis tracks
+*value* facts (time units, dtypes, orderedness), this one tracks
+*effect* summaries:
 
 * **async-effect** — is a function a coroutine, and is every await-free
   stretch of it loop-safe?
@@ -20,18 +20,17 @@ units, dtypes, orderedness), this one tracks *effect* summaries:
 
 The rule checkers themselves (RPL201–RPL213) live in
 :mod:`repro.devtools.effect_rules`; this module builds the
-:class:`EffectsProject` — per-module import contexts, class attribute
-type inference (so ``self.dead_letters.put(...)`` resolves through the
+:class:`EffectsProject` — class attribute type inference (so
+``self.dead_letters.put(...)`` resolves through the
 ``DeadLetterStore | MemoryDeadLetterStore`` type set), the function
-summary table, and the blocking-propagation fixpoint — and exposes
-:func:`analyze_module` for the lint driver.
+summary table, and the blocking-propagation fixpoint.
 
 Design notes:
 
 * Methods are first-class: summaries are keyed ``module.Class.name`` as
-  well as ``module.name`` (the dataflow engine only summarizes
-  module-level functions; the serve subsystem is all methods, so the
-  effects engine cannot afford that restriction).
+  well as ``module.name`` (the dataflow summaries cover module-level
+  functions only; the serve subsystem is all methods, so these
+  summaries cannot afford that restriction).
 * Blocking never propagates *through* an async callee: awaiting a
   coroutine that itself blocks is reported once, inside that coroutine,
   where the fix belongs.
@@ -45,11 +44,10 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.devtools.dataflow import ModuleContext
-from repro.devtools.rules import Finding, module_name
+from repro.devtools.dataflow import DataflowProject, ModuleContext
+from repro.devtools.rules import module_name
 
 #: ``module -> {function}`` calls that can block the calling thread.
 #: Scoped to the call surface this codebase actually uses plus the
@@ -217,7 +215,7 @@ class FunctionEffects:
 
 @dataclasses.dataclass
 class ClassInfo:
-    """What the engine knows about one class definition."""
+    """What the analysis knows about one class definition."""
 
     key: str                  # "module.Class"
     module: str
@@ -250,8 +248,9 @@ class EffectsProject:
     """Whole-tree effect summaries: collection, class-attribute type
     inference, call resolution, and the blocking fixpoint."""
 
-    def __init__(self, trees: Dict[Path, ast.Module]):
-        self.contexts: Dict[str, ModuleContext] = {}
+    def __init__(self, dataflow: DataflowProject):
+        #: the dataflow pass's import contexts, shared rather than rebuilt.
+        self.contexts: Dict[str, ModuleContext] = dataflow.contexts
         self.functions: Dict[str, FunctionEffects] = {}
         self.classes: Dict[str, ClassInfo] = {}
         #: bare class name -> defining keys (fallback when an import
@@ -260,10 +259,8 @@ class EffectsProject:
         #: (module, qualname, lineno) of every async def the rule pass
         #: visited — the no-silently-skipped-coroutines property test.
         self.analyzed_async: Set[Tuple[str, str, int]] = set()
-        for path, tree in trees.items():
-            module = module_name(path)
-            self.contexts[module] = ModuleContext(module, tree)
-            self._collect(module, tree)
+        for path, tree in dataflow.trees.items():
+            self._collect(module_name(path), tree)
         self._infer_attr_types()
         self._seed_blocking()
         self._resolve_callees()
@@ -271,7 +268,7 @@ class EffectsProject:
         # Deferred import: the rule module owns the resource classifier.
         from repro.devtools.effect_rules import seed_resource_returns
 
-        seed_resource_returns(self)
+        seed_resource_returns(self, dataflow.trees)
 
     # -- collection -----------------------------------------------------
     def _collect(self, module: str, tree: ast.Module) -> None:
@@ -556,17 +553,6 @@ class EffectsProject:
         return " -> ".join(names) + f": {reason}"
 
 
-# ---------------------------------------------------------------------------
-# driver entry point
-# ---------------------------------------------------------------------------
-def analyze_module(path: Path, tree: ast.Module,
-                   project: EffectsProject) -> List[Finding]:
-    """Effects findings (RPL201–RPL213) for one module."""
-    from repro.devtools.effect_rules import check_module
-
-    return check_module(path, tree, project)
-
-
 __all__ = [
     "BLOCKING_BUILTINS",
     "BLOCKING_MODULE_CALLS",
@@ -575,7 +561,6 @@ __all__ = [
     "ClassInfo",
     "EffectsProject",
     "FunctionEffects",
-    "analyze_module",
     "blocking_call_reason",
     "executor_exempt_nodes",
     "is_executor_handoff",

@@ -171,7 +171,6 @@ def apply_fixes(findings: Sequence[Finding]) -> Tuple[int, int, List[str]]:
 
 def fix_paths(paths: Sequence[str],
               baseline: Optional[Path] = None,
-              engine: str = "ast",
               restrict_to: Optional[Set[str]] = None,
               max_passes: int = MAX_PASSES) -> FixReport:
     """Loop lint→apply until a lint pass yields no applicable fixes.
@@ -185,8 +184,7 @@ def fix_paths(paths: Sequence[str],
     report = FixReport()
     for _ in range(max_passes):
         report.passes += 1
-        result = run_lint(paths, baseline=baseline, engine=engine,
-                          restrict_to=restrict_to)
+        result = run_lint(paths, baseline=baseline, restrict_to=restrict_to)
         fixable = [f for f in result.new if f.fix is not None]
         if not fixable:
             return report
@@ -196,8 +194,7 @@ def fix_paths(paths: Sequence[str],
             # Nothing progressed: stop rather than spin.
             report.cycle = deferred > 0
             return report
-    result = run_lint(paths, baseline=baseline, engine=engine,
-                      restrict_to=restrict_to)
+    result = run_lint(paths, baseline=baseline, restrict_to=restrict_to)
     report.cycle = any(f.fix is not None for f in result.new)
     return report
 

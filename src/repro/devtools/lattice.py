@@ -1,6 +1,6 @@
-"""Join-semilattices of abstract facts for the dataflow engine.
+"""Join-semilattices of abstract facts for the dataflow analysis.
 
-Every value the engine tracks is summarized by one :class:`Fact` — a
+Every value the analysis tracks is summarized by one :class:`Fact` — a
 product of four independent little lattices:
 
 * **unit** — the physical time unit of a number (``"seconds"``,
@@ -23,7 +23,7 @@ product of four independent little lattices:
   taint used by the interprocedural RPL002 check).
 * **scale** — :data:`DATASET_SCALE` when the value's length is the
   ticket count (a dataset view, a column, a loader result): the taint
-  the perf engine (:mod:`repro.devtools.perf_rules`) uses so RPL3xx
+  the scale-hazard checks (:mod:`repro.devtools.perf_rules`) use so RPL3xx
   rules only fire where *n* is actually large.  Group-by dicts, scalar
   reductions and per-row elements drop the taint — a loop over the
   handful of IDCs is not a loop over 290k tickets.
@@ -49,7 +49,7 @@ DIMENSIONLESS = "dimensionless"
 #: count (dataset views, columns, loader results).
 DATASET_SCALE = "dataset"
 
-#: Concrete time units the engine reasons about, smallest first.
+#: Concrete time units the analysis reasons about, smallest first.
 TIME_UNITS = (
     "seconds",
     "minutes",

@@ -1,12 +1,24 @@
-"""``reprolint`` — the repo-specific AST invariant checker.
+"""``reprolint`` — the repo-specific invariant checker.
 
 Run it over the default tree::
 
     python -m repro.devtools.lint src tests benchmarks
     repro lint                      # CLI alias, same defaults
 
+Every run checks the whole rule catalogue in one pass: the syntactic
+RPL000–005 rules (:mod:`repro.devtools.rules`), the abstract
+interpretation behind RPL101–104 and interprocedural RPL001/002
+(:mod:`repro.devtools.dataflow`), the concurrency & resource-safety
+rules RPL201–213 (:mod:`repro.devtools.effect_rules`), and the
+scale-hazard rules RPL301–305 over the hot packages
+(:mod:`repro.devtools.perf_rules`), which read the environments the
+dataflow pass recorded.
+
 Exit status is 0 when every finding is either inline-suppressed or
-recorded in the baseline file, 1 otherwise (2 for usage errors).
+recorded in the baseline file, 1 otherwise, and 2 for usage errors: a
+missing or non-Python path, a file that does not parse, an unreadable
+or wrong-version baseline, or a ``--changed-since`` ref that does not
+resolve.
 
 **Suppressions** are inline comments with *required* justification
 text::
@@ -19,17 +31,9 @@ finding on its line — so stale suppressions cannot rot in place.
 
 **Baseline**: ``--write-baseline`` records the current findings into a
 JSON file (default ``reprolint-baseline.json``) keyed by content
-fingerprints (engine + rule + path + source line text), so pre-existing
-accepted findings survive unrelated line drift without blocking CI.
-The engine participates in the fingerprint so an AST-engine baseline
-entry can never mask a dataflow/effects finding at the same location.
-New code starts from an empty baseline.
-
-**Engines** are cumulative: ``ast`` ⊂ ``dataflow`` ⊂ ``effects`` ⊂
-``perf`` — ``--engine perf`` runs the syntactic rules, the
-abstract-interpretation pass, the concurrency/resource-safety pass,
-*and* the scale-hazard pass (RPL301–305 over the hot packages), so one
-SARIF upload covers the whole catalog.
+fingerprints (rule + path + source line text + occurrence), so
+pre-existing accepted findings survive unrelated line drift without
+blocking CI.  New code starts from an empty baseline.
 
 **Fixes**: rules may attach span-based rewrites to findings;
 ``--fix`` applies them (looping lint→fix until stable, so a second
@@ -41,11 +45,11 @@ counted, and no new debt is ever added silently.
 
 ``--changed-since <ref>`` restricts *reported* findings to files that
 differ from a git ref (analysis still sees the whole tree, so
-interprocedural summaries stay accurate) — the fast PR signal next to
-the full CI job.
+interprocedural summaries stay accurate).
 
-Reporters: human ``file:line:col: RPLxxx message`` (default) and
-``--format json`` emitting ``{"version", "findings", "summary"}``.
+Reporters: human ``file:line:col: RPLxxx message`` (default),
+``--format json`` emitting ``{"version", "findings", "summary"}``, and
+``--format sarif``.
 """
 
 from __future__ import annotations
@@ -60,14 +64,12 @@ import sys
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Set, Tuple
 
 from repro.devtools.rules import RULES, Finding, Project, check_file
 
-ENGINES = ("ast", "dataflow", "effects", "perf")
-
-BASELINE_VERSION = 2
-JSON_VERSION = 1
+BASELINE_VERSION = 3
+JSON_VERSION = 2
 DEFAULT_PATHS = ("src", "tests", "benchmarks")
 DEFAULT_BASELINE = "reprolint-baseline.json"
 
@@ -77,6 +79,13 @@ _SUPPRESS_RE = re.compile(
     r"(?P<tail>.*)$"
 )
 _JUSTIFY_RE = re.compile(r"^\s*--\s*\S")
+
+
+def _usage_error(message: str) -> NoReturn:
+    """Report bad input on stderr and exit 2, so it never reads as lint
+    debt (exit 1)."""
+    print(f"reprolint: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 @dataclass
@@ -139,16 +148,9 @@ def _parse_suppressions(source: str, path: str) -> Tuple[List[Suppression],
 
 def _apply_suppressions(
     findings: List[Finding], suppressions: List[Suppression], path: str,
-    checked_rules: Optional["set[str]"] = None,
 ) -> Tuple[List[Finding], List[Finding], List[Finding]]:
     """Split raw findings into (active, suppressed) and report unused or
-    unjustified suppressions as RPL000 meta-findings.
-
-    ``checked_rules`` is the set of rules the current engine actually
-    evaluates; a suppression naming only rules outside it (e.g. an
-    RPL101 suppression under ``--engine=ast``) is left alone rather
-    than reported as unused.
-    """
+    unjustified suppressions as RPL000 meta-findings."""
     by_line: Dict[int, List[Suppression]] = {}
     file_level: List[Suppression] = []
     for suppression in suppressions:
@@ -180,10 +182,6 @@ def _apply_suppressions(
 
     meta: List[Finding] = []
     for suppression in suppressions:
-        if checked_rules is not None and not any(
-            code in checked_rules for code in suppression.codes
-        ):
-            continue
         if not suppression.used:
             meta.append(
                 Finding(
@@ -199,67 +197,51 @@ def _apply_suppressions(
 # baseline
 # ---------------------------------------------------------------------------
 def fingerprint(finding: Finding, line_text: str, occurrence: int) -> str:
-    """Content fingerprint; the engine is part of the hash so a finding
-    baselined under one engine never masks another engine's finding at
-    the same location."""
+    """Content fingerprint: rule, path, stripped line text and the
+    occurrence index of that triple, so line drift leaves it stable."""
     raw = "|".join(
-        (finding.engine, finding.rule, finding.path, line_text.strip(),
-         str(occurrence))
+        (finding.rule, finding.path, line_text.strip(), str(occurrence))
     )
     return hashlib.sha1(raw.encode()).hexdigest()
 
 
 def _fingerprints(findings: Sequence[Finding],
                   sources: Dict[str, List[str]]) -> List[str]:
-    """Stable content fingerprint per finding; duplicate (engine, rule,
-    text) triples in one file are disambiguated by occurrence index."""
-    seen: Dict[Tuple[str, str, str, str], int] = {}
+    """Stable content fingerprint per finding; duplicate (rule, path,
+    text) triples are disambiguated by occurrence index."""
+    seen: Dict[Tuple[str, str, str], int] = {}
     out = []
     for finding in findings:
         lines = sources.get(finding.path, [])
         text = lines[finding.line - 1] if 0 < finding.line <= len(lines) else ""
-        key = (finding.engine, finding.rule, finding.path, text.strip())
+        key = (finding.rule, finding.path, text.strip())
         occurrence = seen.get(key, 0)
         seen[key] = occurrence + 1
         out.append(fingerprint(finding, text, occurrence))
     return out
 
 
-def load_baseline(path: Path) -> "set[str]":
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return set()
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"reprolint: unreadable baseline {path}: {exc}") from exc
-    if payload.get("version") != BASELINE_VERSION:
-        hint = ""
-        if payload.get("version") == 1:
-            hint = (
-                " (version 1 predates engine-aware fingerprints; "
-                "regenerate it with --write-baseline)"
-            )
-        raise SystemExit(
-            f"reprolint: baseline {path} has unsupported version "
-            f"{payload.get('version')!r}{hint}"
-        )
-    return {entry["fingerprint"] for entry in payload.get("findings", [])}
-
-
 def load_baseline_entries(path: Path) -> List[Dict[str, object]]:
-    """Full baseline entries (fingerprint + provenance), for pruning."""
+    """Baseline entries (fingerprint + provenance); none when ``path``
+    does not exist."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         return []
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"reprolint: unreadable baseline {path}: {exc}") from exc
-    if payload.get("version") != BASELINE_VERSION:
-        raise SystemExit(
-            f"reprolint: baseline {path} has unsupported version "
-            f"{payload.get('version')!r}"
+    except (OSError, ValueError) as exc:
+        _usage_error(f"unreadable baseline {path}: {exc}")
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != BASELINE_VERSION:
+        _usage_error(
+            f"baseline {path} has unsupported version {version!r} (this "
+            f"reprolint reads version {BASELINE_VERSION}); regenerate it "
+            "with --write-baseline"
         )
     return list(payload.get("findings", []))
+
+
+def load_baseline(path: Path) -> "set[str]":
+    return {str(entry["fingerprint"]) for entry in load_baseline_entries(path)}
 
 
 def write_baseline(path: Path, findings: Sequence[Finding],
@@ -269,7 +251,6 @@ def write_baseline(path: Path, findings: Sequence[Finding],
         "findings": [
             {
                 "fingerprint": print_,
-                "engine": finding.engine,
                 "rule": finding.rule,
                 "path": finding.path,
                 "line": finding.line,
@@ -307,78 +288,58 @@ def collect_files(paths: Sequence[str]) -> List[Path]:
                 p for p in sorted(path.rglob("*.py"))
                 if "__pycache__" not in p.parts
             )
+        elif not path.exists():
+            _usage_error(f"no such file or directory: {path}")
         elif path.suffix == ".py":
             files.append(path)
         else:
-            raise SystemExit(f"reprolint: not a python file or directory: {path}")
+            _usage_error(f"not a python file or directory: {path}")
     return files
-
-
-def checked_rules_for(engine: str) -> "Set[str]":
-    """Rules the engine actually evaluates (engines are cumulative:
-    ast ⊂ dataflow ⊂ effects).  Suppressions naming only rules outside
-    the set are left alone rather than reported unused."""
-    checked = {
-        rule for rule in RULES
-        if not rule.startswith(("RPL1", "RPL2", "RPL3"))
-    }
-    if engine in ("dataflow", "effects", "perf"):
-        checked |= {rule for rule in RULES if rule.startswith("RPL1")}
-    if engine in ("effects", "perf"):
-        checked |= {rule for rule in RULES if rule.startswith("RPL2")}
-    if engine == "perf":
-        checked |= {rule for rule in RULES if rule.startswith("RPL3")}
-    return checked
 
 
 def run_lint(paths: Sequence[str],
              baseline: Optional[Path] = None,
-             engine: str = "ast",
-             restrict_to: Optional["Set[str]"] = None) -> LintResult:
-    """Lint ``paths`` and classify findings against ``baseline``.
-
-    ``engine="ast"`` runs the syntactic RPL000–005 rules; ``"dataflow"``
-    additionally runs the abstract-interpretation pass
-    (:mod:`repro.devtools.dataflow`): RPL101–104 plus interprocedural
-    RPL001/002 call-site findings; ``"effects"`` additionally runs the
-    concurrency & resource-safety pass
-    (:mod:`repro.devtools.effects`): RPL201–213; ``"perf"``
-    additionally runs the scale-hazard pass
-    (:mod:`repro.devtools.perf_rules`): RPL301–305 over the hot
-    packages.  Suppression and baseline handling are identical for all
-    engines.
+             restrict_to: Optional["Set[str]"] = None,
+             *, engine: str = "perf") -> LintResult:
+    """Lint ``paths`` with the whole rule catalogue and classify the
+    findings against ``baseline``.
 
     ``restrict_to`` (resolved posix paths) limits *reported* findings
     to those files — interprocedural summaries are still built from
     every linted file, so cross-file effects stay visible.
+
+    ``engine`` survives only for callers that still pass
+    ``engine="perf"``; any other value is a usage error.
     """
-    if engine not in ENGINES:
-        raise SystemExit(f"reprolint: unknown engine {engine!r}")
+    if engine != "perf":
+        _usage_error(f"unknown engine {engine!r}: every run checks the "
+                     "whole rule catalogue, and engine= accepts only 'perf'")
+    # Deferred: the analyses cost more to import than --list-rules and
+    # the usage-error paths need.
+    from repro.devtools.dataflow import DataflowProject, analyze_module
+    from repro.devtools.effect_rules import check_module as check_effects
+    from repro.devtools.effects import EffectsProject
+    from repro.devtools.perf_rules import check_scope as check_perf
+
     files = collect_files(paths)
     trees: Dict[Path, ast.Module] = {}
     sources: Dict[str, List[str]] = {}
     raw_sources: Dict[Path, str] = {}
     for path in files:
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, ValueError) as exc:
+            _usage_error(f"cannot read {path}: {exc}")
         try:
             trees[path] = ast.parse(text, filename=str(path))
-        except SyntaxError as exc:
-            raise SystemExit(f"reprolint: cannot parse {path}: {exc}") from exc
+        except (SyntaxError, ValueError) as exc:
+            _usage_error(f"cannot parse {path}: {exc}")
         raw_sources[path] = text
         sources[path.as_posix()] = text.splitlines()
 
     project = Project(trees)
-    dataflow_project = None
-    effects_project = None
-    if engine in ("dataflow", "effects", "perf"):
-        from repro.devtools.dataflow import DataflowProject
-
-        dataflow_project = DataflowProject(trees)
-    if engine in ("effects", "perf"):
-        from repro.devtools.effects import EffectsProject
-
-        effects_project = EffectsProject(trees)
-    checked = checked_rules_for(engine)
+    dataflow_project = DataflowProject(trees)
+    effects_project = EffectsProject(dataflow_project)
     all_findings: List[Finding] = []
     suppressed_all: List[Finding] = []
     for path in files:
@@ -386,36 +347,16 @@ def run_lint(paths: Sequence[str],
                 and path.resolve().as_posix() not in restrict_to:
             continue
         rel = path.as_posix()
-        raw_findings = check_file(path, trees[path], project)
-        if dataflow_project is not None:
-            from repro.devtools.dataflow import analyze_module
-
-            raw_findings = raw_findings + analyze_module(
-                path, trees[path], dataflow_project
-            )
-        if effects_project is not None:
-            from repro.devtools.effects import (
-                analyze_module as analyze_effects,
-            )
-
-            raw_findings = raw_findings + analyze_effects(
-                path, trees[path], effects_project
-            )
-        if engine == "perf":
-            from repro.devtools.perf_rules import (
-                analyze_module as analyze_perf,
-            )
-
-            raw_findings = raw_findings + analyze_perf(
-                path, trees[path], dataflow_project
-            )
-        raw_findings = sorted(
-            raw_findings,
-            key=lambda f: (f.line, f.col, f.rule, f.message),
-        )
+        tree = trees[path]
+        raw_findings = check_file(path, tree, project)
+        for scope in analyze_module(path, tree, dataflow_project):
+            raw_findings += scope.findings
+            raw_findings += check_perf(path, raw_sources[path], scope)
+        raw_findings += check_effects(path, tree, effects_project)
+        raw_findings.sort(key=lambda f: (f.line, f.col, f.rule, f.message))
         suppressions, meta = _parse_suppressions(raw_sources[path], rel)
         active, suppressed, unused = _apply_suppressions(
-            raw_findings, suppressions, rel, checked_rules=checked
+            raw_findings, suppressions, rel
         )
         all_findings.extend(active)
         all_findings.extend(meta)
@@ -447,7 +388,6 @@ def _report_json(result: LintResult) -> str:
             "version": JSON_VERSION,
             "findings": [
                 {
-                    "engine": finding.engine,
                     "rule": finding.rule,
                     "path": finding.path,
                     "line": finding.line,
@@ -487,9 +427,11 @@ def _report_text(result: LintResult) -> str:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reprolint",
-        description="AST-based invariant checker for the repro codebase "
-                    "(determinism, immutability, cache purity, schema "
-                    "integrity, API hygiene)",
+        description="Invariant checker for the repro codebase: every run "
+                    "checks the whole rule catalogue (determinism, "
+                    "immutability, cache purity, schema and API hygiene, "
+                    "time units, concurrency and resource safety, scale "
+                    "hazards)",
     )
     parser.add_argument(
         "paths", nargs="*", default=list(DEFAULT_PATHS),
@@ -519,15 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="apply machine-attached fixes (looping lint→fix until "
              "stable), then report what remains; a second --fix run "
              "is a no-op",
-    )
-    parser.add_argument(
-        "--engine", choices=ENGINES, default="ast",
-        help="'ast' runs the syntactic rules; 'dataflow' adds the "
-             "abstract-interpretation analyses (RPL101-104 and "
-             "interprocedural RPL001/002); 'effects' additionally adds "
-             "the concurrency & resource-safety analyses (RPL201-213); "
-             "'perf' additionally adds the scale-hazard analyses "
-             "(RPL301-305 over the hot packages)",
     )
     parser.add_argument(
         "--changed-since", default=None, metavar="REF",
@@ -567,20 +500,16 @@ def changed_files(ref: str) -> "Set[str]":
                 ["git", *argv], capture_output=True, text=True,
             )
         except OSError as exc:  # git binary missing
-            print(f"reprolint: --changed-since {ref!r}: cannot run "
-                  f"git: {exc}", file=sys.stderr)
-            raise SystemExit(2) from exc
+            _usage_error(f"--changed-since {ref!r}: cannot run git: {exc}")
         if proc.returncode != 0:
             detail = proc.stderr.strip().splitlines()
             reason = detail[0] if detail else f"git exited {proc.returncode}"
-            print(
-                f"reprolint: --changed-since {ref!r}: {reason}\n"
+            _usage_error(
+                f"--changed-since {ref!r}: {reason}\n"
                 "reprolint: the ref must resolve in a git repository "
                 "with at least one commit; try 'git log --oneline -1' "
-                "to check",
-                file=sys.stderr,
+                "to check"
             )
-            raise SystemExit(2)
         return proc.stdout
 
     top = Path(_git("rev-parse", "--show-toplevel").strip())
@@ -612,8 +541,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         restrict = changed_files(args.changed_since)
 
     if args.write_baseline:
-        result = run_lint(args.paths, baseline=None, engine=args.engine,
-                          restrict_to=restrict)
+        result = run_lint(args.paths, restrict_to=restrict)
         target = baseline or Path(DEFAULT_BASELINE)
         write_baseline(target, result.new, result.new_fingerprints)
         print(
@@ -624,8 +552,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.update_baseline:
         target = baseline or Path(DEFAULT_BASELINE)
         entries = load_baseline_entries(target)
-        result = run_lint(args.paths, baseline=None, engine=args.engine,
-                          restrict_to=restrict)
+        result = run_lint(args.paths, restrict_to=restrict)
         old_prints = {entry["fingerprint"] for entry in entries}
         kept = [
             (finding, print_)
@@ -653,7 +580,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.devtools.fixer import fix_paths
 
         fixed = fix_paths(args.paths, baseline=baseline,
-                          engine=args.engine, restrict_to=restrict)
+                          restrict_to=restrict)
         note = (
             f"reprolint: applied {fixed.applied} fix(es) in "
             f"{len(fixed.files)} file(s) over {fixed.passes} pass(es)"
@@ -662,8 +589,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             note += " — WARNING: fixable findings remain (fix cycle?)"
         print(note)
 
-    result = run_lint(args.paths, baseline=baseline, engine=args.engine,
-                      restrict_to=restrict)
+    result = run_lint(args.paths, baseline=baseline, restrict_to=restrict)
     if args.fmt == "json":
         report = _report_json(result)
     elif args.fmt == "sarif":
@@ -686,7 +612,6 @@ if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
 __all__ = [
     "LintResult",
     "changed_files",
-    "checked_rules_for",
     "run_lint",
     "load_baseline",
     "load_baseline_entries",

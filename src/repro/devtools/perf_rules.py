@@ -1,13 +1,15 @@
-"""The perf engine — static scale-hazard rules (RPL301–RPL305).
+"""Static scale-hazard rules (RPL301–RPL305).
 
-The fourth, cumulative reprolint engine.  It reuses the dataflow
-infrastructure (CFGs + the :class:`~repro.devtools.lattice.Fact`
-product lattice) and keys every rule on the **dataset-scale taint**:
-the ``scale`` lattice component seeded from ``ColumnStore`` /
-``FOTDataset`` accessors, loader returns and dataset-typed parameters
-(see :mod:`repro.devtools.dataflow`).  A loop is only a hazard when
-*n* is the ticket count; a loop over the handful of IDCs returned by a
-``by_*`` group-by is not.
+The checks run over the hot packages and read the per-statement
+environments that the dataflow reporting pass
+(:func:`repro.devtools.dataflow.analyze_module`) records, so they add
+no fixpoint of their own.  Every rule keys on the **dataset-scale
+taint**: the ``scale`` component of the
+:class:`~repro.devtools.lattice.Fact` lattice, seeded from
+``ColumnStore`` / ``FOTDataset`` accessors, loader returns and
+dataset-typed parameters.  A loop is only a hazard when *n* is the
+ticket count; a loop over the handful of IDCs returned by a ``by_*``
+group-by is not.
 
 Rules
 -----
@@ -37,8 +39,8 @@ RPL305
     sorts, fingerprints, distribution batch math) — every name the
     call reads is bound outside the loop, so it can be hoisted.
 
-Suppression of deliberate sequential scans uses the engine-wide
-justified inline mechanism (``# reprolint: disable=RPL301 -- reason``),
+Suppression of deliberate sequential scans uses the justified inline
+mechanism (``# reprolint: disable=RPL301 -- reason``),
 *not* the baseline: the baseline is for debt, suppressions are for
 documented intent.
 """
@@ -49,19 +51,13 @@ import ast
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.devtools.dataflow import (
-    DataflowProject,
-    ModuleContext,
-    _Analyzer,
-    _RuleFlags,
-)
+from repro.devtools.dataflow import _Analyzer
 from repro.devtools.lattice import Env, Fact
 from repro.devtools.rules import (
     Edit,
     Finding,
     Fix,
     MUTATOR_METHODS,
-    module_name,
     module_parts,
 )
 
@@ -162,43 +158,22 @@ def _bound_names(loop: ast.AST) -> Set[str]:
     return bound
 
 
-class _PerfAnalyzer(_Analyzer):
-    """Dataflow fixpoint that emits nothing itself but records the
-    stable abstract environment in force at every statement, so the
-    syntactic perf checks can ask "how big is this value?"."""
-
-    def __init__(self, path: str, ctx: ModuleContext,
-                 project: DataflowProject,
-                 fn: Optional[ast.AST] = None,
-                 body: Optional[Sequence[ast.stmt]] = None):
-        super().__init__(path, ctx, project, _RuleFlags(), fn=fn, body=body)
-        self.stmt_envs: Dict[int, Env] = {}
-
-    def _transfer_item(self, item: ast.AST, env: Env) -> None:
-        if self._emitting:
-            self.stmt_envs[id(item)] = dict(env)
-        super()._transfer_item(item, env)
-
-
 class _FunctionPerf:
-    """RPL301–305 checks for one analyzed scope."""
+    """RPL301–305 checks for one scope the dataflow pass analyzed."""
 
-    def __init__(self, path: str, analyzer: _PerfAnalyzer,
-                 body: Sequence[ast.stmt], source: str,
-                 fn: Optional[ast.AST] = None):
+    def __init__(self, path: str, analyzer: _Analyzer, source: str):
         self.path = path
         self.analyzer = analyzer
-        self.body = body
+        self.body = analyzer.body
         self.source = source
-        self.fn = fn
         self.findings: List[Finding] = []
         self.is_generator = any(
             isinstance(n, (ast.Yield, ast.YieldFrom))
-            for stmt in _own_statements(body) for n in _own_nodes(stmt)
+            for stmt in _own_statements(self.body) for n in _own_nodes(stmt)
         )
         #: names initialized as empty-list accumulators in this scope.
         self.list_inits: Dict[str, ast.Assign] = {}
-        for stmt in _own_statements(body):
+        for stmt in _own_statements(self.body):
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
                     and isinstance(stmt.targets[0], ast.Name) \
                     and isinstance(stmt.value, ast.List) \
@@ -237,8 +212,7 @@ class _FunctionPerf:
              fix: Optional[Fix] = None) -> None:
         self.findings.append(
             Finding(rule, self.path, getattr(node, "lineno", 1),
-                    getattr(node, "col_offset", 0), message,
-                    engine="perf", fix=fix)
+                    getattr(node, "col_offset", 0), message, fix=fix)
         )
 
     # -- driver ---------------------------------------------------------
@@ -602,40 +576,16 @@ class _FunctionPerf:
 
 
 # ---------------------------------------------------------------------------
-# per-file entry point
+# per-scope entry point
 # ---------------------------------------------------------------------------
-def analyze_module(path: Path, tree: ast.Module,
-                   project: DataflowProject) -> List[Finding]:
-    """All perf findings for one file (hot packages only)."""
+def check_scope(path: Path, source: str, scope: _Analyzer) -> List[Finding]:
+    """RPL3xx findings for one scope that
+    :func:`repro.devtools.dataflow.analyze_module` analyzed (hot
+    packages only)."""
     parts = module_parts(path)
     if len(parts) < 2 or parts[0] != "repro" or parts[1] not in HOT_PACKAGES:
         return []
-    module = module_name(path)
-    ctx = project.contexts.get(module) or ModuleContext(module, tree)
-    rel = path.as_posix()
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError:
-        source = ""
-
-    findings: List[Finding] = []
-
-    module_scope = _PerfAnalyzer(rel, ctx, project, body=tree.body)
-    module_scope.run()
-    findings.extend(
-        _FunctionPerf(rel, module_scope, tree.body, source).run()
-    )
-
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            analyzer = _PerfAnalyzer(rel, ctx, project, fn=node)
-            analyzer.run()
-            findings.extend(
-                _FunctionPerf(rel, analyzer, node.body, source,
-                              fn=node).run()
-            )
-    findings.sort(key=lambda f: (f.line, f.col, f.rule, f.message))
-    return findings
+    return _FunctionPerf(path.as_posix(), scope, source).run()
 
 
 __all__ = [
@@ -643,5 +593,5 @@ __all__ = [
     "NP_GROWTH_CALLS",
     "EXPENSIVE_FUNCS",
     "EXPENSIVE_METHODS",
-    "analyze_module",
+    "check_scope",
 ]

@@ -48,22 +48,22 @@ RULES: Dict[str, str] = {
     "RPL003": "cache purity: cached analysis functions must be side-effect free",
     "RPL004": "schema integrity: FOT field literals must exist in the canonical schema",
     "RPL005": "API hygiene: __all__ must match real bindings and facade re-exports",
-    # Semantic rules implemented by the dataflow engine
-    # (repro.devtools.dataflow, --engine=dataflow).
+    # Semantic rules implemented by the abstract interpreter
+    # (repro.devtools.dataflow).
     "RPL101": "time units: no cross-unit arithmetic/comparison; convert via core.timeutil",
     "RPL102": "time units: no magic second-count literals folded into arithmetic",
     "RPL103": "dtype width: no narrowing casts/accumulation over time-unit values",
     "RPL104": "shard determinism: sort set/dict/fs-listing iteration before ordered folds",
-    # Concurrency & resource-safety rules implemented by the effects
-    # engine (repro.devtools.effects, --engine=effects).
+    # Concurrency & resource-safety rules over the effect summaries
+    # (repro.devtools.effects / effect_rules).
     "RPL201": "async blocking: no synchronous blocking calls on the event loop",
     "RPL202": "async sharing: no shared mutable state read-then-written across an await",
     "RPL203": "async tasks: create_task results must be retained or given a done-callback",
     "RPL211": "pool captures: process-pool work must not capture mutable/unpicklable/unseeded-RNG state",
     "RPL212": "resource lifetime: files/mmaps need a context manager, close, or finalizer; buffers must not outlive their backing store",
     "RPL213": "atomic writes: durable files are written via write-then-rename, never in place",
-    # Scale-hazard rules implemented by the perf engine
-    # (repro.devtools.perf_rules, --engine=perf).
+    # Scale-hazard rules over the dataflow environments
+    # (repro.devtools.perf_rules).
     "RPL301": "perf: no Python-level iteration over dataset rows/columns where a vectorized op exists",
     "RPL302": "perf: no array growth inside loops (np.append/concatenate accumulation, append-then-np.array)",
     "RPL303": "perf: no redundant materialization (np.asarray of an array, .tolist() on hot paths)",
@@ -110,12 +110,8 @@ class Fix:
 class Finding:
     """One linter finding, anchored to a file position.
 
-    ``engine`` names the analysis family that produced the finding
-    (``"ast"``, ``"dataflow"``, ``"effects"`` or ``"perf"``); it
-    participates in the baseline fingerprint so a finding accepted
-    under one engine can never mask a different engine's finding at the
-    same location.  ``fix`` optionally carries a machine-applicable
-    rewrite (it does not participate in fingerprints).
+    ``fix`` optionally carries a machine-applicable rewrite (it does not
+    participate in fingerprints).
     """
 
     rule: str
@@ -123,7 +119,6 @@ class Finding:
     line: int
     col: int
     message: str
-    engine: str = "ast"
     fix: Optional[Fix] = None
 
     def render(self) -> str:

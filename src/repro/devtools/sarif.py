@@ -88,9 +88,9 @@ def _result(finding: Finding, fingerprint: str) -> Dict:
                 }
             }
         ],
-        # v2: the baseline fingerprint now hashes the producing engine
-        # too, so dedup is engine-aware across analysis families.
-        "partialFingerprints": {"reprolintFingerprint/v2": fingerprint},
+        # The baseline fingerprint (rule, path, line text, occurrence);
+        # the version suffix changes whenever that hash does.
+        "partialFingerprints": {"reprolintFingerprint/v3": fingerprint},
     }
     if finding.fix is not None:
         result["fixes"] = [_fix(finding)]

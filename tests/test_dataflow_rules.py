@@ -1,12 +1,10 @@
-"""Rule-level tests for ``--engine=dataflow``: positive/negative
-fixtures for RPL101–RPL104, the interprocedural RPL001/002 analyses,
-suppression handling, and parity with the PR 4 syntactic rules."""
+"""Rule-level tests for the dataflow rules: positive/negative fixtures
+for RPL101–RPL104, the interprocedural RPL001/002 analyses, and
+suppression handling."""
 
 from __future__ import annotations
 
 from pathlib import Path
-
-import pytest
 
 from repro.devtools.lint import LintResult, run_lint
 
@@ -21,7 +19,7 @@ def write(tmp_path: Path, rel: str, source: str) -> Path:
 
 
 def lint_dataflow(*paths: Path) -> LintResult:
-    return run_lint([str(p) for p in paths], engine="dataflow")
+    return run_lint([str(p) for p in paths])
 
 
 def rules_hit(result: LintResult) -> set:
@@ -420,7 +418,7 @@ class TestInterprocedural:
 
 
 # ---------------------------------------------------------------------------
-# suppressions + engine parity
+# suppressions
 # ---------------------------------------------------------------------------
 class TestSuppressionAndParity:
     def test_dataflow_findings_are_suppressible(self, tmp_path):
@@ -434,57 +432,9 @@ class TestSuppressionAndParity:
         assert result.new == []
         assert len(result.suppressed) == 1
 
-    def test_ast_engine_ignores_dataflow_suppressions(self, tmp_path):
-        # an RPL101 suppression must not be reported as unused when the
-        # engine that runs cannot produce RPL101 findings at all
-        path = write(
-            tmp_path, "src/repro/analysis/justified.py",
-            "def f(span_seconds, window_days):\n"
-            "    return span_seconds + window_days"
-            "  # reprolint: disable=RPL101 -- fixture exercising suppression\n",
-        )
-        assert run_lint([str(path)], engine="ast").new == []
 
-    @pytest.mark.parametrize(
-        ("rel", "source"),
-        [
-            (
-                "src/repro/simulation/bad.py",
-                "import random\nimport time\n\n\ndef jitter():\n"
-                "    return random.random() + time.time()\n",
-            ),
-            (
-                "src/repro/analysis/bad.py",
-                "def f(dataset):\n"
-                "    dataset.error_times[0] = 1.0\n",
-            ),
-            (
-                "src/repro/stats/bad.py",
-                "import numpy as np\n\n\ndef draw():\n"
-                "    return np.random.rand(3)\n",
-            ),
-        ],
-        ids=["rpl001-randomness", "rpl002-mutation", "rpl001-legacy-np"],
-    )
-    def test_dataflow_engine_is_superset_of_ast_engine(
-        self, tmp_path, rel, source
-    ):
-        """Parity: every PR 4 syntactic finding appears identically under
-        the dataflow engine (which may only *add* findings)."""
-        path = write(tmp_path, rel, source)
-        ast_result = run_lint([str(path)], engine="ast")
-        df_result = run_lint([str(path)], engine="dataflow")
-        key = lambda f: (f.rule, f.path, f.line, f.col, f.message)  # noqa: E731
-        assert set(map(key, ast_result.new)) <= set(map(key, df_result.new))
-        assert ast_result.new  # the fixtures really do trip the old rules
-
-
-def test_repo_tree_is_dataflow_clean():
-    """The acceptance gate: the dataflow engine runs clean over the repo
-    (modulo the committed baseline and justified suppressions)."""
-    result = run_lint(
-        [str(REPO_ROOT / "src")],
-        baseline=REPO_ROOT / "reprolint-baseline.json",
-        engine="dataflow",
-    )
-    assert result.new == [], "\n".join(f.render() for f in result.new)
+def test_repo_tree_is_dataflow_clean(repo_lint):
+    """The dataflow rules (RPL101–104) have zero unsuppressed findings
+    over ``src tests benchmarks``, with no baseline."""
+    found = [f.render() for f in repo_lint.new if f.rule.startswith("RPL1")]
+    assert found == []

@@ -1,5 +1,5 @@
-"""Rule-level tests for ``--engine=effects``: positive/negative
-fixtures for RPL201–RPL213, executor/lock/seed exemptions, and the
+"""Rule-level tests for the concurrency & resource-safety rules:
+positive/negative fixtures for RPL201–RPL213, executor/lock/seed exemptions, and the
 interprocedural blocking-summary behavior (report-at-innermost-
 coroutine, chain rendering)."""
 
@@ -20,7 +20,7 @@ def write(tmp_path: Path, rel: str, source: str) -> Path:
 
 
 def lint_effects(*paths: Path) -> LintResult:
-    return run_lint([str(p) for p in paths], engine="effects")
+    return run_lint([str(p) for p in paths])
 
 
 def rules_hit(result: LintResult) -> set:
@@ -540,15 +540,3 @@ class TestSuppression:
         result = lint_effects(path)
         assert result.new == []
         assert len(result.suppressed) == 1
-
-    def test_effects_suppression_not_unused_under_ast_engine(self, tmp_path):
-        """An RPL2xx suppression is outside the ast engine's checked
-        set, so ``--engine=ast`` must not report it as unused."""
-        path = write(
-            tmp_path, "src/repro/analysis/ok.py",
-            "import time\n"
-            "async def f():\n"
-            "    time.sleep(1)  # reprolint: disable=RPL201 -- test fixture\n",
-        )
-        result = run_lint([str(path)], engine="ast")
-        assert result.new == []

@@ -1,30 +1,26 @@
-"""Engine-level tests for the effects analysis: interprocedural
+"""Project-level tests for the effects analysis: interprocedural
 blocking summaries, attribute-type call resolution, the
-no-silently-skipped-coroutines property over ``repro.serve``, the
-end-to-end clean run over ``src/``, engine-aware baseline
-fingerprints, and ``--changed-since`` diff-aware reporting."""
+no-silently-skipped-coroutines property over ``repro.serve``, and
+``--changed-since`` diff-aware reporting."""
 
 from __future__ import annotations
 
 import ast
-import json
 import subprocess
 from pathlib import Path
 
 import pytest
 
-from repro.devtools.effects import EffectsProject, analyze_module
+from repro.devtools.dataflow import DataflowProject
+from repro.devtools.effect_rules import check_module
+from repro.devtools.effects import EffectsProject
 from repro.devtools.lint import (
     changed_files,
-    checked_rules_for,
     collect_files,
-    fingerprint,
-    load_baseline,
     main,
     run_lint,
-    write_baseline,
 )
-from repro.devtools.rules import Finding, module_name
+from repro.devtools.rules import module_name
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,7 +36,7 @@ def build_project(*paths: Path) -> EffectsProject:
     trees = {
         p: ast.parse(p.read_text(encoding="utf-8")) for p in paths
     }
-    return EffectsProject(trees)
+    return EffectsProject(DataflowProject(trees))
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +148,13 @@ class TestServeCoverage:
         trees = {
             p: ast.parse(p.read_text(encoding="utf-8")) for p in files
         }
-        project = EffectsProject(trees)
+        project = EffectsProject(DataflowProject(trees))
         serve_files = [
             p for p in files if "serve" in p.parts
         ]
         findings = []
         for p in serve_files:
-            findings.extend(analyze_module(p, trees[p], project))
+            findings.extend(check_module(p, trees[p], project))
         return project, trees, serve_files, findings
 
     def test_every_serve_coroutine_is_analyzed(self, serve_analysis):
@@ -187,90 +183,15 @@ class TestServeCoverage:
         assert [f.render() for f in findings] == []
 
 
-def test_effects_engine_clean_over_src():
-    """End to end: ``--engine effects`` over the real ``src/`` tree has
-    zero unsuppressed findings (the acceptance gate for this PR)."""
-    result = run_lint([str(REPO_ROOT / "src")], engine="effects")
-    assert [f.render() for f in result.new] == []
-
-
-# ---------------------------------------------------------------------------
-# engine-aware fingerprints
-# ---------------------------------------------------------------------------
-class TestEngineFingerprints:
-    def test_engine_participates_in_the_hash(self):
-        ast_print = fingerprint(
-            Finding("RPL201", "src/repro/x.py", 3, 0, "m", engine="ast"),
-            "time.sleep(1)", 0,
-        )
-        effects_print = fingerprint(
-            Finding("RPL201", "src/repro/x.py", 3, 0, "m", engine="effects"),
-            "time.sleep(1)", 0,
-        )
-        assert ast_print != effects_print
-
-    def test_foreign_engine_baseline_cannot_mask_effects_finding(
-        self, tmp_path
-    ):
-        """A baseline entry recorded under another engine for the same
-        rule/line/text must NOT suppress the effects finding."""
-        path = write(
-            tmp_path, "src/repro/analysis/bad.py",
-            "import time\n"
-            "async def f():\n"
-            "    time.sleep(1)\n",
-        )
-        result = run_lint([str(path)], engine="effects")
-        assert len(result.new) == 1
-        finding = result.new[0]
-        forged = fingerprint(
-            Finding(finding.rule, finding.path, finding.line, finding.col,
-                    finding.message, engine="ast"),
-            "time.sleep(1)", 0,
-        )
-        baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(json.dumps({
-            "version": 2,
-            "findings": [{"fingerprint": forged}],
-        }))
-        rerun = run_lint([str(path)], baseline=baseline_path,
-                         engine="effects")
-        assert len(rerun.new) == 1  # still reported
-
-    def test_own_engine_baseline_suppresses(self, tmp_path):
-        path = write(
-            tmp_path, "src/repro/analysis/bad.py",
-            "import time\n"
-            "async def f():\n"
-            "    time.sleep(1)\n",
-        )
-        baseline_path = tmp_path / "baseline.json"
-        first = run_lint([str(path)], engine="effects")
-        write_baseline(baseline_path, first.new, first.new_fingerprints)
-        payload = json.loads(baseline_path.read_text())
-        assert payload["version"] == 2
-        assert all(e["engine"] == "effects" for e in payload["findings"])
-        rerun = run_lint([str(path)], baseline=baseline_path,
-                         engine="effects")
-        assert rerun.new == []
-        assert len(rerun.baselined) == 1
-
-    def test_v1_baseline_rejected_with_migration_hint(self, tmp_path):
-        baseline_path = tmp_path / "baseline.json"
-        baseline_path.write_text(json.dumps({"version": 1, "findings": []}))
-        with pytest.raises(SystemExit) as excinfo:
-            load_baseline(baseline_path)
-        assert "--write-baseline" in str(excinfo.value)
-
-    def test_checked_rules_are_cumulative(self):
-        ast_rules = checked_rules_for("ast")
-        dataflow_rules = checked_rules_for("dataflow")
-        effects_rules = checked_rules_for("effects")
-        assert ast_rules < dataflow_rules < effects_rules
-        assert "RPL201" in effects_rules
-        assert "RPL201" not in dataflow_rules
-        assert "RPL101" in dataflow_rules
-        assert "RPL101" not in ast_rules
+def test_effects_engine_clean_over_src(repo_lint):
+    """End to end: the concurrency & resource-safety rules (RPL201–213)
+    have zero unsuppressed findings over the real ``src/`` tree."""
+    src = (REPO_ROOT / "src").as_posix()
+    found = [
+        f.render() for f in repo_lint.new
+        if f.rule.startswith("RPL2") and f.path.startswith(src)
+    ]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +231,10 @@ class TestChangedSince:
     def test_restrict_to_limits_reported_files(self, tmp_path):
         stable = write(tmp_path, "src/repro/analysis/stable.py", BAD)
         touched = write(tmp_path, "src/repro/analysis/touched.py", GOOD)
-        unrestricted = run_lint([str(stable), str(touched)],
-                                engine="effects")
+        unrestricted = run_lint([str(stable), str(touched)])
         assert len(unrestricted.new) == 1
         restricted = run_lint(
-            [str(stable), str(touched)], engine="effects",
+            [str(stable), str(touched)],
             restrict_to={touched.resolve().as_posix()},
         )
         assert restricted.new == []
@@ -332,16 +252,14 @@ class TestChangedSince:
         # stable.py has a finding but predates the ref; touched.py
         # acquires the same defect in the diff — only it is reported.
         (repo / "src/repro/analysis/touched.py").write_text(BAD)
-        code = main(["src", "--no-baseline", "--engine", "effects",
-                     "--changed-since", "HEAD"])
+        code = main(["src", "--no-baseline", "--changed-since", "HEAD"])
         out = capsys.readouterr().out
         assert code == 1
         assert "touched.py" in out
         assert "stable.py" not in out
 
     def test_cli_changed_since_clean_diff_exits_zero(self, repo, capsys):
-        code = main(["src", "--no-baseline", "--engine", "effects",
-                     "--changed-since", "HEAD"])
+        code = main(["src", "--no-baseline", "--changed-since", "HEAD"])
         out = capsys.readouterr().out
         assert code == 0
         assert "0 finding(s)" in out

@@ -274,12 +274,17 @@ class TestTraceTelemetry:
 
 
 class TestReprolintClean:
-    """The new engine modules must be clean under both reprolint
-    engines with no baseline entries — determinism rules included
-    (telemetry uses only monotonic clocks)."""
+    """The execution-engine modules must be reprolint-clean with no
+    baseline entries — determinism rules included (telemetry uses only
+    monotonic clocks).  One lint run; its findings are checked per rule
+    family so a failure names the family."""
 
-    @pytest.mark.parametrize("engine", ["ast", "dataflow"])
-    def test_new_modules_lint_clean(self, engine):
+    #: rule family -> rule-id prefix
+    FAMILIES = {"ast": "RPL0", "dataflow": "RPL1", "effects": "RPL2",
+                "perf": "RPL3"}
+
+    @pytest.fixture(scope="class")
+    def lint_result(self):
         from pathlib import Path
 
         from repro.devtools.lint import run_lint
@@ -290,5 +295,11 @@ class TestReprolintClean:
             root / "engine" / "telemetry.py",
             root / "engine" / "policy.py",
         ]
-        result = run_lint([str(p) for p in targets], engine=engine)
-        assert result.new == [], [f.code for f in result.new]
+        return run_lint([str(p) for p in targets])
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_new_modules_lint_clean(self, lint_result, family):
+        prefix = self.FAMILIES[family]
+        found = [f.render() for f in lint_result.new
+                 if f.rule.startswith(prefix)]
+        assert found == []

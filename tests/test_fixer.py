@@ -23,7 +23,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 MOD = "src/repro/analysis/mod.py"
 
-#: Fixable fixture sources and the engine-visible defect they carry.
+#: Fixable fixture sources, each carrying one fixable defect.
 ACCUMULATOR = (
     "import numpy as np\n"
     "def build(dataset):\n"
@@ -58,8 +58,7 @@ def write(tmp_path: Path, source: str, rel: str = MOD) -> Path:
 
 def synthetic(path: Path, *fixes: Fix) -> list:
     return [
-        Finding("RPL302", str(path), 1, 0, "synthetic", engine="perf",
-                fix=fix)
+        Finding("RPL302", str(path), 1, 0, "synthetic", fix=fix)
         for fix in fixes
     ]
 
@@ -122,32 +121,32 @@ class TestFixDriver:
     @pytest.mark.parametrize("name", sorted(FIXABLE_SOURCES))
     def test_fix_leaves_fixture_lint_clean(self, tmp_path, name):
         """Property: after ``--fix``, a re-lint of the fixture has no
-        findings at all (perf is cumulative, so RPL1xx count too)."""
+        findings at all, from any rule family."""
         path = write(tmp_path, FIXABLE_SOURCES[name])
-        report = fix_paths([str(path)], engine="perf")
+        report = fix_paths([str(path)])
         assert report.applied >= 1
         assert not report.cycle
-        assert run_lint([str(path)], engine="perf").new == []
+        assert run_lint([str(path)]).new == []
 
     @pytest.mark.parametrize("name", sorted(FIXABLE_SOURCES))
     def test_fix_is_idempotent(self, tmp_path, name):
         path = write(tmp_path, FIXABLE_SOURCES[name])
-        fix_paths([str(path)], engine="perf")
+        fix_paths([str(path)])
         after_first = path.read_bytes()
-        rerun = fix_paths([str(path)], engine="perf")
+        rerun = fix_paths([str(path)])
         assert rerun.applied == 0
         assert path.read_bytes() == after_first
 
     def test_accumulator_becomes_comprehension(self, tmp_path):
         path = write(tmp_path, ACCUMULATOR)
-        fix_paths([str(path)], engine="perf")
+        fix_paths([str(path)])
         text = path.read_text()
         assert "acc = [t.error_time for t in dataset.tickets]" in text
         assert "acc.append" not in text
 
     def test_magic_constant_becomes_named_import(self, tmp_path):
         path = write(tmp_path, MAGIC_CONSTANT)
-        fix_paths([str(path)], engine="perf")
+        fix_paths([str(path)])
         text = path.read_text()
         assert "from repro.core.timeutil import DAY" in text
         assert "span_seconds / DAY" in text
@@ -160,7 +159,7 @@ class TestFixDriver:
             "    return [t.error_time for t in dataset.tickets]\n",
         )
         before = path.read_bytes()
-        report = fix_paths([str(path)], engine="perf")
+        report = fix_paths([str(path)])
         assert report.applied == 0
         assert report.passes == 1
         assert path.read_bytes() == before
@@ -172,8 +171,7 @@ class TestFixDriver:
 class TestFixCli:
     def test_fix_reports_and_exits_clean(self, tmp_path, capsys):
         path = write(tmp_path, ACCUMULATOR)
-        code = main([str(path), "--fix", "--no-baseline",
-                     "--engine", "perf"])
+        code = main([str(path), "--fix", "--no-baseline"])
         out = capsys.readouterr().out
         assert code == 0
         assert "applied 1 fix(es)" in out
@@ -185,8 +183,7 @@ class TestFixCli:
             "def ages(dataset):\n"
             "    return [t.error_time for t in dataset.tickets]\n",
         )
-        code = main([str(path), "--fix", "--no-baseline",
-                     "--engine", "perf"])
+        code = main([str(path), "--fix", "--no-baseline"])
         out = capsys.readouterr().out
         assert code == 0
         assert "applied 0 fix(es)" in out
@@ -211,7 +208,7 @@ class TestUpdateBaseline:
         write(tmp_path, BAD_EFFECTS, rel="src/repro/analysis/gone.py")
         write(tmp_path, BAD_EFFECTS, rel="src/repro/analysis/fixed.py")
         baseline = tmp_path / "baseline.json"
-        assert main(["src", "--engine", "effects", "--baseline",
+        assert main(["src", "--baseline",
                      str(baseline), "--write-baseline"]) == 0
         capsys.readouterr()
         assert len(json.loads(baseline.read_text())["findings"]) == 3
@@ -219,7 +216,7 @@ class TestUpdateBaseline:
         (tmp_path / "src/repro/analysis/gone.py").unlink()
         write(tmp_path, "def f():\n    return 1\n",
               rel="src/repro/analysis/fixed.py")
-        assert main(["src", "--engine", "effects", "--baseline",
+        assert main(["src", "--baseline",
                      str(baseline), "--update-baseline"]) == 0
         out = capsys.readouterr().out
         assert "kept 1 entry" in out
@@ -233,11 +230,11 @@ class TestUpdateBaseline:
         monkeypatch.chdir(tmp_path)
         write(tmp_path, BAD_EFFECTS, rel="src/repro/analysis/old.py")
         baseline = tmp_path / "baseline.json"
-        assert main(["src", "--engine", "effects", "--baseline",
+        assert main(["src", "--baseline",
                      str(baseline), "--write-baseline"]) == 0
         # A brand-new defect appears after the baseline was recorded.
         write(tmp_path, BAD_EFFECTS, rel="src/repro/analysis/new.py")
-        assert main(["src", "--engine", "effects", "--baseline",
+        assert main(["src", "--baseline",
                      str(baseline), "--update-baseline"]) == 0
         capsys.readouterr()
         entries = json.loads(baseline.read_text())["findings"]

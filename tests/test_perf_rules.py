@@ -1,12 +1,11 @@
-"""Perf-engine tests: the RPL301–305 scale-hazard rules, their
-deliberate negative space (comprehensions, generators, group-by views),
-engine cumulativity, and the end-to-end clean run over ``src/``."""
+"""Tests for the RPL301–305 scale-hazard rules and their deliberate
+negative space (comprehensions, generators, group-by views)."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.devtools.lint import checked_rules_for, run_lint
+from repro.devtools.lint import run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,7 +21,7 @@ def write(tmp_path: Path, source: str, rel: str = MOD) -> Path:
 
 
 def lint(path: Path):
-    return run_lint([str(path)], engine="perf")
+    return run_lint([str(path)])
 
 
 def rules_of(result):
@@ -302,20 +301,12 @@ class TestRPL305:
         assert "RPL305" not in rules_of(lint(path))
 
 
-# ---------------------------------------------------------------------------
-# engine plumbing
-# ---------------------------------------------------------------------------
-def test_perf_rules_are_cumulative_over_effects():
-    effects = checked_rules_for("effects")
-    perf = checked_rules_for("perf")
-    assert effects < perf
-    assert {"RPL301", "RPL302", "RPL303", "RPL304", "RPL305"} <= perf
-    assert "RPL301" not in effects
-    assert {"RPL101", "RPL201"} <= perf  # inherits the lower engines
-
-
-def test_perf_engine_clean_over_src():
-    """End to end: ``--engine perf`` over the real ``src/`` tree has
-    zero unsuppressed findings (the acceptance gate for this PR)."""
-    result = run_lint([str(REPO_ROOT / "src")], engine="perf")
-    assert [f.render() for f in result.new] == []
+def test_perf_engine_clean_over_src(repo_lint):
+    """End to end: the scale-hazard rules (RPL301–305) have zero
+    unsuppressed findings over the real ``src/`` tree."""
+    src = (REPO_ROOT / "src").as_posix()
+    found = [
+        f.render() for f in repo_lint.new
+        if f.rule.startswith("RPL3") and f.path.startswith(src)
+    ]
+    assert found == []

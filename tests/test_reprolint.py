@@ -500,6 +500,94 @@ def test_baseline_rejects_unknown_version(tmp_path):
         load_baseline(baseline_path)
 
 
+def test_v2_baseline_rejected_with_regenerate_message(tmp_path, capsys):
+    """v2 fingerprints also hashed the lint engine, so a v2 file can
+    match nothing today; it is refused with one regenerate message."""
+    baseline_path = tmp_path / "baseline.json"
+    baseline_path.write_text(json.dumps({"version": 2, "findings": []}))
+    with pytest.raises(SystemExit) as excinfo:
+        load_baseline(baseline_path)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "unsupported version 2" in err
+    assert "reads version 3" in err
+    assert "--write-baseline" in err
+
+
+def test_baseline_entries_carry_no_engine(tmp_path):
+    bad = write(tmp_path, "src/repro/simulation/bad.py", RPL001_BAD)
+    first = lint(bad)
+    baseline_path = tmp_path / "baseline.json"
+    write_baseline(baseline_path, first.new, first.new_fingerprints)
+    payload = json.loads(baseline_path.read_text())
+    assert payload["version"] == 3
+    for entry in payload["findings"]:
+        assert set(entry) == {"fingerprint", "rule", "path", "line",
+                              "message"}
+
+
+def test_run_lint_engine_accepts_only_perf(tmp_path, capsys):
+    path = write(tmp_path, "src/repro/simulation/bad.py", RPL001_BAD)
+    assert run_lint([str(path)], engine="perf").new == lint(path).new
+    with pytest.raises(SystemExit) as excinfo:
+        run_lint([str(path)], engine="ast")
+    assert excinfo.value.code == 2
+    assert "engine= accepts only 'perf'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# usage errors exit 2, never 1 (the "new findings" status)
+# ---------------------------------------------------------------------------
+def _usage_exit(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("reprolint: ")
+    return err
+
+
+def test_missing_path_exits_two(tmp_path, capsys):
+    err = _usage_exit([str(tmp_path / "x.py"), "--no-baseline"], capsys)
+    assert "no such file or directory" in err
+
+
+def test_non_python_path_exits_two(tmp_path, capsys):
+    notes = write(tmp_path, "notes.txt", "")
+    err = _usage_exit([str(notes), "--no-baseline"], capsys)
+    assert "not a python file" in err
+
+
+def test_unparsable_file_exits_two(tmp_path, capsys):
+    broken = write(tmp_path, "src/repro/analysis/broken.py", "def f(:\n")
+    err = _usage_exit([str(broken), "--no-baseline"], capsys)
+    assert "cannot parse" in err
+
+
+def test_undecodable_file_exits_two(tmp_path, capsys):
+    latin1 = tmp_path / "src" / "repro" / "analysis" / "latin1.py"
+    latin1.parent.mkdir(parents=True)
+    latin1.write_bytes(b"NAME = '\xe9'\n")
+    err = _usage_exit([str(latin1), "--no-baseline"], capsys)
+    assert "cannot read" in err
+
+
+def test_unreadable_baseline_exits_two(tmp_path, capsys):
+    fine = write(tmp_path, "src/repro/analysis/fine.py", "X = 1\n")
+    baseline_path = write(tmp_path, "baseline.json", "{not json")
+    err = _usage_exit([str(fine), "--baseline", str(baseline_path)], capsys)
+    assert "unreadable baseline" in err
+
+
+def test_wrong_version_baseline_exits_two(tmp_path, capsys):
+    fine = write(tmp_path, "src/repro/analysis/fine.py", "X = 1\n")
+    baseline_path = write(tmp_path, "baseline.json",
+                          json.dumps({"version": 1, "findings": []}))
+    err = _usage_exit([str(fine), "--baseline", str(baseline_path)], capsys)
+    assert "unsupported version 1" in err
+    assert "--write-baseline" in err
+
+
 # ---------------------------------------------------------------------------
 # reporters / CLI
 # ---------------------------------------------------------------------------
@@ -509,11 +597,11 @@ def test_json_reporter_schema(tmp_path, capsys, monkeypatch):
     code = main(["src", "--no-baseline", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert payload["version"] == 1
+    assert payload["version"] == 2
     assert payload["summary"] == {"new": 2, "baselined": 0, "suppressed": 0}
     for finding in payload["findings"]:
         assert set(finding) == {
-            "engine", "rule", "path", "line", "col", "message", "fingerprint",
+            "rule", "path", "line", "col", "message", "fingerprint",
         }
         assert finding["rule"] == "RPL001"
 
@@ -537,14 +625,10 @@ def test_cli_list_rules(capsys):
 # ---------------------------------------------------------------------------
 # the real tree
 # ---------------------------------------------------------------------------
-def test_repo_tree_is_lint_clean():
-    """The committed tree linted against the committed baseline is clean."""
-    result = run_lint(
-        [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"),
-         str(REPO_ROOT / "benchmarks")],
-        baseline=REPO_ROOT / "reprolint-baseline.json",
-    )
-    assert result.exit_code == 0, "\n".join(f.render() for f in result.new)
+def test_repo_tree_is_lint_clean(repo_lint):
+    """The whole catalogue over the committed tree, with no baseline,
+    has zero unsuppressed findings."""
+    assert repo_lint.new == [], "\n".join(f.render() for f in repo_lint.new)
 
 
 def test_column_properties_reflect_dataset_surface():

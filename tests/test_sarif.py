@@ -167,7 +167,7 @@ def test_sarif_positions_are_one_based():
 
 def test_sarif_carries_baseline_fingerprints():
     payload = to_sarif(FINDINGS, PRINTS)
-    prints = [r["partialFingerprints"]["reprolintFingerprint/v2"]
+    prints = [r["partialFingerprints"]["reprolintFingerprint/v3"]
               for r in payload["runs"][0]["results"]]
     assert prints == ["aaaa", "bbbb"]
 
@@ -208,7 +208,7 @@ def _write_fixture(tmp_path: Path) -> Path:
 
 def test_cli_format_sarif_to_stdout(tmp_path, capsys):
     path = _write_fixture(tmp_path)
-    code = main(["--engine", "dataflow", "--format", "sarif",
+    code = main(["--format", "sarif",
                  "--no-baseline", str(path)])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
@@ -219,7 +219,7 @@ def test_cli_format_sarif_to_stdout(tmp_path, capsys):
 def test_cli_output_writes_sarif_file(tmp_path, capsys):
     path = _write_fixture(tmp_path)
     out = tmp_path / "reprolint.sarif"
-    code = main(["--engine", "dataflow", "--format", "sarif",
+    code = main(["--format", "sarif",
                  "--no-baseline", "--output", str(out), str(path)])
     assert code == 1
     payload = json.loads(out.read_text(encoding="utf-8"))
@@ -230,9 +230,9 @@ def test_cli_output_writes_sarif_file(tmp_path, capsys):
 
 def test_sarif_fingerprints_match_lint_result(tmp_path):
     path = _write_fixture(tmp_path)
-    result = run_lint([str(path)], engine="dataflow")
+    result = run_lint([str(path)])
     payload = to_sarif(result.new,
                        dict(zip(result.new, result.new_fingerprints)))
-    emitted = {r["partialFingerprints"]["reprolintFingerprint/v2"]
+    emitted = {r["partialFingerprints"]["reprolintFingerprint/v3"]
                for r in payload["runs"][0]["results"]}
     assert emitted == set(result.new_fingerprints)
