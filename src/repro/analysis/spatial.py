@@ -122,6 +122,26 @@ class RackPositionProfile:
         return [int(p) for p in self.positions[occupied & flags]]
 
 
+def _in_rack(
+    slots: np.ndarray,
+    idc: str,
+    what: str,
+    max_position: int,
+    quality: Optional[DataQuality],
+) -> np.ndarray:
+    """Mask of ``slots`` inside ``[0, max_position]``; the rest are
+    reported into ``quality`` as excluded."""
+    valid = (slots >= 0) & (slots <= max_position)
+    if quality is not None:
+        quality.note_exclusion(
+            f"spatial.rack_position_profile[{idc}]",
+            f"{what} outside [0, {max_position}]",
+            n_excluded=int((~valid).sum()),
+            n_used=int(valid.sum()),
+        )
+    return valid
+
+
 def rack_position_profile(
     dataset: FOTDataset,
     inventory: Inventory,
@@ -141,26 +161,18 @@ def rack_position_profile(
     (one flapping server would otherwise reject uniformity on its own).
     ``granularity="failures"`` counts raw tickets instead.
 
-    Tickets with implausible rack positions (outside
-    ``[0, max_position]`` — inventory glitches in a real dump) are
-    excluded and reported into ``quality`` rather than corrupting the
-    chi-squared binning.
+    Tickets and inventory servers with implausible rack positions
+    (outside ``[0, max_position]`` — inventory glitches in a real dump)
+    are excluded and reported into ``quality`` rather than corrupting
+    the chi-squared binning or its per-slot denominator.
     """
     if granularity not in ("servers", "failures"):
         raise ValueError(f"unknown granularity: {granularity!r}")
     subset = dataset.failures().of_idc(idc)
     if len(subset) == 0:
         raise InsufficientDataError(f"no failures in data center {idc!r}")
-    positions = subset.positions
-    valid = (positions >= 0) & (positions <= max_position)
+    valid = _in_rack(subset.positions, idc, "rack position", max_position, quality)
     if not valid.all():
-        if quality is not None:
-            quality.note_exclusion(
-                f"spatial.rack_position_profile[{idc}]",
-                f"rack position outside [0, {max_position}]",
-                n_excluded=int((~valid).sum()),
-                n_used=int(valid.sum()),
-            )
         subset = subset.where(valid)
     if len(subset) == 0:
         raise InsufficientDataError(
@@ -171,7 +183,9 @@ def rack_position_profile(
     if granularity == "servers":
         _, first = np.unique(subset.host_ids, return_index=True)
         subset = subset.take(np.sort(first))
-    servers = inventory.servers_per_position(idc)
+    slots = inventory.positions_in(idc)
+    in_rack = _in_rack(slots, idc, "inventory rack position", max_position, quality)
+    servers = np.bincount(slots[in_rack]).astype(float)
     n_positions = max(int(subset.positions.max()) + 1, servers.size)
     servers = np.pad(servers, (0, n_positions - servers.size))
     counts = np.bincount(subset.positions, minlength=n_positions).astype(float)

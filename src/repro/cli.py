@@ -169,7 +169,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.inventory:
         from repro.fleet.inventory import Inventory
 
-        inventory = Inventory.load_csv(args.inventory)
+        try:
+            inventory = Inventory.load_csv(args.inventory)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     report = api.full_report(
         dataset, inventory=inventory, policy=_policy_from(args)
     )
@@ -561,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="print headline statistics")
     rep.add_argument("dataset")
-    rep.add_argument("--inventory", default=None)
     _add_lenient_flag(rep)
     _add_cache_flags(rep)
     rep.set_defaults(func=_cmd_report)

@@ -12,6 +12,7 @@ load from CSV alongside its ticket dump.
 from __future__ import annotations
 
 import csv
+import warnings
 from pathlib import Path
 from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -47,9 +48,9 @@ class Inventory:
         product_lines: Sequence[str],
         component_counts: Optional[Mapping[ComponentClass, Sequence[int]]] = None,
     ):
-        self.host_ids = np.asarray(host_ids, dtype=np.int64)
-        self.positions = np.asarray(positions, dtype=np.int32)
-        self.deployed_ats = np.asarray(deployed_ats, dtype=float)
+        self.host_ids = np.ascontiguousarray(host_ids, dtype=np.int64)
+        self.positions = np.ascontiguousarray(positions, dtype=np.int32)
+        self.deployed_ats = np.ascontiguousarray(deployed_ats, dtype=float)
         self.idcs = list(idcs)
         self.product_lines = list(product_lines)
         n = self.host_ids.size
@@ -63,11 +64,12 @@ class Inventory:
                 raise ValueError(f"inventory column {name} has {length} rows, expected {n}")
         self.component_counts: Dict[ComponentClass, np.ndarray] = {}
         for cls, counts in (component_counts or {}).items():
-            arr = np.asarray(counts, dtype=np.int32)
+            arr = np.ascontiguousarray(counts, dtype=np.int32)
             if arr.size != n:
                 raise ValueError(f"component counts for {cls} have {arr.size} rows, expected {n}")
             self.component_counts[cls] = arr
         self._host_index: Optional[Dict[int, int]] = None
+        self._idc_codes: Optional[Tuple[Dict[str, int], np.ndarray]] = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -91,17 +93,20 @@ class Inventory:
     # ------------------------------------------------------------------
     # denominators for the analyses
     # ------------------------------------------------------------------
+    def positions_in(self, idc: str) -> np.ndarray:
+        """Rack slot of every server in data center ``idc``."""
+        if self._idc_codes is None:  # interned once; lookups compare ints
+            code_of: Dict[str, int] = {}
+            codes = [code_of.setdefault(name, len(code_of)) for name in self.idcs]
+            self._idc_codes = (code_of, np.asarray(codes, dtype=np.int32))
+        code_of, codes = self._idc_codes
+        if idc not in code_of:
+            raise ValueError(f"no servers in data center {idc!r}")
+        return self.positions[codes == code_of[idc]]
+
     def servers_per_position(self, idc: Optional[str] = None) -> np.ndarray:
         """Server count per rack slot, optionally restricted to one DC."""
-        if idc is None:
-            positions = self.positions
-        else:
-            mask = np.fromiter(
-                (name == idc for name in self.idcs), dtype=bool, count=len(self)
-            )
-            if not mask.any():
-                raise ValueError(f"no servers in data center {idc!r}")
-            positions = self.positions[mask]
+        positions = self.positions if idc is None else self.positions_in(idc)
         return np.bincount(positions).astype(float)
 
     def component_month_exposure(
@@ -136,53 +141,63 @@ class Inventory:
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
-    _CSV_BASE: ClassVar[Tuple[str, ...]] = (
-        "host_id", "idc", "position", "deployed_at", "product_line",
-    )
+    #: Base columns and their dtypes; ``n_<class>`` count columns are int32.
+    _CSV_BASE: ClassVar[Dict[str, str]] = {
+        "host_id": "i8", "idc": "O", "position": "i4", "deployed_at": "f8", "product_line": "O",
+    }
 
     def save_csv(self, path: Union[str, Path]) -> None:
         from repro.core.io import _atomic_write
 
-        path = Path(path)
         count_cols = sorted(self.component_counts, key=lambda c: c.value)
         fields = [*self._CSV_BASE, *(f"n_{c.value}" for c in count_cols)]
+        columns = [
+            self.host_ids.tolist(), self.idcs, self.positions.tolist(),
+            self.deployed_ats.tolist(), self.product_lines,
+            *(self.component_counts[c].tolist() for c in count_cols),
+        ]
         with _atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(fields)
-            for i in range(len(self)):
-                row = [
-                    int(self.host_ids[i]),
-                    self.idcs[i],
-                    int(self.positions[i]),
-                    float(self.deployed_ats[i]),
-                    self.product_lines[i],
-                ]
-                row.extend(int(self.component_counts[c][i]) for c in count_cols)
-                writer.writerow(row)
+            writer.writerows(zip(*columns))
 
     @classmethod
     def load_csv(cls, path: Union[str, Path]) -> "Inventory":
-        path = Path(path)
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
+        """Read an inventory CSV as :meth:`save_csv` writes it.
+
+        A header naming the ``_CSV_BASE`` columns in any order (each
+        ``n_<class>`` column becomes a count array; others are ignored),
+        then rows of bare or ``"``-quoted fields (quoted names may hold
+        commas, ``#`` and newlines), LF or CRLF ended; blank lines are
+        skipped.  Numbers are plain decimal literals, ``nan``/``inf``
+        included: ``1_0`` is an error.  Raises ``ValueError`` for a missing
+        column or an unknown class and, naming the file, for a row missing
+        a field or holding a number that does not parse or fit its dtype.
+        """
+        with open(path, encoding="utf-8", newline="") as fh:
+            fields = next(csv.reader(iter(fh.readline, "")), [])
             missing = set(cls._CSV_BASE) - set(fields)
             if missing:
                 raise ValueError(f"inventory CSV missing columns: {sorted(missing)}")
+            index = {name: i for i, name in enumerate(fields)}
             count_cols = [
                 ComponentClass(f[2:]) for f in fields if f.startswith("n_")
             ]
-            host_ids, idcs, positions, deployed, lines = [], [], [], [], []
-            counts: Dict[ComponentClass, List[int]] = {c: [] for c in count_cols}
-            for row in reader:
-                host_ids.append(int(row["host_id"]))
-                idcs.append(row["idc"])
-                positions.append(int(row["position"]))
-                deployed.append(float(row["deployed_at"]))
-                lines.append(row["product_line"])
-                for c in count_cols:
-                    counts[c].append(int(row[f"n_{c.value}"]))
-        return cls(host_ids, idcs, positions, deployed, lines, counts)
+            dtype = [*cls._CSV_BASE.items(), *((f"n_{c.value}", "i4") for c in count_cols)]
+            try:
+                with warnings.catch_warnings():  # an empty body is 0 servers
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    rows = np.loadtxt(
+                        fh, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                        usecols=[index[name] for name, _ in dtype], dtype=dtype,
+                    )
+            except ValueError as exc:
+                raise ValueError(f"malformed inventory CSV {path}: {exc}") from exc
+        return cls(
+            rows["host_id"], rows["idc"].tolist(), rows["position"],
+            rows["deployed_at"], rows["product_line"].tolist(),
+            {c: rows[f"n_{c.value}"] for c in count_cols},
+        )
 
 
 __all__ = ["Inventory"]

@@ -6,7 +6,21 @@ import pytest
 from repro.analysis import spatial
 from repro.core.dataset import FOTDataset
 from repro.core.timeutil import DAY
+from repro.fleet.inventory import Inventory
+from repro.robustness.quality import DataQuality
 from tests.test_ticket import make_ticket
+
+
+def _plus_server(inventory: Inventory, idc: str, slot: int) -> Inventory:
+    """``inventory`` plus one server of ``idc`` at rack slot ``slot``."""
+    return Inventory(
+        np.append(inventory.host_ids, inventory.host_ids.max() + 1),
+        [*inventory.idcs, idc],
+        np.append(inventory.positions, slot),
+        np.append(inventory.deployed_ats, 0.0),
+        [*inventory.product_lines, inventory.product_lines[0]],
+        {c: np.append(v, 1) for c, v in inventory.component_counts.items()},
+    )
 
 
 class TestDeduplicateRepeats:
@@ -144,3 +158,26 @@ class TestTableIV:
             small_trace.dataset, small_trace.inventory, min_failures=500
         )
         assert filtered.n_datacenters <= all_dcs.n_datacenters
+
+    @pytest.mark.parametrize("slot", [-1, 500])
+    def test_out_of_range_inventory_slot_excluded(self, small_trace, slot):
+        # Counted, slot -1 makes np.bincount raise and slot 500 widens
+        # the denominator; excluded and reported, Table IV is unchanged.
+        dataset = small_trace.dataset
+        clean = spatial.rack_position_tests(dataset, small_trace.inventory, min_failures=60)
+        idc = sorted(clean.results)[0]
+        quality = DataQuality.assess(dataset)
+        dirty = spatial.rack_position_tests(
+            dataset, _plus_server(small_trace.inventory, idc, slot),
+            min_failures=60, quality=quality,
+        )
+        assert {k: r.p_value for k, r in dirty.results.items()} == {
+            k: r.p_value for k, r in clean.results.items()
+        }
+        assert [
+            (e.analysis, e.reason, e.n_excluded) for e in quality.exclusions
+        ] == [(
+            f"spatial.rack_position_profile[{idc}]",
+            "inventory rack position outside [0, 100]",
+            1,
+        )]

@@ -49,6 +49,25 @@ class TestGenerateAnalyze:
         assert "Table IV" in out
         assert "RT (D_fixing)" in out
 
+    @pytest.mark.parametrize(
+        "body",
+        ["host_id,idc\n0,dc00\n", "host_id,idc,position,deployed_at,product_line\n0,dc00,x,0.0,a\n"],
+    )
+    def test_analyze_bad_inventory_exits_2(self, generated, tmp_path, capsys, body):
+        trace, _ = generated
+        bad = tmp_path / "bad.csv"
+        bad.write_text(body)
+        assert main(["analyze", str(trace), "--inventory", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "inventory CSV" in captured.err
+        assert "Table I" not in captured.out
+
+    def test_report_has_no_inventory_flag(self):
+        # The headline report has no Table IV, so it takes no inventory.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report", "t.jsonl", "--inventory", "i.csv"])
+
     def test_analyze_without_inventory(self, generated, capsys):
         trace, _ = generated
         assert main(["analyze", str(trace)]) == 0
