@@ -17,9 +17,8 @@ content fingerprint — it is always computed, never cached.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.analysis import (
     batch,
@@ -35,7 +34,7 @@ from repro.analysis import (
 from repro.analysis.report import format_percent, format_profile, format_table
 from repro.core.dataset import FOTDataset
 from repro.core.types import ComponentClass, FOTCategory
-from repro.robustness.quality import DataQuality, InsufficientDataError
+from repro.robustness.quality import DataQuality, InsufficientDataError, clean_response_times
 
 
 @dataclass(frozen=True)
@@ -154,8 +153,7 @@ def table_vi(dataset: FOTDataset) -> str:
 
 
 def fig9(dataset: FOTDataset) -> str:
-    quality = DataQuality.assess(dataset)
-    fixing = response.rt_distribution(dataset, FOTCategory.FIXING, quality=quality)
+    fixing = response.rt_distribution(dataset, FOTCategory.FIXING)
     return (
         f"RT (D_fixing): median {fixing.median_days:.1f} d, mean "
         f"{fixing.mean_days:.1f} d, >140 d: {format_percent(fixing.tail_140d)}"
@@ -165,24 +163,27 @@ def fig9(dataset: FOTDataset) -> str:
 def quality_notes(dataset: FOTDataset) -> str:
     """Data-quality assessment; empty string when the data is clean."""
     quality = DataQuality.assess(dataset)
-    # Probe the degradation-aware analyses so their exclusions show up.
+    # Note the tickets the response-time analyses drop for lack of an
+    # op_time, as rt_distribution does for each closed category.
     for category in (FOTCategory.FIXING, FOTCategory.FALSE_ALARM):
-        with contextlib.suppress(ValueError):
-            response.rt_distribution(dataset, category, quality=quality)
+        subset = dataset.of_category(category)
+        if len(subset):
+            clean_response_times(subset, "response", quality)
     if quality.grade == "ok" and not quality.exclusions:
         return ""
     return quality.format()
 
 
 def table_iv(dataset: FOTDataset, inventory) -> str:
-    """Rack-position chi-square tests; needs the inventory (uncached)."""
-    quality = DataQuality.assess(dataset)
-    summary = spatial.rack_position_tests(dataset, inventory, quality=quality)
-    return format_table(
+    """Rack-position chi-square tests; needs the inventory (uncached).
+    What the tests left out is listed under the table."""
+    summary = spatial.rack_position_tests(dataset, inventory)
+    table = format_table(
         ["p-value bucket", "data centers"],
         list(summary.bucket_counts().items()),
         title="Table IV — rack-position chi-square results",
     )
+    return "\n".join([table, *(excl.format() for excl in summary.exclusions)])
 
 
 #: (name, builder, part of the headline-only report?)

@@ -11,64 +11,20 @@ under-floor-cooled racks) stick out beyond mu ± 2 sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.core.dataset import FOTDataset
+from repro.core.grouping import composite_key, group_slices
 from repro.fleet.inventory import Inventory
 from repro.robustness.quality import (
     DEFAULT_MAX_POSITION,
-    DataQuality,
+    Exclusion,
     InsufficientDataError,
 )
 from repro.stats.chisquare import ChiSquareResult
-from repro.stats.hypotheses import test_rack_position_uniform
-
-
-#: Structured fallback key for the repeat-failure identity when the
-#: packed-int64 fast path would overflow (pathological slot ranges).
-_REPEAT_KEY_DTYPE = np.dtype(
-    [
-        ("host", np.int64),
-        ("component", np.int8),
-        ("slot", np.int64),
-        ("error_type", np.int32),
-    ]
-)
-
-
-def _first_occurrence_indices(columns) -> np.ndarray:
-    """Positions of the first row of each distinct column tuple, in
-    ascending position order.
-
-    Fast path: rank each column (dense codes), pack the ranks into one
-    int64 key and ``np.unique(return_index=True)`` it — much faster than
-    sorting a structured dtype with element-wise void comparisons.
-    """
-    ranked = []
-    radix = 1
-    overflow = False
-    for col in columns:
-        col = np.asarray(col)
-        inv = np.unique(col, return_inverse=True)[1].astype(np.int64)
-        width = int(inv.max()) + 1 if inv.size else 1
-        if radix > (2**62) // max(width, 1):
-            overflow = True
-            break
-        ranked.append((inv, width))
-        radix *= width
-    if not overflow:
-        key = np.zeros(len(np.asarray(columns[0])), dtype=np.int64)
-        for inv, width in ranked:
-            key = key * width + inv
-        _, first = np.unique(key, return_index=True)
-        return np.sort(first)
-    keys = np.empty(len(np.asarray(columns[0])), dtype=_REPEAT_KEY_DTYPE)
-    for name, col in zip(_REPEAT_KEY_DTYPE.names, columns):
-        keys[name] = col
-    _, first = np.unique(keys, return_index=True)
-    return np.sort(first)
+from repro.stats.hypotheses import rack_position_chi_square
 
 
 def deduplicate_repeats(dataset: FOTDataset) -> FOTDataset:
@@ -76,22 +32,14 @@ def deduplicate_repeats(dataset: FOTDataset) -> FOTDataset:
     type) — the paper filters out repeating failures "to minimize their
     impact on the statistics".
 
-    Vectorized: one packed-key ``np.unique(return_index=True)`` over the
-    time-sorted failures replaces the per-ticket seen-set walk, and the
-    result is a zero-copy view.
+    One packed key and one group-by over the time-sorted failures; the
+    result is a zero-copy view in time order.
     """
     subset = dataset.failures().sorted_by_time()
-    if len(subset) == 0:
-        return subset
-    first = _first_occurrence_indices(
-        (
-            subset.host_ids,
-            subset.component_codes,
-            subset.device_slots,
-            subset.error_type_codes,
-        )
-    )
-    return subset.take(first)
+    key = composite_key(subset.host_ids, subset.component_codes,
+                        subset.device_slots, subset.error_type_codes)
+    order, starts, _ = group_slices(key)
+    return subset.take(np.sort(order[starts]))
 
 
 @dataclass(frozen=True)
@@ -105,6 +53,8 @@ class RackPositionProfile:
     #: Failures per server at each occupied slot; nan where unoccupied.
     ratio: np.ndarray
     test: ChiSquareResult
+    #: Tickets and inventory servers left out for implausible slots.
+    exclusions: Tuple[Exclusion, ...] = ()
 
     def outlier_positions(self, n_sigma: float = 2.0) -> List[int]:
         """Slots whose failure ratio falls outside mu ± n_sigma — the
@@ -122,24 +72,105 @@ class RackPositionProfile:
         return [int(p) for p in self.positions[occupied & flags]]
 
 
-def _in_rack(
-    slots: np.ndarray,
-    idc: str,
-    what: str,
-    max_position: int,
-    quality: Optional[DataQuality],
-) -> np.ndarray:
-    """Mask of ``slots`` inside ``[0, max_position]``; the rest are
-    reported into ``quality`` as excluded."""
+class _DCSlots(NamedTuple):
+    """One data center's row of :func:`_rack_counts`."""
+
+    idc: str
+    failed: np.ndarray  # counted failures per slot
+    servers: np.ndarray  # in-range inventory servers per slot
+    n_in_range: int  # failure tickets at plausible slots
+    listed: bool  # the inventory has servers in this DC
+    exclusions: Tuple[Exclusion, ...]
+
+
+def _rack_counts(
+    failures: FOTDataset, inventory: Inventory,
+    filter_repeats: bool, granularity: str, max_position: int,
+) -> List[_DCSlots]:
+    """Count every data center of ``failures`` in one grouped pass: one
+    group-by, then one (DC, slot) ``bincount`` per side.  DCs come in
+    name order.
+
+    Tickets and inventory servers at slots outside ``[0, max_position]``
+    are excluded and reported.  Of the rest, a DC counts each host's
+    first failure (``granularity="servers"``), the first failure of each
+    (host, component, slot, type) (``"failures"`` with
+    ``filter_repeats``) or every failure.  "First" is in stable time
+    order under ``filter_repeats`` and in view order otherwise.
+    """
+    if granularity not in ("servers", "failures"):
+        raise ValueError(f"unknown granularity: {granularity!r}")
+    dcs = failures.idc_codes.astype(np.int64)
+    slots = failures.positions.astype(np.int64)
     valid = (slots >= 0) & (slots <= max_position)
-    if quality is not None:
-        quality.note_exclusion(
-            f"spatial.rack_position_profile[{idc}]",
-            f"{what} outside [0, {max_position}]",
-            n_excluded=int((~valid).sum()),
-            n_used=int(valid.sum()),
+    rows = np.flatnonzero(valid)
+    if filter_repeats:
+        rows = rows[np.argsort(failures.error_times[rows], kind="stable")]
+    identity: Tuple[np.ndarray, ...] = ()
+    if granularity == "servers":
+        identity = (dcs, failures.host_ids)
+    elif filter_repeats:
+        identity = (dcs, failures.host_ids, failures.component_codes,
+                    failures.device_slots, failures.error_type_codes)
+    if identity:
+        order, starts, _ = group_slices(composite_key(*(c[rows] for c in identity)))
+        rows = rows[order[starts]]
+
+    code_of, server_dcs = inventory.idc_codes()
+    store_code = [failures.store.code_for("idc", name) for name in code_of]
+    rack_dcs = np.array(store_code, dtype=np.int64)[server_dcs]
+    rack_slots = inventory.positions.astype(np.int64)
+    known = rack_dcs >= 0  # servers of DCs the tickets name
+    in_rack = known & (rack_slots >= 0) & (rack_slots <= max_position)
+
+    names = failures.idc_table
+    n_dcs = len(names)
+    width = 1 + int(max(slots[rows].max(initial=0), rack_slots[in_rack].max(initial=0)))
+
+    def per_slot(dc: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        flat = np.bincount(dc * width + slot, minlength=n_dcs * width)
+        return flat.reshape(n_dcs, width)
+
+    per_dc = lambda dc: np.bincount(dc, minlength=n_dcs)
+    failed = per_slot(dcs[rows], slots[rows])
+    servers = per_slot(rack_dcs[in_rack], rack_slots[in_rack])
+    tickets_in, tickets_out = per_dc(dcs[valid]), per_dc(dcs[~valid])
+    racks_in, racks_out = per_dc(rack_dcs[in_rack]), per_dc(rack_dcs[known & ~in_rack])
+    listed = per_dc(rack_dcs[known]) > 0
+
+    out: List[_DCSlots] = []
+    for d in sorted(np.flatnonzero(tickets_in + tickets_out), key=names.__getitem__):
+        idc = names[d]
+        notes = [("rack position", tickets_out[d], tickets_in[d])]
+        if tickets_in[d] and listed[d]:
+            notes.append(("inventory rack position", racks_out[d], racks_in[d]))
+        exclusions = tuple(
+            Exclusion(f"spatial.rack_position_profile[{idc}]",
+                      f"{what} outside [0, {max_position}]", int(n_out), int(n_in))
+            for what, n_out, n_in in notes if n_out > 0
         )
-    return valid
+        out.append(_DCSlots(idc, failed[d], servers[d], int(tickets_in[d]),
+                            bool(listed[d]), exclusions))
+    return out
+
+
+def _profile(dc: _DCSlots) -> RackPositionProfile:
+    """Figure 8 from one DC's counts; raises ``ValueError`` when the DC
+    cannot be tested."""
+    if dc.n_in_range == 0:
+        raise InsufficientDataError(
+            f"no failures with plausible rack positions in data center {dc.idc!r}"
+        )
+    if not dc.listed:
+        raise ValueError(f"no servers in data center {dc.idc!r}")
+    n_positions = 1 + int(np.flatnonzero(dc.failed + dc.servers)[-1])
+    counts = dc.failed[:n_positions].astype(float)
+    servers = dc.servers[:n_positions].astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(servers > 0, counts / np.maximum(servers, 1e-12), np.nan)
+    test = rack_position_chi_square(counts, servers)
+    return RackPositionProfile(dc.idc, np.arange(n_positions), counts, servers,
+                               ratio, test, dc.exclusions)
 
 
 def rack_position_profile(
@@ -150,7 +181,6 @@ def rack_position_profile(
     filter_repeats: bool = True,
     granularity: str = "servers",
     max_position: int = DEFAULT_MAX_POSITION,
-    quality: Optional[DataQuality] = None,
 ) -> RackPositionProfile:
     """Per-slot failure ratio and the Hypothesis 5 test for one DC.
 
@@ -163,46 +193,14 @@ def rack_position_profile(
 
     Tickets and inventory servers with implausible rack positions
     (outside ``[0, max_position]`` — inventory glitches in a real dump)
-    are excluded and reported into ``quality`` rather than corrupting
-    the chi-squared binning or its per-slot denominator.
+    are excluded, and listed in the profile's ``exclusions``, rather
+    than corrupting the chi-squared binning or its per-slot denominator.
     """
-    if granularity not in ("servers", "failures"):
-        raise ValueError(f"unknown granularity: {granularity!r}")
-    subset = dataset.failures().of_idc(idc)
-    if len(subset) == 0:
+    counted = _rack_counts(dataset.failures().of_idc(idc), inventory,
+                           filter_repeats, granularity, max_position)
+    if not counted:
         raise InsufficientDataError(f"no failures in data center {idc!r}")
-    valid = _in_rack(subset.positions, idc, "rack position", max_position, quality)
-    if not valid.all():
-        subset = subset.where(valid)
-    if len(subset) == 0:
-        raise InsufficientDataError(
-            f"no failures with plausible rack positions in data center {idc!r}"
-        )
-    if filter_repeats:
-        subset = deduplicate_repeats(subset)
-    if granularity == "servers":
-        _, first = np.unique(subset.host_ids, return_index=True)
-        subset = subset.take(np.sort(first))
-    slots = inventory.positions_in(idc)
-    in_rack = _in_rack(slots, idc, "inventory rack position", max_position, quality)
-    servers = np.bincount(slots[in_rack]).astype(float)
-    n_positions = max(int(subset.positions.max()) + 1, servers.size)
-    servers = np.pad(servers, (0, n_positions - servers.size))
-    counts = np.bincount(subset.positions, minlength=n_positions).astype(float)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(servers > 0, counts / np.maximum(servers, 1e-12), np.nan)
-    test = test_rack_position_uniform(
-        subset, servers_per_position=servers, n_positions=n_positions
-    )
-    return RackPositionProfile(
-        idc=idc,
-        positions=np.arange(n_positions),
-        failures=counts,
-        servers=servers,
-        ratio=ratio,
-        test=test,
-    )
+    return _profile(counted[0])
 
 
 @dataclass(frozen=True)
@@ -210,6 +208,8 @@ class SpatialSummary:
     """Table IV: Hypothesis 5 chi-squared outcomes across data centers."""
 
     results: Dict[str, ChiSquareResult]
+    #: Implausible slots left out, and DCs that could not be tested.
+    exclusions: Tuple[Exclusion, ...] = ()
 
     @property
     def n_datacenters(self) -> int:
@@ -241,33 +241,32 @@ def rack_position_tests(
     filter_repeats: bool = True,
     granularity: str = "servers",
     max_position: int = DEFAULT_MAX_POSITION,
-    quality: Optional[DataQuality] = None,
 ) -> SpatialSummary:
     """Hypothesis 5 per data center (Table IV).
 
     DCs with fewer than ``min_failures`` deduplicated failed servers are
-    skipped — a chi-squared test over ~40 slots needs volume.
+    skipped — a chi-squared test over ~40 slots needs volume.  A DC with
+    enough that still cannot be tested (no inventory servers, failures
+    at empty slots, too few bins) is skipped too, and its in-range
+    failures are reported in ``exclusions``.
     """
     results: Dict[str, ChiSquareResult] = {}
-    for idc in sorted(dataset.failures().by_idc()):
+    exclusions: List[Exclusion] = []
+    for dc in _rack_counts(dataset.failures(), inventory,
+                           filter_repeats, granularity, max_position):
+        exclusions.extend(dc.exclusions)
+        if int(dc.failed.sum()) < min_failures:
+            continue
         try:
-            profile = rack_position_profile(
-                dataset,
-                inventory,
-                idc,
-                filter_repeats=filter_repeats,
-                granularity=granularity,
-                max_position=max_position,
-                quality=quality,
-            )
-        except ValueError:
-            continue
-        if int(profile.failures.sum()) < min_failures:
-            continue
-        results[idc] = profile.test
+            results[dc.idc] = _profile(dc).test
+        except ValueError as exc:
+            # With no in-range failure, the slot exclusion says it all.
+            if dc.n_in_range:
+                exclusions.append(Exclusion(f"spatial.rack_position_tests[{dc.idc}]",
+                                            str(exc), dc.n_in_range, 0))
     if not results:
         raise InsufficientDataError("no data center has enough failures for the test")
-    return SpatialSummary(results=results)
+    return SpatialSummary(results=results, exclusions=tuple(exclusions))
 
 
 __all__ = [

@@ -34,7 +34,6 @@ power users can still import the modules directly.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,7 +76,7 @@ from repro.engine.telemetry import (
     RunTelemetry,
     StageTiming,
 )
-from repro.robustness.quality import DataQuality
+from repro.robustness.quality import DataQuality, clean_response_times
 from repro.robustness.quarantine import QuarantineReport
 from repro.simulation.trace import generate_trace
 
@@ -181,11 +180,12 @@ def audit(path: Union[str, Path]) -> AuditResult:
     """
     dataset, quarantine = _io.load(path, strict=False)
     quality = DataQuality.assess(dataset)
-    # Probe the degradation-aware analyses so their exclusions show up
-    # in the assessment even though the statistics are discarded here.
+    # Note the tickets the response-time analyses drop for lack of an
+    # op_time, as rt_distribution does for each closed category.
     for category in (FOTCategory.FIXING, FOTCategory.FALSE_ALARM):
-        with contextlib.suppress(ValueError):
-            response.rt_distribution(dataset, category, quality=quality)
+        subset = dataset.of_category(category)
+        if len(subset):
+            clean_response_times(subset, "response", quality)
     return AuditResult(dataset=dataset, quarantine=quarantine, quality=quality)
 
 

@@ -168,6 +168,7 @@ class ColumnStore:
         "_ticket_cache",
         "_fingerprint",
         "_deferred",
+        "_lengths",
     )
 
     def __init__(
@@ -179,6 +180,7 @@ class ColumnStore:
         ticket_cache: np.ndarray,
         deferred: Optional[Dict[str, Callable[[], np.ndarray]]] = None,
         fingerprint: Optional[str] = None,
+        lengths: Optional[Dict[str, Callable[[], np.ndarray]]] = None,
     ) -> None:
         self.n = int(n)
         self.n_materialized = 0
@@ -189,6 +191,9 @@ class ColumnStore:
         self._fingerprint: Optional[str] = fingerprint
         self._deferred: Dict[str, Callable[[], np.ndarray]] = (
             {} if deferred is None else dict(deferred)
+        )
+        self._lengths: Dict[str, Callable[[], np.ndarray]] = (
+            {} if lengths is None else dict(lengths)
         )
 
     # ------------------------------------------------------------------
@@ -244,6 +249,7 @@ class ColumnStore:
         tables: Dict[str, Tuple[str, ...]],
         *,
         deferred: Optional[Dict[str, Callable[[], np.ndarray]]] = None,
+        lengths: Optional[Dict[str, Callable[[], np.ndarray]]] = None,
         fingerprint: Optional[str] = None,
     ) -> "ColumnStore":
         """Zero-copy construction from externally-owned buffers — the
@@ -254,11 +260,13 @@ class ColumnStore:
         ``deferred`` thunks for columns that are expensive to
         materialize (the per-ticket object columns): a thunk runs once,
         on first :meth:`column` access, so opening a dataset stays
-        near-constant in its size.  ``fingerprint`` pre-seeds the
-        content-hash memo from a trusted source (the storage manifest),
-        so warm :class:`~repro.engine.cache.AnalysisCache` lookups never
-        re-hash column bytes; it must equal what
-        :func:`compute_fingerprint` would return for these columns.
+        near-constant in its size.  ``lengths`` thunks give the byte
+        length of each string of a deferred string column, which
+        :meth:`nonempty` reads instead of decoding it.  ``fingerprint``
+        pre-seeds the content-hash memo from a trusted source (the
+        storage manifest), so warm :class:`~repro.engine.cache.
+        AnalysisCache` lookups never re-hash column bytes; it must equal
+        what :func:`compute_fingerprint` would return for these columns.
         """
         deferred = {} if deferred is None else dict(deferred)
         missing = set(COLUMN_NAMES) - set(arrays) - set(deferred)
@@ -285,6 +293,7 @@ class ColumnStore:
             ticket_cache=np.empty(n, dtype=object),
             deferred=deferred,
             fingerprint=fingerprint,
+            lengths=lengths,
         )
 
     @classmethod
@@ -367,6 +376,18 @@ class ColumnStore:
             else:
                 arr = self._build_column(name)
         return arr
+
+    def nonempty(self, name: str) -> np.ndarray:
+        """Mask of the rows whose string in column ``name`` is neither
+        ``None`` nor empty.  While a stored string column is still
+        undecoded the mask comes from its byte lengths (a UTF-8 string
+        is empty exactly when it has no bytes), so it stays undecoded."""
+        lengths = self._lengths.get(name)
+        if lengths is not None and name not in self._arrays:
+            return lengths() > 0
+        column = self.column(name)
+        mask: np.ndarray = np.not_equal(column, None) & np.not_equal(column, "")
+        return mask
 
     def _build_column(self, name: str) -> np.ndarray:
         tickets = self._ticket_cache

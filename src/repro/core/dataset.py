@@ -46,7 +46,7 @@ from repro.core.columns import (
     SOURCE_ORDER,
     ColumnStore,
 )
-from repro.core.grouping import group_slices
+from repro.core.grouping import composite_key, group_slices
 from repro.core.ticket import FOT
 from repro.core.timeutil import DAY
 from repro.core.types import ComponentClass, DetectionSource, FOTCategory
@@ -294,6 +294,19 @@ class FOTDataset:
         return self._col("error_details")
 
     @property
+    def error_detail_present(self) -> np.ndarray:
+        """True where the error detail is neither ``None`` nor empty; a
+        stored dataset answers without decoding the detail strings."""
+
+        def build() -> np.ndarray:
+            mask = self._store.nonempty("error_details")
+            if self._indices is not None:
+                mask = mask[self._indices]
+            return mask
+
+        return self._derived("error_detail_present", build)
+
+    @property
     def idc_table(self) -> Tuple[str, ...]:
         """Interned data-center names, indexed by :attr:`idc_codes`."""
         return self._store.table("idc")
@@ -407,8 +420,9 @@ class FOTDataset:
         previous ticket on that component (the §VII-B pathology).  Drop
         them with ``dataset.where(~mask)``.
 
-        Vectorized: one lexsort over (component key, time) and a
-        consecutive-gap comparison replace the per-ticket dict walk.
+        Vectorized: one group-by over the packed component key, in time
+        order, and a consecutive-gap comparison replace the per-ticket
+        dict walk.
         """
         n = len(self)
         mask = np.zeros(n, dtype=bool)
@@ -416,27 +430,15 @@ class FOTDataset:
             mask.setflags(write=False)
             return mask
         times = self.error_times
-        # Sort by component key, then time, then original position — the
-        # same visit order as iterating tickets in stable time order and
-        # tracking the previous ticket per component key.
-        perm = np.lexsort(
-            (
-                np.arange(n),
-                times,
-                self.device_slots,
-                self.component_codes,
-                self.host_ids,
-            )
-        )
-        host_s = self.host_ids[perm]
-        comp_s = self.component_codes[perm]
-        slot_s = self.device_slots[perm]
+        key = composite_key(self.host_ids, self.component_codes, self.device_slots)
+        # Group by component key, each group in stable time order: the
+        # visit order of iterating tickets in stable time order and
+        # tracking the previous one per component.
+        by_time = np.argsort(times, kind="stable")
+        perm = by_time[group_slices(key[by_time])[0]]
+        key_s = key[perm]
         time_s = times[perm]
-        same_key = (
-            (host_s[1:] == host_s[:-1])
-            & (comp_s[1:] == comp_s[:-1])
-            & (slot_s[1:] == slot_s[:-1])
-        )
+        same_key = key_s[1:] == key_s[:-1]
         close = (time_s[1:] - time_s[:-1]) <= window_seconds
         mask[perm[1:][same_key & close]] = True
         mask.setflags(write=False)

@@ -67,6 +67,23 @@ def composite_key(*columns: np.ndarray) -> np.ndarray:
     return key
 
 
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, faster for wide integer keys.
+
+    Packing each key with its input position makes every key distinct,
+    so numpy's default sort (unstable, but about 3x faster than the
+    stable merge sort on int32/int64) gives the same order.  Keys of 16
+    bits or less keep the stable sort, which is a radix sort for them.
+    """
+    n = keys.size
+    if keys.dtype.kind == "i" and keys.dtype.itemsize >= 4:
+        low = int(keys.min())
+        if int(keys.max()) - low < _INT64.max // n:
+            packed = (keys.astype(np.int64) - low) * n + np.arange(n)
+            return np.argsort(packed)
+    return np.argsort(keys, kind="stable")
+
+
 def group_slices(
     keys: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -87,7 +104,7 @@ def group_slices(
         empty = np.empty(0, dtype=np.int64)
         empty.setflags(write=False)
         return empty, empty, empty
-    order = np.argsort(keys, kind="stable")
+    order = _stable_argsort(keys)
     sorted_keys = keys[order]
     starts = np.flatnonzero(
         np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]

@@ -28,7 +28,8 @@ Per-column encodings (fixed by :data:`NUMERIC_DTYPES` /
 * **numeric** — raw dtype bytes, memory-mapped read-only on load;
 * **varstr**  — an ``int64`` offsets blob plus a concatenated UTF-8
   data blob (the per-ticket ``hostnames`` / ``error_details`` strings),
-  decoded *lazily* on first column access;
+  decoded *lazily* on first column access; which strings are empty is
+  read from the offsets alone (:meth:`ColumnStore.nonempty`);
 * **jsonl**   — one JSON object per row (the free-form ``details``
   dicts), also decoded lazily;
 * interned string **tables** — one JSON-array blob per table (small).
@@ -57,8 +58,9 @@ import hashlib
 import json
 import os
 import tempfile
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -243,17 +245,29 @@ def _encode_varstr(column: np.ndarray) -> Tuple[bytes, bytes]:
     return offsets.tobytes(), b"".join(encoded)
 
 
-def _decode_varstr(offsets_path: Path, data_path: Path, n: int, what: str) -> np.ndarray:
+def _varstr_offsets(offsets_path: Path, data_size: int, n: int, what: str) -> np.ndarray:
+    """The offsets of a varstr column, checked to tile its data blob."""
     offsets = np.fromfile(offsets_path, dtype=np.dtype(_OFFSETS_DTYPE))
-    data = data_path.read_bytes()
     if offsets.size != n + 1 or (n and offsets[0] != 0):
         raise StorageIntegrityError(
             f"{what}: offsets blob has {offsets.size} entries for {n} rows"
         )
-    if n and (int(offsets[-1]) != len(data) or np.any(np.diff(offsets) < 0)):
+    if n and (int(offsets[-1]) != data_size or np.any(np.diff(offsets) < 0)):
         raise StorageIntegrityError(
-            f"{what}: offsets do not tile the {len(data)}-byte data blob"
+            f"{what}: offsets do not tile the {data_size}-byte data blob"
         )
+    return offsets
+
+
+def _varstr_lengths(offsets_path: Path, data_path: Path, n: int, what: str) -> np.ndarray:
+    """Byte length of every string of a varstr column, from its offsets
+    alone: the data blob is sized, never read."""
+    return np.diff(_varstr_offsets(offsets_path, data_path.stat().st_size, n, what))
+
+
+def _decode_varstr(offsets_path: Path, data_path: Path, n: int, what: str) -> np.ndarray:
+    data = data_path.read_bytes()
+    offsets = _varstr_offsets(offsets_path, len(data), n, what)
     out = np.empty(n, dtype=object)
     bounds = offsets.tolist()
     for i in range(n):
@@ -499,6 +513,7 @@ def _load_shard(root: Path, shard: Dict[str, Any], verify: bool) -> ColumnStore:
 
     arrays: Dict[str, np.ndarray] = {}
     deferred: Dict[str, Callable[[], np.ndarray]] = {}
+    lengths: Dict[str, Callable[[], np.ndarray]] = {}
     for name in COLUMN_NAMES:
         spec = column_specs.get(name)
         if not isinstance(spec, dict):
@@ -538,13 +553,14 @@ def _load_shard(root: Path, shard: Dict[str, Any], verify: bool) -> ColumnStore:
             if verify:
                 _verify_blob(offsets_blob, off_digest, what)
                 _verify_blob(data_blob, data_digest, what)
-            deferred[name] = _varstr_thunk(offsets_blob, data_blob, n, what)
+            deferred[name] = partial(_decode_varstr, offsets_blob, data_blob, n, what)
+            lengths[name] = partial(_varstr_lengths, offsets_blob, data_blob, n, what)
         elif encoding == "jsonl":
             digest, nbytes = _blob_ref(spec, "blob", what)
             blob = _blob_path(root, digest, nbytes, what)
             if verify:
                 _verify_blob(blob, digest, what)
-            deferred[name] = _jsonl_thunk(blob, n, what)
+            deferred[name] = partial(_decode_jsonl, blob, n, what)
         else:
             raise StorageFormatError(f"{root}: {what} has unknown encoding {encoding!r}")
 
@@ -572,18 +588,9 @@ def _load_shard(root: Path, shard: Dict[str, Any], verify: bool) -> ColumnStore:
         arrays,
         tables,
         deferred=deferred,
+        lengths=lengths,
         fingerprint=str(fingerprint) if fingerprint else None,
     )
-
-
-def _varstr_thunk(
-    offsets_blob: Path, data_blob: Path, n: int, what: str
-) -> Callable[[], np.ndarray]:
-    return lambda: _decode_varstr(offsets_blob, data_blob, n, what)
-
-
-def _jsonl_thunk(blob: Path, n: int, what: str) -> Callable[[], np.ndarray]:
-    return lambda: _decode_jsonl(blob, n, what)
 
 
 def load_columnar(path: Union[str, Path], *, verify: bool = False) -> FOTDataset:

@@ -93,13 +93,20 @@ class Inventory:
     # ------------------------------------------------------------------
     # denominators for the analyses
     # ------------------------------------------------------------------
+    def idc_codes(self) -> Tuple[Dict[str, int], np.ndarray]:
+        """Interned data centers: ``(code of each name, code of each
+        server)``, built once, so per-DC lookups compare ints (do not
+        mutate)."""
+        if self._idc_codes is None:
+            names = self.idcs
+            code_of = {name: i for i, name in enumerate(dict.fromkeys(names))}
+            codes = np.fromiter(map(code_of.__getitem__, names), np.int32, len(names))
+            self._idc_codes = (code_of, codes)
+        return self._idc_codes
+
     def positions_in(self, idc: str) -> np.ndarray:
         """Rack slot of every server in data center ``idc``."""
-        if self._idc_codes is None:  # interned once; lookups compare ints
-            code_of: Dict[str, int] = {}
-            codes = [code_of.setdefault(name, len(code_of)) for name in self.idcs]
-            self._idc_codes = (code_of, np.asarray(codes, dtype=np.int32))
-        code_of, codes = self._idc_codes
+        code_of, codes = self.idc_codes()
         if idc not in code_of:
             raise ValueError(f"no servers in data center {idc!r}")
         return self.positions[codes == code_of[idc]]

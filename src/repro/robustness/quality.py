@@ -80,6 +80,12 @@ class Exclusion:
             "n_used": self.n_used,
         }
 
+    def format(self) -> str:
+        return (
+            f"excluded by {self.analysis}: {self.n_excluded} tickets"
+            f" ({self.reason}); {self.n_used} used"
+        )
+
 
 @dataclass
 class DataQuality:
@@ -147,12 +153,7 @@ class DataQuality:
             ),
             n_closed,
         )
-        details = dataset.error_details
-        cov(
-            "error_detail",
-            int((np.not_equal(details, None) & np.not_equal(details, "")).sum()),
-            n,
-        )
+        cov("error_detail", int(dataset.error_detail_present.sum()), n)
         cov(
             "product_line",
             int(interned_present(dataset.product_line_codes, "product_line").sum()),
@@ -261,11 +262,7 @@ class DataQuality:
         out.append(f"  out-of-range rack positions: {self.out_of_range_positions}")
         for warning in self.warnings:
             out.append(f"  warning: {warning}")
-        for excl in self.exclusions:
-            out.append(
-                f"  excluded by {excl.analysis}: {excl.n_excluded} tickets"
-                f" ({excl.reason}); {excl.n_used} used"
-            )
+        out.extend(f"  {excl.format()}" for excl in self.exclusions)
         return "\n".join(out)
 
 

@@ -159,6 +159,9 @@ def test_tbf_per_product_line(
     return out
 
 
+_H5 = "failure rate independent of rack position"
+
+
 def test_rack_position_uniform(
     dataset: FOTDataset,
     *,
@@ -183,27 +186,28 @@ def test_rack_position_uniform(
         n_positions = int(positions.max()) + 1
     counts = np.bincount(positions, minlength=n_positions).astype(float)
 
-    if servers_per_position is not None:
-        weights = np.asarray(servers_per_position, dtype=float)
-        if weights.size < n_positions:
-            raise ValueError(
-                f"servers_per_position covers {weights.size} slots, "
-                f"failures reference {n_positions}"
-            )
-        weights = weights[:n_positions]
-        occupied = weights > 0
-        if np.any(counts[~occupied] > 0):
-            raise ValueError("failures reported at positions with zero servers")
-        counts = counts[occupied]
-        probs = weights[occupied] / weights[occupied].sum()
-    else:
-        probs = None
+    if servers_per_position is None:
+        return chi_square_counts(counts, None, hypothesis=_H5)
+    weights = np.asarray(servers_per_position, dtype=float)
+    if weights.size < n_positions:
+        raise ValueError(
+            f"servers_per_position covers {weights.size} slots, "
+            f"failures reference {n_positions}"
+        )
+    return rack_position_chi_square(counts, weights[:n_positions])
 
-    return chi_square_counts(
-        counts,
-        probs,
-        hypothesis="failure rate independent of rack position",
-    )
+
+def rack_position_chi_square(
+    counts: np.ndarray, servers: np.ndarray
+) -> ChiSquareResult:
+    """Hypothesis 5 over per-slot failure ``counts``, with each slot's
+    expected share proportional to its ``servers`` (same length).
+    Raises ``ValueError`` when failures sit at a slot with no servers."""
+    occupied = servers > 0
+    if np.any(counts[~occupied] > 0):
+        raise ValueError("failures reported at positions with zero servers")
+    probs = servers[occupied] / servers[occupied].sum()
+    return chi_square_counts(counts[occupied], probs, hypothesis=_H5)
 
 
 __all__ = [
@@ -214,4 +218,5 @@ __all__ = [
     "test_tbf_per_component",
     "test_tbf_per_product_line",
     "test_rack_position_uniform",
+    "rack_position_chi_square",
 ]

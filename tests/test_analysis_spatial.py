@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.analysis import spatial
+from repro.analysis.full_report import full_report
 from repro.core.dataset import FOTDataset
 from repro.core.timeutil import DAY
 from repro.fleet.inventory import Inventory
-from repro.robustness.quality import DataQuality
+from repro.robustness.quality import Exclusion
 from tests.test_ticket import make_ticket
 
 
@@ -21,6 +22,24 @@ def _plus_server(inventory: Inventory, idc: str, slot: int) -> Inventory:
         [*inventory.product_lines, inventory.product_lines[0]],
         {c: np.append(v, 1) for c, v in inventory.component_counts.items()},
     )
+
+
+def _servers_where(inventory: Inventory, keep: np.ndarray) -> Inventory:
+    """The servers of ``inventory`` where ``keep`` is true."""
+    rows = np.flatnonzero(keep)
+    return Inventory(
+        inventory.host_ids[rows],
+        [inventory.idcs[i] for i in rows],
+        inventory.positions[rows],
+        inventory.deployed_ats[rows],
+        [inventory.product_lines[i] for i in rows],
+        {c: v[rows] for c, v in inventory.component_counts.items()},
+    )
+
+
+def _in_range_failures(dataset: FOTDataset, idc: str) -> int:
+    positions = dataset.failures().of_idc(idc).positions
+    return int(((positions >= 0) & (positions <= 100)).sum())
 
 
 class TestDeduplicateRepeats:
@@ -81,6 +100,10 @@ class TestRackPositionProfile:
             spatial.rack_position_profile(
                 small_trace.dataset, small_trace.inventory,
                 small_trace.dataset.idcs[0], granularity="racks",
+            )
+        with pytest.raises(ValueError, match="unknown granularity"):
+            spatial.rack_position_tests(
+                small_trace.dataset, small_trace.inventory, granularity="racks"
             )
 
     def test_unknown_idc(self, small_trace):
@@ -166,18 +189,63 @@ class TestTableIV:
         dataset = small_trace.dataset
         clean = spatial.rack_position_tests(dataset, small_trace.inventory, min_failures=60)
         idc = sorted(clean.results)[0]
-        quality = DataQuality.assess(dataset)
         dirty = spatial.rack_position_tests(
             dataset, _plus_server(small_trace.inventory, idc, slot),
-            min_failures=60, quality=quality,
+            min_failures=60,
         )
         assert {k: r.p_value for k, r in dirty.results.items()} == {
             k: r.p_value for k, r in clean.results.items()
         }
         assert [
-            (e.analysis, e.reason, e.n_excluded) for e in quality.exclusions
+            (e.analysis, e.reason, e.n_excluded) for e in dirty.exclusions
         ] == [(
             f"spatial.rack_position_profile[{idc}]",
             "inventory rack position outside [0, 100]",
             1,
+        )]
+
+    def test_exclusions_reach_the_report(self, small_trace):
+        dataset = small_trace.dataset
+        idc = sorted(spatial.rack_position_tests(dataset, small_trace.inventory).results)[0]
+        bad = _plus_server(small_trace.inventory, idc, -1)
+        servers = int((small_trace.inventory.positions_in(idc) >= 0).sum())
+        text = full_report(dataset, inventory=bad).text()
+        assert (
+            f"excluded by spatial.rack_position_profile[{idc}]: 1 tickets "
+            f"(inventory rack position outside [0, 100]); {servers} used"
+        ) in text
+        assert "excluded by" not in full_report(
+            dataset, inventory=small_trace.inventory
+        ).text()
+
+    def test_dc_missing_from_inventory_is_reported(self, small_trace):
+        dataset, inventory = small_trace.dataset, small_trace.inventory
+        clean = spatial.rack_position_tests(dataset, inventory)
+        idc = sorted(clean.results)[1]
+        keep = np.array([name != idc for name in inventory.idcs])
+        dirty = spatial.rack_position_tests(dataset, _servers_where(inventory, keep))
+        assert dirty.results == {k: r for k, r in clean.results.items() if k != idc}
+        assert list(dirty.exclusions) == [Exclusion(
+            f"spatial.rack_position_tests[{idc}]",
+            f"no servers in data center {idc!r}",
+            _in_range_failures(dataset, idc),
+            0,
+        )]
+
+    def test_dc_with_failures_at_an_emptied_slot_is_reported(self, small_trace):
+        dataset, inventory = small_trace.dataset, small_trace.inventory
+        clean = spatial.rack_position_tests(dataset, inventory)
+        idc = sorted(clean.results)[-1]
+        slot = int(np.bincount(dataset.failures().of_idc(idc).positions).argmax())
+        keep = np.array([
+            not (name == idc and pos == slot)
+            for name, pos in zip(inventory.idcs, inventory.positions)
+        ])
+        dirty = spatial.rack_position_tests(dataset, _servers_where(inventory, keep))
+        assert dirty.results == {k: r for k, r in clean.results.items() if k != idc}
+        assert list(dirty.exclusions) == [Exclusion(
+            f"spatial.rack_position_tests[{idc}]",
+            "failures reported at positions with zero servers",
+            _in_range_failures(dataset, idc),
+            0,
         )]

@@ -29,7 +29,7 @@ from repro.analysis.correlated import ClassPair, CorrelatedStats, _pair
 from repro.analysis.repeating import RepeatingStats, RepeatKey
 from repro.core.columns import CATEGORY_ORDER, COMPONENT_ORDER, ColumnBuilder
 from repro.core.dataset import FOTDataset
-from repro.core.grouping import composite_key
+from repro.core.grouping import composite_key, group_slices
 from repro.core.ticket import FOT
 from repro.core.timeutil import DAY, day_index
 from repro.core.types import ComponentClass, FOTCategory
@@ -423,6 +423,23 @@ class TestGroupedOracle:
             for view, (_, ref_view) in zip(groups.values(), expected):
                 np.testing.assert_array_equal(view.fot_ids, ref_view.fot_ids)
         assert ds.store.n_materialized == 0
+
+
+class TestGroupSlices:
+    @given(dtype=st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
+           wide=st.booleans(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_order_is_the_stable_argsort(self, dtype, wide, data):
+        # Narrow keys of any width take the packed (key, position) sort;
+        # full-range int64 keys overflow the packing and fall back.
+        info = np.iinfo(dtype)
+        low, high = (int(info.min), int(info.max)) if wide else (-3, 3)
+        keys = np.array(
+            data.draw(st.lists(st.integers(low, high), min_size=1, max_size=40)),
+            dtype=dtype,
+        )
+        order, _, _ = group_slices(keys)
+        np.testing.assert_array_equal(order, np.argsort(keys, kind="stable"))
 
 
 class TestCompositeKey:

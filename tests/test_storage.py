@@ -10,7 +10,9 @@ matches what :func:`~repro.core.columns.compute_fingerprint` would
 recompute (the runtime sanitizer's invariant).
 """
 
+import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,12 @@ import pytest
 from repro.analysis.full_report import full_report
 from repro.core import io as core_io
 from repro.core import storage
-from repro.core.columns import COLUMN_NAMES, TABLE_NAMES, compute_fingerprint
+from repro.core.columns import (
+    COLUMN_NAMES,
+    TABLE_NAMES,
+    ColumnStore,
+    compute_fingerprint,
+)
 from repro.core.dataset import FOTDataset
 from repro.core.storage import (
     StorageError,
@@ -26,6 +33,7 @@ from repro.core.storage import (
     StorageIntegrityError,
     StorageVersionError,
 )
+from repro.robustness.quality import DataQuality
 
 
 _INTERNED_COLUMNS = {
@@ -300,3 +308,81 @@ class TestFrontDoorDispatch:
 
     def test_supported_suffixes_advertise_columnar(self):
         assert ".fourcol" in core_io.SUPPORTED_SUFFIXES
+
+
+class TestErrorDetailCoverage:
+    """``DataQuality.assess`` counts error details from the stored
+    string lengths, without decoding them."""
+
+    @staticmethod
+    def _with_empty_details(tiny_dataset):
+        tickets = [
+            dataclasses.replace(t, error_detail="" if i % 3 else t.error_detail)
+            for i, t in enumerate(tiny_dataset[:60])
+        ]
+        return FOTDataset(tickets)
+
+    @staticmethod
+    def _offsets_blob(path):
+        manifest = json.loads((path / "manifest.json").read_text())
+        spec = manifest["shards"][0]["columns"]["error_details"]
+        return path / "blobs" / f"{spec['offsets_blob']}.bin"
+
+    def test_coverage_equal_across_formats(self, tmp_path, tiny_dataset):
+        dataset = self._with_empty_details(tiny_dataset)
+        core_io.save(dataset, tmp_path / "d.jsonl")
+        storage.save_columnar(dataset, tmp_path / "d.fourcol")
+        for part in (dataset[:25], dataset[25:]):  # two shards: decoded on load
+            storage.append_columnar(tmp_path / "sharded.fourcol", part)
+        coverages = [
+            DataQuality.assess(ds).coverage["error_detail"]
+            for ds in (
+                dataset,
+                core_io.load(tmp_path / "d.jsonl"),
+                storage.load_columnar(tmp_path / "d.fourcol"),
+                storage.load_columnar(tmp_path / "sharded.fourcol"),
+            )
+        ]
+        assert coverages[0].present == 20 and coverages[0].missing == 40
+        assert all(coverage == coverages[0] for coverage in coverages)
+
+    def test_assess_leaves_error_details_undecoded(self, tmp_path, tiny_dataset):
+        path = tmp_path / "d.fourcol"
+        storage.save_columnar(self._with_empty_details(tiny_dataset), path)
+        loaded = storage.load_columnar(path)
+        read = []
+        original = ColumnStore.column
+
+        def spy(store, name):
+            read.append(name)
+            return original(store, name)
+
+        with mock.patch.object(ColumnStore, "column", spy):
+            quality = DataQuality.assess(loaded)
+        assert "error_details" not in read
+        assert "error_details" in loaded.store._deferred
+        assert quality.coverage["error_detail"].present == 20
+
+    def test_non_monotone_offsets_raise(self, tmp_path, tiny_dataset):
+        path = tmp_path / "d.fourcol"
+        storage.save_columnar(self._with_empty_details(tiny_dataset), path)
+        blob = self._offsets_blob(path)
+        offsets = np.fromfile(blob, dtype="<i8")
+        offsets[[1, 2]] = offsets[[2, 1]] + np.array([1, 0])  # same size, out of order
+        blob.write_bytes(offsets.tobytes())
+        with pytest.raises(StorageIntegrityError, match="do not tile"):
+            DataQuality.assess(storage.load_columnar(path))
+        with pytest.raises(StorageIntegrityError, match="do not tile"):
+            storage.load_columnar(path).error_details
+
+    def test_wrong_offsets_entry_count_raises(self, tmp_path, tiny_dataset):
+        path = tmp_path / "d.fourcol"
+        storage.save_columnar(self._with_empty_details(tiny_dataset), path)
+        blob = self._offsets_blob(path)
+        loaded = storage.load_columnar(path)
+        # The blob grows after the load's size check: the read checks again.
+        blob.write_bytes(blob.read_bytes() + np.zeros(1, dtype="<i8").tobytes())
+        with pytest.raises(StorageIntegrityError, match="62 entries for 60 rows"):
+            DataQuality.assess(loaded)
+        with pytest.raises(StorageIntegrityError, match="manifest recorded"):
+            storage.load_columnar(path)
