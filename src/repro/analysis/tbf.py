@@ -21,10 +21,7 @@ from repro.robustness.quality import InsufficientDataError
 from repro.stats.chisquare import ChiSquareResult
 from repro.stats.distributions import Distribution, fit_all
 from repro.stats.empirical import ECDF, ecdf
-from repro.stats.hypotheses import (
-    test_tbf_all_families,
-    test_tbf_per_component,
-)
+from repro.stats.hypotheses import test_tbf_fits, test_tbf_per_component
 
 
 @unit("seconds")
@@ -76,12 +73,15 @@ class TBFAnalysis:
 
 
 def analyze_tbf(dataset: FOTDataset) -> TBFAnalysis:
-    """Hypothesis 3 on one dataset: fit and test every family."""
+    """Hypothesis 3 on one dataset: fit every family once to the sorted
+    gaps, then test each fit on the same sorted sample."""
     gaps = tbf_values(dataset)
+    ordered = np.sort(gaps)
+    fits = fit_all(ordered)
     return TBFAnalysis(
-        empirical=ecdf(gaps),
-        fits=fit_all(gaps),
-        tests=test_tbf_all_families(dataset),
+        empirical=ecdf(ordered),
+        fits=fits,
+        tests=test_tbf_fits(ordered, fits),
         mtbf_seconds=float(gaps.mean()),
         n_gaps=int(gaps.size),
     )

@@ -167,14 +167,16 @@ def chi_square_fit(
     insensitive to the heavy tails that dominate TBF data.
 
     Args:
-        data: The sample.
+        data: The sample.  A sorted sample is binned as it is; any other
+            is sorted first, so callers testing several families against
+            one sample should sort it once themselves.
         dist: A fitted distribution; its ``n_params`` is charged against
             the degrees of freedom (the usual practice when parameters
             are MLE-estimated from the same sample).
         n_bins: Number of equiprobable bins; default ``max(10, n/50)``
             capped at 100.
     """
-    data = np.asarray(data, dtype=float)
+    data = np.asarray(data, dtype=float).ravel()
     if data.size < 10:
         raise ValueError("chi-squared fit test needs at least 10 observations")
     n = data.size
@@ -184,8 +186,15 @@ def chi_square_fit(
     n_bins = min(n_bins, max(2, int(n / MIN_EXPECTED)))
 
     qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-    edges = np.concatenate(([-np.inf], np.atleast_1d(dist.ppf(qs)), [np.inf]))
-    observed = np.histogram(data, bins=edges)[0].astype(float)
+    edges = np.concatenate(([-np.inf], dist.ppf(qs), [np.inf]))
+    if np.any(edges[:-1] > edges[1:]):
+        raise ValueError("bin edges must increase monotonically")
+    if not np.all(data[:-1] <= data[1:]):
+        data = np.sort(data)
+    # np.histogram's binning: every bin half-open, the last one closed.
+    below = np.searchsorted(data, edges, side="left")
+    below[-1] = np.searchsorted(data, edges[-1], side="right")
+    observed = np.diff(below).astype(float)
     expected = np.full(n_bins, n / n_bins)
 
     observed, expected = _pool_low_expected(observed, expected)

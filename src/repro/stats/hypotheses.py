@@ -14,7 +14,7 @@ apply the paper's significance levels (0.01 / 0.02 / 0.05) or their own.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from repro.core.dataset import FOTDataset
 from repro.core.timeutil import day_of_week, hour_of_day
 from repro.core.types import ComponentClass
 from repro.stats.chisquare import ChiSquareResult, chi_square_counts, chi_square_fit
-from repro.stats.distributions import Distribution, FitError, TBF_FAMILIES
+from repro.stats.distributions import Distribution, TBF_FAMILIES, fit_all
 
 
 def test_uniform_day_of_week(
@@ -57,19 +57,29 @@ def test_uniform_hour_of_day(dataset: FOTDataset) -> ChiSquareResult:
     )
 
 
-def _tbf(dataset: FOTDataset) -> np.ndarray:
-    """Strictly positive time-between-failure values, in seconds.
+def _sorted_tbf(dataset: FOTDataset) -> np.ndarray:
+    """The dataset's TBF sample (see :func:`repro.analysis.tbf.tbf_values`),
+    sorted once for the fits and the binning to share."""
+    # Imported here because repro.analysis.tbf builds on this module.
+    from repro.analysis.tbf import tbf_values
 
-    Ties (several failures at the same timestamp — e.g. a batch) produce
-    zero gaps; the continuous families are supported on (0, inf), so
-    zeros are nudged to one second, preserving the "many tiny TBFs"
-    signal the paper highlights rather than discarding it.
-    """
-    times = np.sort(dataset.failures().error_times)
-    if times.size < 2:
-        raise ValueError("need at least 2 failures to compute TBF")
-    gaps = np.diff(times)
-    return np.maximum(gaps, 1.0)
+    return np.sort(tbf_values(dataset))
+
+
+def test_tbf_fits(
+    gaps: np.ndarray, fits: Mapping[str, Distribution]
+) -> Dict[str, ChiSquareResult]:
+    """Hypothesis 3 for distributions already fitted to the TBF sample
+    ``gaps``, keyed like ``fits``; a fit whose test cannot run (too few
+    observations, or too few bins after pooling) is skipped.  Pass ``gaps`` sorted: every test
+    then bins it without sorting again."""
+    results: Dict[str, ChiSquareResult] = {}
+    for name, dist in fits.items():
+        try:
+            results[name] = chi_square_fit(gaps, dist, hypothesis=f"TBF ~ {name}")
+        except ValueError:
+            continue
+    return results
 
 
 def test_tbf_family(
@@ -83,12 +93,13 @@ def test_tbf_family(
     follows ``family`` (parameters MLE-fitted first, per Section II-B).
 
     Raises :class:`~repro.stats.distributions.FitError` when the family
-    cannot be fitted to the sample at all.  Pass precomputed ``gaps``
-    (as from :func:`_tbf`) to test several families without re-deriving
-    the sample each time.
+    cannot be fitted to the sample at all, and ``ValueError`` when the
+    dataset has fewer than 2 failures.  Pass precomputed ``gaps`` (as
+    from :func:`repro.analysis.tbf.tbf_values`, ideally sorted) to skip
+    deriving the sample again.
     """
     if gaps is None:
-        gaps = _tbf(dataset)
+        gaps = _sorted_tbf(dataset)
     dist: Distribution = family.fit(gaps)
     return chi_square_fit(
         gaps,
@@ -102,19 +113,13 @@ def test_tbf_all_families(
     families: Sequence[type] = TBF_FAMILIES,
 ) -> Dict[str, ChiSquareResult]:
     """Hypothesis 3 across every candidate family; families whose MLE
-    fails on this sample are skipped.  The TBF sample is derived once
-    and shared across the family fits."""
-    results: Dict[str, ChiSquareResult] = {}
+    fails on this sample are skipped.  The TBF sample is derived and
+    sorted once and shared across the family fits and tests."""
     try:
-        gaps = _tbf(dataset)
+        gaps = _sorted_tbf(dataset)
     except ValueError:
-        return results
-    for family in families:
-        try:
-            results[family.name] = test_tbf_family(dataset, family, gaps=gaps)
-        except (FitError, ValueError):
-            continue
-    return results
+        return {}
+    return test_tbf_fits(gaps, fit_all(gaps, families))
 
 
 def test_tbf_per_component(
@@ -213,6 +218,7 @@ def rack_position_chi_square(
 __all__ = [
     "test_uniform_day_of_week",
     "test_uniform_hour_of_day",
+    "test_tbf_fits",
     "test_tbf_family",
     "test_tbf_all_families",
     "test_tbf_per_component",

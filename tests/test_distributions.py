@@ -55,6 +55,19 @@ class TestBasicShape:
             assert float(np.atleast_1d(dist.cdf(x))[0]) == pytest.approx(q, abs=1e-6)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize(
+        "q", [0.3, np.float64(0.3), np.array(0.3), np.array([0.3]),
+              np.array([0.0, 0.3, 0.9]), np.array([[0.1, 0.5], [0.0, 0.9]])],
+        ids=["float", "np.float64", "0-d", "1-element", "vector", "matrix"],
+    )
+    def test_ppf_keeps_input_shape(self, family, q, rng):
+        out = make_dist(family, rng).ppf(q)
+        if np.ndim(q) == 0:
+            assert isinstance(out, float)
+        else:
+            assert isinstance(out, np.ndarray) and out.shape == np.shape(q)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_sample_mean_matches(self, family, rng):
         dist = make_dist(family, rng)
         samples = dist.sample(60_000, rng)
@@ -109,6 +122,19 @@ class TestMLERecovery:
         for family in (Uniform, Weibull, Gamma, LogNormal):
             with pytest.raises(FitError):
                 family.fit(const)
+
+    @pytest.mark.parametrize("base, width", [(3600.0, 60.0), (86400.0, 3600.0), (1e5, 100.0)])
+    def test_weibull_fits_tight_samples_of_large_values(self, base, width):
+        # x**k overflows long before the MLE shape (about 100 to 4000
+        # here) is reached, so the fit must not form the raw powers.
+        data = base + np.random.default_rng(17).uniform(0.0, width, 200)
+        fitted = Weibull.fit(data)
+        assert fitted.shape > 50
+        best = fitted.log_likelihood(data)
+        for dk in (0.99, 1.01):
+            for ds in (0.9999, 1.0001):
+                worse = Weibull(fitted.shape * dk, fitted.scale * ds)
+                assert worse.log_likelihood(data) < best
 
     def test_fit_beats_wrong_params_in_likelihood(self, rng):
         data = Gamma(3.0, 2.0).sample(5_000, rng)
