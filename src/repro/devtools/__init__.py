@@ -6,6 +6,8 @@ complement.
   the whole rule catalogue, suppressions, baseline, reporters.
 * :mod:`repro.devtools.rules` — the RPL rule catalog and the syntactic
   RPL000–005 checkers.
+* :mod:`repro.devtools.index` — the node index: each scope's own nodes
+  and their parents, built once per run for the checkers below.
 * :mod:`repro.devtools.dataflow` — abstract interpretation: per-function
   CFGs (:mod:`~repro.devtools.cfg`) analyzed to fixpoint over a product
   fact lattice (:mod:`~repro.devtools.lattice`) for the RPL101–104
@@ -24,7 +26,7 @@ complement.
   store arrays are frozen and hash-guards dataset fingerprints across
   analysis calls, validating the static rules against ground truth.
 
-Nothing here is imported by the library itself; the package is
-deliberately dependency-light so the linter can run in CI before the
-scientific stack is exercised.
+Nothing here is imported by the library itself.  The linter is not
+standalone: ``import repro.devtools`` imports ``repro`` (and numpy),
+and the rules read the FOT schema and dataset surface from the library.
 """

@@ -46,9 +46,6 @@ class CFG:
     entry: int
     exit: int
 
-    def preds(self, idx: int) -> List[int]:
-        return [b.idx for b in self.blocks if idx in b.succs]
-
 
 class _Builder:
     def __init__(self) -> None:

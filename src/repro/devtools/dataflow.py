@@ -49,7 +49,7 @@ import re
 from collections import deque
 from pathlib import Path
 from typing import (
-    Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+    Callable, Dict, Iterator, List, Optional, Set, Tuple,
 )
 
 from repro.devtools.cfg import CFG, build_cfg
@@ -76,7 +76,7 @@ from repro.devtools.rules import (
     Finding,
     Fix,
     MUTATOR_METHODS,
-    _DeterminismVisitor,
+    Project,
     module_name,
     module_parts,
 )
@@ -423,10 +423,12 @@ def _collect_mutated_params(fn: ast.FunctionDef) -> Dict[str, int]:
     return mutated
 
 
-class DataflowProject:
-    """Cross-file context: module contexts, call graph and summaries."""
+class DataflowProject(Project):
+    """Cross-file context on top of :class:`Project`: module contexts,
+    call graph and summaries."""
 
     def __init__(self, trees: Dict[Path, ast.Module], summary_rounds: int = 3):
+        super().__init__(trees)
         self.trees = trees
         self.contexts: Dict[str, ModuleContext] = {}
         self.summaries: Dict[str, FunctionSummary] = {}
@@ -474,40 +476,24 @@ class DataflowProject:
                 if key in self.summaries:
                     table[bound] = key
             self.resolution[module] = table
-        for key, summary in self.summaries.items():
-            ctx = self.contexts[summary.module]
-            table = self.resolution[summary.module]
+        for summary in self.summaries.values():
             for node in ast.walk(summary.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if isinstance(func, ast.Name) and func.id in table:
-                    summary.callees.add(table[func.id])
-                elif isinstance(func, ast.Attribute) \
-                        and isinstance(func.value, ast.Name):
-                    target_module = ctx.module_aliases.get(func.value.id)
-                    if target_module is None:
-                        imported = ctx.from_imports.get(func.value.id)
-                        if imported:
-                            target_module = f"{imported[0]}.{imported[1]}"
-                    if target_module:
-                        candidate = f"{target_module}.{func.attr}"
-                        if candidate in self.summaries:
-                            summary.callees.add(candidate)
+                if isinstance(node, ast.Call):
+                    callee = self.summary_for_call(summary.module, node.func)
+                    if callee is not None:
+                        summary.callees.add(callee.key)
 
     def _seed_nondeterminism(self) -> None:
-        for path, tree in self.trees.items():
-            module = module_name(path)
-            visitor = _DeterminismVisitor(path.as_posix())
-            visitor.visit(tree)
-            if not visitor.findings:
+        for path, findings in self.determinism.items():
+            if not findings:
                 continue
+            module = module_name(path)
             for summary in self.summaries.values():
                 if summary.module != module:
                     continue
                 start = summary.node.lineno
                 end = getattr(summary.node, "end_lineno", start)
-                for finding in visitor.findings:
+                for finding in findings:
                     if start <= finding.line <= end:
                         summary.nondet_direct = True
                         summary.nondet_reason = finding.message
@@ -521,7 +507,7 @@ class DataflowProject:
             module = module_name(path)
             ctx = self.contexts[module]
             analyzer = _Analyzer(path="", ctx=ctx, project=self,
-                                 flags=_RuleFlags(), body=tree.body)
+                                 flags=_RuleFlags(), fn=tree)
             analyzer.run()
             ctx.module_env = analyzer.exit_env
 
@@ -563,7 +549,7 @@ class DataflowProject:
             for summary in self.summaries.values():
                 if summary.nondet:
                     continue
-                for callee in summary.callees:
+                for callee in sorted(summary.callees):
                     target = self.summaries.get(callee)
                     if target is not None and target.nondet:
                         summary.nondet = True
@@ -617,27 +603,23 @@ class _Analyzer:
         ctx: ModuleContext,
         project: Optional["DataflowProject"],
         flags: _RuleFlags,
-        fn: Optional[ast.AST] = None,
-        body: Optional[Sequence[ast.stmt]] = None,
+        fn: ast.AST,
     ):
         self.path = path
         self.ctx = ctx
         self.project = project
         self.flags = flags
+        #: the scope: a def node, or the module for the module body.
         self.fn = fn
-        if body is None:
-            assert fn is not None
-            body = [s for s in fn.body]
-        self.body = body
+        self.body = list(fn.body)
         self.cfg: CFG = build_cfg(
-            [s for s in body
+            [s for s in self.body
              if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef,
                                    ast.ClassDef))]
         )
         self.findings: List[Finding] = []
         self.declared_unit: Optional[str] = None
-        if fn is not None and isinstance(fn, (ast.FunctionDef,
-                                              ast.AsyncFunctionDef)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             self.declared_unit = (
                 _decorator_unit(fn)
                 or _annotation_unit(fn.returns)
@@ -1487,7 +1469,7 @@ def analyze_module(path: Path, tree: ast.Module,
     ctx = project.contexts.get(module) or ModuleContext(module, tree)
     rel = path.as_posix()
 
-    module_scope = _Analyzer(rel, ctx, project, flags, body=tree.body)
+    module_scope = _Analyzer(rel, ctx, project, flags, fn=tree)
     module_scope.run()
     ctx.module_env = module_scope.exit_env
     yield module_scope

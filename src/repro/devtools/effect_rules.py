@@ -40,12 +40,11 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.devtools.cfg import build_cfg
 from repro.devtools.effects import (
     EffectsProject,
-    FunctionEffects,
     blocking_call_reason,
     executor_exempt_nodes,
     is_executor_handoff,
@@ -82,30 +81,6 @@ _POOL_SUBMIT_METHODS = frozenset(
 )
 
 
-def _parents(tree: ast.AST) -> Dict[int, ast.AST]:
-    """Child node id -> parent node, for every node under ``tree``.
-    Built once per module and dropped after it, never per function."""
-    out: Dict[int, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            out[id(child)] = node
-    return out
-
-
-def _own_walk(fn: ast.AST) -> Iterable[ast.AST]:
-    """Subtree walk excluding nested function/class bodies (nested defs
-    are checked on their own); lambdas stay in — they run in this frame
-    unless an executor handoff exempts them."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
 def _flag(findings: List[Finding], rule: str, path: str, node: ast.AST,
           message: str) -> None:
     findings.append(
@@ -123,8 +98,8 @@ def check_async_blocking(
 ) -> None:
     ctx = project.contexts[module]
     exempt = executor_exempt_nodes(fn)
-    local_types = project._local_types(module, fn)
-    for node in _own_walk(fn):
+    local_types = project.local_types(module, fn)
+    for node in project.index.own(fn):
         if not isinstance(node, ast.Call) or id(node) in exempt:
             continue
         if is_executor_handoff(node):
@@ -187,23 +162,23 @@ def _interpreted_exprs(item: ast.AST) -> List[ast.AST]:
     return [item]
 
 
-def _lock_region_nodes(fn: ast.AST) -> Set[int]:
+def _names_under(node: ast.AST) -> Iterator[str]:
+    """Every name and attribute name in ``node``'s subtree."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def _lock_region_nodes(own: List[ast.AST]) -> Set[int]:
     """ids of every node inside a lock-guarded ``with`` body."""
     out: Set[int] = set()
-    for node in _own_walk(fn):
+    for node in own:
         if not isinstance(node, (ast.With, ast.AsyncWith)):
             continue
-        guarded = False
-        for item in node.items:
-            for sub in ast.walk(item.context_expr):
-                name = None
-                if isinstance(sub, ast.Name):
-                    name = sub.id
-                elif isinstance(sub, ast.Attribute):
-                    name = sub.attr
-                if name is not None and _LOCK_NAME_RE.search(name):
-                    guarded = True
-        if guarded:
+        if any(_LOCK_NAME_RE.search(name) for item in node.items
+               for name in _names_under(item.context_expr)):
             for stmt in node.body:
                 for sub in ast.walk(stmt):
                     out.add(id(sub))
@@ -213,21 +188,22 @@ def _lock_region_nodes(fn: ast.AST) -> Set[int]:
 class _SharedStateAnalyzer:
     """Fixpoint of the read/read-then-await lattice over one coroutine."""
 
-    def __init__(self, fn: ast.AsyncFunctionDef, qualname: str, path: str):
+    def __init__(self, fn: ast.AsyncFunctionDef, own: List[ast.AST],
+                 qualname: str, path: str):
         self.fn = fn
         self.qualname = qualname
         self.path = path
         self.global_names = {
-            name for node in _own_walk(fn) if isinstance(node, ast.Global)
+            name for node in own if isinstance(node, ast.Global)
             for name in node.names
         }
         self.tracked: Set[str] = set()
-        for node in _own_walk(fn):
+        for node in own:
             for target in self._write_targets(node):
                 loc = _shared_location(target, self.global_names)
                 if loc is not None:
                     self.tracked.add(loc)
-        self.lock_nodes = _lock_region_nodes(fn)
+        self.lock_nodes = _lock_region_nodes(own)
         self.flagged: Set[Tuple[str, int]] = set()
 
     @staticmethod
@@ -340,17 +316,16 @@ def _is_task_spawn(ctx, call: ast.Call) -> bool:
 
 def check_fire_and_forget(
     fn: ast.AST, module: str, project: EffectsProject, path: str,
-    findings: List[Finding], parents: Dict[int, ast.AST],
+    findings: List[Finding],
 ) -> None:
     ctx = project.contexts[module]
     name_loads: Dict[str, int] = {}
-    for node in _own_walk(fn):
+    for node in project.index.own(fn):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             name_loads[node.id] = name_loads.get(node.id, 0) + 1
-    for node in _own_walk(fn):
+    for node, parent in project.index.own_with_parents(fn):
         if not (isinstance(node, ast.Call) and _is_task_spawn(ctx, node)):
             continue
-        parent = parents.get(id(node))
         if isinstance(parent, ast.Expr):
             _flag(
                 findings, "RPL203", path, node,
@@ -458,9 +433,10 @@ def check_pool_captures(
     path: str, findings: List[Finding],
 ) -> None:
     ctx = project.contexts[module]
+    own = project.index.own(fn)
     pool_names: Set[str] = set()
     initializer_names: Set[str] = set()
-    for node in _own_walk(fn):
+    for node in own:
         ctor: Optional[ast.Call] = None
         target_name: Optional[str] = None
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
@@ -490,7 +466,7 @@ def check_pool_captures(
         return
 
     local_defs = {
-        node.name: node for node in _own_walk(fn)
+        node.name: node for node in own
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
     module_defs = {
@@ -504,7 +480,7 @@ def check_pool_captures(
             allowed_globals |= _globals_assigned_by(init_fn)
     mutable_globals = _mutable_module_globals(tree)
 
-    for node in _own_walk(fn):
+    for node in own:
         if not (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in _POOL_SUBMIT_METHODS
@@ -598,8 +574,8 @@ def _resource_call_reason(ctx, call: ast.Call,
     return None
 
 
-def _name_has_close(fn: ast.AST, name: str) -> bool:
-    for node in _own_walk(fn):
+def _name_has_close(own: List[ast.AST], name: str) -> bool:
+    for node in own:
         if isinstance(node, ast.Attribute) \
                 and node.attr in ("close", "closed", "__exit__") \
                 and isinstance(node.value, ast.Name) \
@@ -639,8 +615,8 @@ def _escapes_via(value: ast.expr, name: str) -> bool:
     )
 
 
-def _name_is_returned(fn: ast.AST, name: str) -> bool:
-    for node in _own_walk(fn):
+def _name_is_returned(own: List[ast.AST], name: str) -> bool:
+    for node in own:
         if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)) \
                 and node.value is not None \
                 and _escapes_via(node.value, name):
@@ -648,56 +624,46 @@ def _name_is_returned(fn: ast.AST, name: str) -> bool:
     return False
 
 
-def seed_resource_returns(project: EffectsProject,
-                          trees: Dict[Path, ast.Module]) -> None:
+def seed_resource_returns(project: EffectsProject) -> None:
     """Mark every summary whose function hands back an open resource
     (directly returned, or bound to a name that is returned without a
     local close).  Runs at project-build time so callers see callee
     summaries regardless of file order."""
-    by_module: Dict[str, List[FunctionEffects]] = {}
     for effects in project.functions.values():
-        by_module.setdefault(effects.module, []).append(effects)
-    for path, tree in trees.items():
-        module = module_name(path)
-        if module not in by_module:
-            continue
-        ctx = project.contexts[module]
-        parents = _parents(tree)
-        for effects in by_module[module]:
-            fn = effects.node
-            for node in _own_walk(fn):
-                if not isinstance(node, ast.Call):
-                    continue
-                reason = _resource_call_reason(ctx, node, project, module,
-                                               effects.class_key)
-                if reason is None:
-                    continue
-                parent = parents.get(id(node))
-                if isinstance(parent, (ast.Return, ast.Yield)):
-                    effects.returns_resource = True
-                elif isinstance(parent, ast.Assign) \
-                        and len(parent.targets) == 1 \
-                        and isinstance(parent.targets[0], ast.Name) \
-                        and _name_is_returned(fn, parent.targets[0].id) \
-                        and not _name_has_close(fn, parent.targets[0].id):
-                    effects.returns_resource = True
+        ctx = project.contexts[effects.module]
+        own = project.index.own(effects.node)
+        for node, parent in project.index.own_with_parents(effects.node):
+            if not isinstance(node, ast.Call):
+                continue
+            reason = _resource_call_reason(ctx, node, project, effects.module,
+                                           effects.class_key)
+            if reason is None:
+                continue
+            if isinstance(parent, (ast.Return, ast.Yield)):
+                effects.returns_resource = True
+            elif isinstance(parent, ast.Assign) \
+                    and len(parent.targets) == 1 \
+                    and isinstance(parent.targets[0], ast.Name) \
+                    and _name_is_returned(own, parent.targets[0].id) \
+                    and not _name_has_close(own, parent.targets[0].id):
+                effects.returns_resource = True
 
 
 def check_resource_lifetime(
     fn: ast.AST, module: str, class_key: Optional[str],
     project: EffectsProject, path: str, findings: List[Finding],
-    parents: Dict[int, ast.AST], summary_key: Optional[str] = None,
+    summary_key: Optional[str] = None,
 ) -> None:
     ctx = project.contexts[module]
-    local_types = project._local_types(module, fn)
+    local_types = project.local_types(module, fn)
+    own = project.index.own(fn)
     managed_names: Set[str] = set()
-    for node in _own_walk(fn):
+    for node, parent in project.index.own_with_parents(fn):
         if not isinstance(node, ast.Call):
             continue
         reason = _resource_call_reason(ctx, node, project, module, class_key)
         if reason is None:
             continue
-        parent = parents.get(id(node))
         if isinstance(parent, ast.withitem):
             if isinstance(parent.optional_vars, ast.Name):
                 managed_names.add(parent.optional_vars.id)
@@ -711,7 +677,7 @@ def check_resource_lifetime(
                     and parent.targets[0].elts \
                     and isinstance(parent.targets[0].elts[0], ast.Name):
                 fd_name = parent.targets[0].elts[0].id
-                if _name_has_close(fn, fd_name):
+                if _name_has_close(own, fd_name):
                     continue
             _flag(
                 findings, "RPL212", path, node,
@@ -722,9 +688,9 @@ def check_resource_lifetime(
         if isinstance(parent, ast.Assign) and len(parent.targets) == 1:
             target = parent.targets[0]
             if isinstance(target, ast.Name):
-                if _name_has_close(fn, target.id):
+                if _name_has_close(own, target.id):
                     continue
-                if _name_is_returned(fn, target.id):
+                if _name_is_returned(own, target.id):
                     if summary_key is not None:
                         project.functions[summary_key].returns_resource = True
                     continue
@@ -766,10 +732,9 @@ def check_resource_lifetime(
             )
 
     # Callers that discard a resource-returning function's result.
-    for node in _own_walk(fn):
+    for node, parent in project.index.own_with_parents(fn):
         if not isinstance(node, ast.Call):
             continue
-        parent = parents.get(id(node))
         if not isinstance(parent, ast.Expr):
             continue
         for key in project.resolve_call(module, node.func, class_key,
@@ -785,7 +750,7 @@ def check_resource_lifetime(
 
     # Buffer escape: views built over a with-managed resource must not
     # outlive the block.
-    for node in _own_walk(fn):
+    for node, parent in project.index.own_with_parents(fn):
         if not isinstance(node, ast.Call):
             continue
         is_view = (isinstance(node.func, ast.Name)
@@ -800,7 +765,6 @@ def check_resource_lifetime(
         )
         if not over_managed:
             continue
-        parent = parents.get(id(node))
         escapes = isinstance(parent, ast.Return) \
             or (isinstance(parent, ast.Assign)
                 and any(isinstance(t, ast.Attribute)
@@ -810,7 +774,7 @@ def check_resource_lifetime(
                 and parent.func.attr == "adopt_buffers")
         if not escapes and isinstance(parent, ast.Assign) \
                 and isinstance(parent.targets[0], ast.Name):
-            escapes = _name_is_returned(fn, parent.targets[0].id)
+            escapes = _name_is_returned(own, parent.targets[0].id)
         if escapes:
             _flag(
                 findings, "RPL212", path, node,
@@ -839,8 +803,8 @@ def _write_mode_of(call: ast.Call) -> Optional[str]:
     return None
 
 
-def _has_rename_marker(ctx, fn: ast.AST) -> bool:
-    for node in _own_walk(fn):
+def _has_rename_marker(ctx, own: List[ast.AST]) -> bool:
+    for node in own:
         if not isinstance(node, ast.Call):
             continue
         resolved = _qual_prefix(ctx, node.func)
@@ -856,16 +820,8 @@ def _has_rename_marker(ctx, fn: ast.AST) -> bool:
 
 
 def _mentions_temp(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        name = None
-        if isinstance(sub, ast.Name):
-            name = sub.id
-        elif isinstance(sub, ast.Attribute):
-            name = sub.attr
-        if name is not None and ("tmp" in name.lower()
-                                 or "temp" in name.lower()):
-            return True
-    return False
+    return any("tmp" in name.lower() or "temp" in name.lower()
+               for name in _names_under(node))
 
 
 def check_atomic_writes(
@@ -873,9 +829,10 @@ def check_atomic_writes(
     findings: List[Finding],
 ) -> None:
     ctx = project.contexts[module]
-    if _has_rename_marker(ctx, fn):
+    own = project.index.own(fn)
+    if _has_rename_marker(ctx, own):
         return
-    for node in _own_walk(fn):
+    for node in own:
         if not isinstance(node, ast.Call):
             continue
         target: Optional[ast.AST] = None
@@ -933,7 +890,6 @@ def check_module(path: Path, tree: ast.Module,
     findings: List[Finding] = []
     functions: List[Tuple[ast.AST, Optional[str], str]] = []
     _iter_functions(tree.body, module, None, "", functions)
-    parents = _parents(tree)
     for fn, class_key, qualname in functions:
         summary_key = f"{module}.{qualname}" \
             if f"{module}.{qualname}" in project.functions else None
@@ -941,11 +897,12 @@ def check_module(path: Path, tree: ast.Module,
             project.analyzed_async.add((module, qualname, fn.lineno))
             check_async_blocking(fn, module, class_key, project, rel,
                                  findings)
-            _SharedStateAnalyzer(fn, qualname, rel).run(findings)
-        check_fire_and_forget(fn, module, project, rel, findings, parents)
+            _SharedStateAnalyzer(fn, project.index.own(fn), qualname,
+                                 rel).run(findings)
+        check_fire_and_forget(fn, module, project, rel, findings)
         check_pool_captures(fn, module, tree, project, rel, findings)
         check_resource_lifetime(fn, module, class_key, project, rel,
-                                findings, parents, summary_key)
+                                findings, summary_key)
         if package in ATOMIC_WRITE_PACKAGES:
             check_atomic_writes(fn, module, project, rel, findings)
     return findings

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.devtools.dataflow import DataflowProject, ModuleContext
 from repro.devtools.rules import module_name
@@ -207,11 +207,6 @@ class FunctionEffects:
     #: resolved callee summary keys (sync calls only).
     callees: Set[str] = dataclasses.field(default_factory=set)
 
-    @property
-    def package(self) -> str:
-        parts = self.module.split(".")
-        return parts[1] if len(parts) > 1 and parts[0] == "repro" else ""
-
 
 @dataclasses.dataclass
 class ClassInfo:
@@ -227,30 +222,15 @@ class ClassInfo:
     attr_types: Dict[str, Set[str]] = dataclasses.field(default_factory=dict)
 
 
-def _own_nodes(fn: ast.AST) -> Iterable[ast.AST]:
-    """Walk ``fn`` excluding nested function/class bodies (lambdas are
-    included: they execute in the enclosing frame unless shipped to an
-    executor, which the exemption set handles)."""
-    stack: List[ast.AST] = [fn]
-    first = True
-    while stack:
-        node = stack.pop()
-        if not first and isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            continue
-        first = False
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
 class EffectsProject:
     """Whole-tree effect summaries: collection, class-attribute type
     inference, call resolution, and the blocking fixpoint."""
 
     def __init__(self, dataflow: DataflowProject):
-        #: the dataflow pass's import contexts, shared rather than rebuilt.
+        #: the dataflow pass's import contexts and node index, shared
+        #: rather than rebuilt.
         self.contexts: Dict[str, ModuleContext] = dataflow.contexts
+        self.index = dataflow.index
         self.functions: Dict[str, FunctionEffects] = {}
         self.classes: Dict[str, ClassInfo] = {}
         #: bare class name -> defining keys (fallback when an import
@@ -259,16 +239,16 @@ class EffectsProject:
         #: (module, qualname, lineno) of every async def the rule pass
         #: visited — the no-silently-skipped-coroutines property test.
         self.analyzed_async: Set[Tuple[str, str, int]] = set()
+        self._local_types_of: Dict[int, Dict[str, str]] = {}
         for path, tree in dataflow.trees.items():
             self._collect(module_name(path), tree)
         self._infer_attr_types()
-        self._seed_blocking()
-        self._resolve_callees()
+        self._scan_calls()
         self._propagate_blocking()
         # Deferred import: the rule module owns the resource classifier.
         from repro.devtools.effect_rules import seed_resource_returns
 
-        seed_resource_returns(self, dataflow.trees)
+        seed_resource_returns(self)
 
     # -- collection -----------------------------------------------------
     def _collect(self, module: str, tree: ast.Module) -> None:
@@ -398,11 +378,18 @@ class EffectsProject:
             return self.resolve_class(module, expr.func.id)
         return None
 
+    def local_types(self, module: str, fn: ast.AST) -> Dict[str, str]:
+        """:meth:`_local_types` of ``fn``, computed once per function."""
+        out = self._local_types_of.get(id(fn))
+        if out is None:
+            out = self._local_types_of[id(fn)] = self._local_types(module, fn)
+        return out
+
     def _local_types(self, module: str, fn: ast.AST) -> Dict[str, str]:
         """``x = ClassName(...)`` local variable typing (plus ``with
         Ctor() as x``), best effort."""
         out: Dict[str, str] = {}
-        for node in _own_nodes(fn):
+        for node in self.index.own(fn):
             if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                     and isinstance(node.targets[0], ast.Name):
                 key = self._class_of_expr(module, node.value)
@@ -487,23 +474,21 @@ class EffectsProject:
         return []
 
     # -- blocking fixpoint ----------------------------------------------
-    def _seed_blocking(self) -> None:
+    def _scan_calls(self) -> None:
+        """One pass over each summary's own calls: the first blocking
+        call it meets seeds the blocking effect, and every call adds
+        the keys it resolves to as callees."""
         for effects in self.functions.values():
             ctx = self.contexts[effects.module]
-            for node in _own_nodes(effects.node):
-                if isinstance(node, ast.Call):
+            local_types = self.local_types(effects.module, effects.node)
+            for node in self.index.own(effects.node):
+                if not isinstance(node, ast.Call):
+                    continue
+                if not effects.blocking:
                     reason = blocking_call_reason(ctx, node)
                     if reason is not None:
                         effects.blocking = True
                         effects.blocking_reason = reason
-                        break
-
-    def _resolve_callees(self) -> None:
-        for effects in self.functions.values():
-            local_types = self._local_types(effects.module, effects.node)
-            for node in _own_nodes(effects.node):
-                if not isinstance(node, ast.Call):
-                    continue
                 for key in self.resolve_call(
                     effects.module, node.func, effects.class_key,
                     local_types,
@@ -526,7 +511,7 @@ class EffectsProject:
             source = self.functions[key]
             if source.is_async:
                 continue  # never propagate through a coroutine
-            for caller_key in callers.get(key, ()):
+            for caller_key in sorted(callers.get(key, ())):
                 caller = self.functions[caller_key]
                 if not caller.blocking:
                     caller.blocking = True

@@ -67,10 +67,6 @@ NARROW_WIDTHS = frozenset(
      "float16", "float32", "half", "single"}
 )
 
-WIDE_WIDTHS = frozenset(
-    {"int64", "uint64", "float64", "int", "float", "double", "longlong"}
-)
-
 
 def is_time_unit(unit: Optional[str]) -> bool:
     """True for a *concrete* time unit (not bottom/top/dimensionless)."""
@@ -156,10 +152,6 @@ def dimensionless() -> Fact:
     return Fact(unit=DIMENSIONLESS)
 
 
-def unordered_fact() -> Fact:
-    return Fact(unordered=True)
-
-
 def dataset_scale(unit: Optional[str] = None,
                   column: Optional[str] = None) -> Fact:
     """A value whose length is the ticket count (rows or a column)."""
@@ -184,28 +176,21 @@ def join_envs(a: Optional[Env], b: Env) -> Env:
     return out
 
 
-def envs_equal(a: Optional[Env], b: Optional[Env]) -> bool:
-    return a == b
-
-
 __all__ = [
     "TOP",
     "DATASET_SCALE",
     "DIMENSIONLESS",
     "TIME_UNITS",
     "NARROW_WIDTHS",
-    "WIDE_WIDTHS",
     "BOTTOM",
     "Fact",
     "Env",
     "is_time_unit",
     "join_component",
     "join_envs",
-    "envs_equal",
     "seconds",
     "unit_fact",
     "conversion",
     "dimensionless",
     "dataset_scale",
-    "unordered_fact",
 ]

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, NoReturn, Optional, Sequence, Set, Tuple
 
-from repro.devtools.rules import RULES, Finding, Project, check_file
+from repro.devtools.rules import RULES, Finding, check_file
 
 BASELINE_VERSION = 3
 JSON_VERSION = 2
@@ -280,21 +280,23 @@ class LintResult:
 
 
 def collect_files(paths: Sequence[str]) -> List[Path]:
-    files: List[Path] = []
+    """The python files under ``paths``, each once: a file reached
+    through two overlapping paths keeps its first spelling and place."""
+    files: Dict[Path, Path] = {}
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            files.extend(
-                p for p in sorted(path.rglob("*.py"))
-                if "__pycache__" not in p.parts
-            )
+            found = [p for p in sorted(path.rglob("*.py"))
+                     if "__pycache__" not in p.parts]
         elif not path.exists():
             _usage_error(f"no such file or directory: {path}")
         elif path.suffix == ".py":
-            files.append(path)
+            found = [path]
         else:
             _usage_error(f"not a python file or directory: {path}")
-    return files
+        for p in found:
+            files.setdefault(p.resolve(), p)
+    return list(files.values())
 
 
 def run_lint(paths: Sequence[str],
@@ -337,9 +339,8 @@ def run_lint(paths: Sequence[str],
         raw_sources[path] = text
         sources[path.as_posix()] = text.splitlines()
 
-    project = Project(trees)
-    dataflow_project = DataflowProject(trees)
-    effects_project = EffectsProject(dataflow_project)
+    project = DataflowProject(trees)
+    effects_project = EffectsProject(project)
     all_findings: List[Finding] = []
     suppressed_all: List[Finding] = []
     for path in files:
@@ -349,7 +350,7 @@ def run_lint(paths: Sequence[str],
         rel = path.as_posix()
         tree = trees[path]
         raw_findings = check_file(path, tree, project)
-        for scope in analyze_module(path, tree, dataflow_project):
+        for scope in analyze_module(path, tree, project):
             raw_findings += scope.findings
             raw_findings += check_perf(path, raw_sources[path], scope)
         raw_findings += check_effects(path, tree, effects_project)

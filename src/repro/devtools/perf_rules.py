@@ -52,6 +52,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.devtools.dataflow import _Analyzer
+from repro.devtools.index import SCOPES, Subtrees
 from repro.devtools.lattice import Env, Fact
 from repro.devtools.rules import (
     Edit,
@@ -95,20 +96,6 @@ _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp,
                    ast.GeneratorExp)
 
 
-def _own_nodes(root: ast.AST):
-    """Walk ``root`` without descending into nested function/class
-    bodies (they get their own analysis scope)."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef, ast.Lambda)):
-                continue
-            stack.append(child)
-
-
 def _own_statements(body: Sequence[ast.stmt]):
     """All statements in ``body`` transitively, excluding nested
     function/class bodies."""
@@ -129,13 +116,13 @@ def _names_in(node: ast.AST) -> Set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
-def _bound_names(loop: ast.AST) -> Set[str]:
+def _bound_names(loop: ast.stmt, subtrees: Subtrees) -> Set[str]:
     """Names (re)bound anywhere inside the loop, including its target —
     an expensive call reading only *other* names is loop-invariant."""
     bound: Set[str] = set()
     if isinstance(loop, (ast.For, ast.AsyncFor)):
         bound |= _names_in(loop.target)
-    for node in _own_nodes(loop):
+    for node in subtrees.walk(loop):
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 bound |= _names_in(target)
@@ -167,9 +154,12 @@ class _FunctionPerf:
         self.body = analyzer.body
         self.source = source
         self.findings: List[Finding] = []
+        self.subtrees = analyzer.project.index.subtrees(analyzer.fn)
+        self.walk = self.subtrees.walk
         self.is_generator = any(
             isinstance(n, (ast.Yield, ast.YieldFrom))
-            for stmt in _own_statements(self.body) for n in _own_nodes(stmt)
+            for stmt in self.body if not isinstance(stmt, SCOPES)
+            for n in self.walk(stmt)
         )
         #: names initialized as empty-list accumulators in this scope.
         self.list_inits: Dict[str, ast.Assign] = {}
@@ -322,7 +312,7 @@ class _FunctionPerf:
             return False
         after = parent_body[parent_body.index(loop) + 1:]
         for stmt in _own_statements(after):
-            for node in _own_nodes(stmt):
+            for node in self.walk(stmt):
                 if isinstance(node, ast.Call):
                     np_name = self._is_np(node.func)
                     if np_name in {"array", "asarray", "fromiter"} \
@@ -372,29 +362,17 @@ class _FunctionPerf:
         )
 
     def _body_containing(self, stmt: ast.stmt) -> Optional[List[ast.stmt]]:
-        for candidate in self._all_bodies(self.body):
-            if stmt in candidate:
-                return candidate
+        parent = self.subtrees.parent(stmt)
+        for field in ("body", "orelse", "finalbody"):
+            body = getattr(parent, field, None)
+            if body and stmt in body:
+                return body
         return None
-
-    def _all_bodies(self, body: Sequence[ast.stmt]):
-        body = list(body)
-        yield body
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            for field in ("body", "orelse", "finalbody"):
-                inner = getattr(stmt, field, None)
-                if inner:
-                    yield from self._all_bodies(inner)
-            for handler in getattr(stmt, "handlers", ()) or ():
-                yield from self._all_bodies(handler.body)
 
     # -- RPL303 ---------------------------------------------------------
     def _check_materialization(self, stmt: ast.stmt) -> None:
         env = self.env_at(stmt)
-        for node in _own_nodes(stmt):
+        for node in self.walk(stmt):
             if not isinstance(node, ast.Call):
                 continue
             np_name = self._is_np(node.func)
@@ -440,7 +418,7 @@ class _FunctionPerf:
 
     # -- RPL304 ---------------------------------------------------------
     def _check_quadratic(self, loop: ast.For, loop_is_ds: bool) -> None:
-        bound = _bound_names(loop)
+        bound = _bound_names(loop, self.subtrees)
         appended_lists = {
             name for name in self.list_inits
             if any(isinstance(n, ast.Call)
@@ -449,11 +427,11 @@ class _FunctionPerf:
                    and isinstance(n.func.value, ast.Name)
                    and n.func.value.id == name
                    for stmt in _own_statements(loop.body)
-                   for n in _own_nodes(stmt))
+                   for n in self.walk(stmt))
         }
         for stmt in _own_statements(loop.body):
             env = self.env_at(stmt)
-            for node in _own_nodes(stmt):
+            for node in self.walk(stmt):
                 if isinstance(node, ast.Compare) and any(
                         isinstance(op, (ast.In, ast.NotIn))
                         for op in node.ops):
@@ -536,10 +514,10 @@ class _FunctionPerf:
     # -- RPL305 ---------------------------------------------------------
     def _check_invariant_calls(self, loop: ast.AST,
                                body: Sequence[ast.stmt]) -> None:
-        bound = _bound_names(loop)
+        bound = _bound_names(loop, self.subtrees)
         for stmt in _own_statements(body):
             env = self.env_at(stmt)
-            for node in _own_nodes(stmt):
+            for node in self.walk(stmt):
                 if not isinstance(node, ast.Call):
                     continue
                 label = self._expensive_label(node, env)

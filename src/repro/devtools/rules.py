@@ -40,6 +40,8 @@ import inspect
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.devtools.index import NodeIndex
+
 #: rule id -> one-line description (also rendered by ``--list-rules``).
 RULES: Dict[str, str] = {
     "RPL000": "meta: malformed or unused reprolint suppression",
@@ -291,6 +293,16 @@ class Project:
         self.by_module: Dict[str, ast.Module] = {
             module_name(path): tree for path, tree in files.items()
         }
+        #: own nodes and parents of every scope of every file.
+        self.index = NodeIndex(files.values())
+        #: RPL001 visitor findings of every file, one pass each: the
+        #: rule reports them in the deterministic packages, and the
+        #: dataflow summaries are seeded from them in every package.
+        self.determinism: Dict[Path, List[Finding]] = {}
+        for path, tree in files.items():
+            visitor = _DeterminismVisitor(path.as_posix())
+            visitor.visit(tree)
+            self.determinism[path] = visitor.findings
         #: module name -> function names that must be cache-pure.
         self.registered_pure: Dict[str, Set[str]] = {}
         self._collect_registries()
@@ -565,13 +577,11 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def check_determinism(path: str, parts: Tuple[str, ...],
-                      tree: ast.Module) -> List[Finding]:
+def check_determinism(path: Path, parts: Tuple[str, ...],
+                      project: Project) -> List[Finding]:
     if len(parts) < 2 or parts[0] != "repro" or parts[1] not in DETERMINISTIC_PACKAGES:
         return []
-    visitor = _DeterminismVisitor(path)
-    visitor.visit(tree)
-    return visitor.findings
+    return project.determinism[path]
 
 
 # ---------------------------------------------------------------------------
@@ -1090,7 +1100,7 @@ def check_file(path: Path, tree: ast.Module, project: Project) -> List[Finding]:
     parts = module_parts(path)
     rel = path.as_posix()
     findings: List[Finding] = []
-    findings.extend(check_determinism(rel, parts, tree))
+    findings.extend(check_determinism(path, parts, project))
     findings.extend(check_immutability(rel, parts, tree))
     findings.extend(check_cache_purity(rel, parts, tree, project))
     findings.extend(check_schema_integrity(rel, parts, tree))

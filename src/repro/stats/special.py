@@ -39,6 +39,9 @@ _LANCZOS_COEFFS = np.array(
 
 _MAX_ITER = 500
 _EPS = 1e-15
+#: Series terms added per step once ``_MAX_ITER`` rounds leave an
+#: element unconverged (near ``x = a`` the series needs about 8·√a).
+_SERIES_BLOCK = 1024
 
 
 def gammaln(x):
@@ -70,7 +73,10 @@ def gammaln(x):
 
 def _gser(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Lower incomplete gamma P(a, x) by power series (x < a + 1),
-    vectorized with a per-element convergence mask."""
+    vectorized with a per-element convergence mask.  Elements left
+    unconverged by ``_MAX_ITER`` rounds (shapes above a few thousand)
+    go on ``_SERIES_BLOCK`` terms at a time, so inputs that converge
+    within those rounds keep their values bit for bit."""
     ap = a.astype(float).copy()
     term = 1.0 / a
     total = term.copy()
@@ -82,6 +88,13 @@ def _gser(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         term[active] *= x[active] / ap[active]
         total[active] += term[active]
         active = active & (np.abs(term) >= np.abs(total) * _EPS)
+    while active.any():
+        steps = ap[active, None] + np.arange(1.0, _SERIES_BLOCK + 1.0)
+        terms = term[active, None] * np.cumprod(x[active, None] / steps, axis=1)
+        ap[active] += _SERIES_BLOCK
+        term[active] = terms[:, -1]
+        total[active] += terms.sum(axis=1)
+        active[active] = term[active] >= total[active] * _EPS
     return total * np.exp(-x + a * np.log(np.where(x > 0, x, 1.0)) - gammaln(a))
 
 
@@ -94,7 +107,8 @@ def _gcf(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     d = 1.0 / b
     h = d.copy()
     active = np.ones(b.shape, dtype=bool)
-    for i in range(1, _MAX_ITER + 1):
+    # Near x = a + 1 the fraction needs about 0.6·√a rounds.
+    for i in range(1, _MAX_ITER + int(2.0 * np.sqrt(a.max())) + 1):
         if not active.any():
             break
         an = -i * (i - a)

@@ -128,6 +128,33 @@ class TestBlockingSummaries:
             "repro.analysis.mod.MemoryStore",
         }
 
+    def test_first_blocking_call_follows_walk_order(self, tmp_path):
+        """A summary keeps the first blocking call its walk meets.  The
+        walk pops the last child first, so of ``open()`` and a later
+        ``time.sleep()`` it meets the sleep first, and the RPL201
+        message at the async caller names it."""
+        path = write(
+            tmp_path, "src/repro/serve/mixed.py",
+            "import time\n"
+            "def helper(path):\n"
+            "    with open(path) as fh:\n"
+            "        data = fh.read()\n"
+            "    time.sleep(0.1)\n"
+            "    return data\n"
+            "async def handle(path):\n"
+            "    return helper(path)\n",
+        )
+        project = build_project(path)
+        assert project.describe_blocking("repro.serve.mixed.helper") == (
+            "helper: time.sleep() blocks the calling thread"
+        )
+        messages = [f.message for f in run_lint([str(path)]).new]
+        assert messages == [
+            "call blocks the event loop through helper: time.sleep() "
+            "blocks the calling thread; wrap the call in "
+            "loop.run_in_executor()/asyncio.to_thread()"
+        ]
+
     def test_resource_returns_seeded_at_build_time(self, tmp_path):
         path = write(
             tmp_path, "src/repro/analysis/mod.py",

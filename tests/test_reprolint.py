@@ -10,6 +10,9 @@ the module names they key on.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,6 +75,22 @@ def test_collect_files_rejects_non_python(tmp_path):
         collect_files([str(target)])
 
 
+def test_overlapping_paths_lint_each_file_once(tmp_path):
+    """A file reached through two overlapping paths is linted once, under
+    its first spelling and in its first place."""
+    src = tmp_path / "src"
+    bad = write(tmp_path, "src/repro/analysis/bad.py", RPL001_BAD)
+    write(tmp_path, "src/repro/analysis/good.py", "X = 1\n")
+    spellings = [str(src), str(bad), str(src / "repro" / ".." / "repro")]
+    assert collect_files(spellings) == collect_files([str(src)])
+    assert collect_files([str(bad), str(src)]) == [
+        bad, src / "repro" / "analysis" / "good.py",
+    ]
+    result = run_lint(spellings)
+    assert len(result.new) == 2  # random.random and time.time, once each
+    assert len(set(result.new_fingerprints)) == 2
+
+
 def test_rule_catalog_is_complete():
     syntactic = {f"RPL00{i}" for i in range(6)}
     dataflow = {f"RPL10{i}" for i in range(1, 5)}
@@ -123,6 +142,43 @@ def test_rpl001_scoped_to_deterministic_packages(tmp_path):
     # Same nondeterministic code outside the data-producing packages.
     path = write(tmp_path, "src/repro/cli2.py", RPL001_BAD)
     assert lint(path).new == []
+
+
+def test_rpl001_callee_and_rpl201_chain_ignore_the_hash_seed(tmp_path):
+    """A summary with two nondeterministic callees, and a blocking helper
+    reached through two callers, print the same messages under every
+    ``PYTHONHASHSEED``: the propagation walks callees and callers in
+    sorted order, not in set order.  (Seeds 0 and 13 named different
+    callees and chains before.)"""
+    write(tmp_path, "src/repro/serve/stamps.py",
+          "import time\n"
+          "def stamp_a():\n    return time.time()\n"
+          "def stamp_b():\n    return time.time()\n"
+          "def both():\n    return stamp_a() + stamp_b()\n")
+    write(tmp_path, "src/repro/analysis/clock.py",
+          "from repro.serve.stamps import both\n"
+          "def now():\n    return both()\n")
+    write(tmp_path, "src/repro/serve/chain.py",
+          "def blk(path):\n    return open(path).read()\n"
+          "def path_p(path):\n    return blk(path)\n"
+          "def path_q(path):\n    return blk(path)\n"
+          "def top(path):\n    return path_p(path) + path_q(path)\n"
+          "async def handler(path):\n    return top(path)\n")
+    outputs = set()
+    for seed in ("0", "13"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.devtools.lint", "src",
+             "--no-baseline"],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert proc.returncode == 1, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    out = outputs.pop()
+    assert "calls nondeterministic 'stamp_" in out
+    assert "through top -> path_" in out
 
 
 def test_rpl001_suppressed_with_justification(tmp_path):

@@ -29,7 +29,6 @@ scipy fails this module instead of skipping it.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from collections import Counter
 from typing import AbstractSet, Dict, FrozenSet, Optional, Sequence
@@ -295,26 +294,13 @@ def near_ref_edges(sample: np.ndarray, skip: AbstractSet[str] = frozenset()) -> 
     return False
 
 
-#: gammainc_lower sums at most 500 series terms, which stops converging
-#: near the bulk of the distribution once the shape passes a few
-#: thousand (its error vs scipy is 4e-13 at shape 1e3, 3e-7 at 1e4 and
-#: 0.3 at 1e6).  Above this shape both quantile solvers invert an
-#: inexact CDF and may settle on different points of it.  Near-constant
-#: samples (the tight ones below) fit gamma shapes of 7e3 to 1e7.
-GAMMA_CDF_MAX_SHAPE = 1e3
-
-
 def not_comparable(sample: np.ndarray) -> FrozenSet[str]:
     """Families whose reference result on ``sample`` is no target: the
-    Weibull where the reference's ``data**k`` overflowed, and a gamma
-    fit beyond ``GAMMA_CDF_MAX_SHAPE``."""
-    names = set()
-    if ref_bracket_overflowed(sample):
-        names.add("weibull")
-    with contextlib.suppress(FitError):
-        if Gamma.fit(sample).shape > GAMMA_CDF_MAX_SHAPE:
-            names.add("gamma")
-    return frozenset(names)
+    Weibull where the reference's ``data**k`` overflowed.  (Gamma fits
+    of every shape are compared: near-constant samples, the tight ones
+    below, fit shapes of 7e3 to 1e7, and ``gammainc_lower`` converges
+    there.)"""
+    return frozenset({"weibull"} if ref_bracket_overflowed(sample) else ())
 
 
 def ref_bracket_overflowed(data: np.ndarray) -> bool:
