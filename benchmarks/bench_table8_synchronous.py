@@ -31,9 +31,9 @@ def test_table8_synchronous(benchmark, trace, dataset):
     assert groups
 
     # The detected groups must include injected ground truth.
-    host_by_row = {i: s.host_id for i, s in enumerate(trace.fleet.servers)}
+    host_ids = trace.fleet.host_ids
     injected = {
-        frozenset(host_by_row[r] for r in record.server_rows)
+        frozenset(host_ids[list(record.server_rows)].tolist())
         for record in trace.injections
         if record.kind == "synchronous_group"
     }

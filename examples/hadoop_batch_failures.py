@@ -65,10 +65,6 @@ def main() -> None:
     print()
 
     # 4. Ground truth: which injected storms hit this line?
-    line_rows = {
-        i for i, s in enumerate(trace.fleet.servers)
-        if s.product_line == line_name
-    }
     storm_tags = set()
     for ticket in subset:
         tag = ticket.detail.get("tag", "")

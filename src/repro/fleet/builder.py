@@ -27,8 +27,7 @@ from repro.fleet.component import GENERATIONS
 from repro.fleet.datacenter import DataCenter
 from repro.fleet.fleet import Fleet
 from repro.fleet.product_line import ProductLine
-from repro.fleet.rack import Rack, slot_occupancy_weights
-from repro.fleet.server import Server
+from repro.fleet.rack import slot_occupancy_weights
 
 #: Hot slots of the legacy custom rack design: slot 22 sits next to the
 #: rack-level power module, slot 35 is near the top where under-floor
@@ -80,10 +79,10 @@ def _product_lines(
     sizes = np.maximum(1, (weights * total_servers).round().astype(int))
 
     lines: List[ProductLine] = []
-    huge_cut = np.quantile(sizes, 0.98)
+    huge_cut, big_cut, small_cut = np.quantile(sizes, [0.98, 0.9, 0.5])
     for i, size in enumerate(sizes):
         name = f"pl{i:03d}"
-        big = size >= np.quantile(sizes, 0.9)
+        big = size >= big_cut
         huge = size >= huge_cut
         if huge:
             # The very biggest lines are the Hadoop-style batch fleets
@@ -103,7 +102,7 @@ def _product_lines(
             workload = str(rng.choice(["batch", "storage", "online"]))
             fault_tolerance = float(rng.uniform(0.3, 0.8))
             # Small lines frequently have long, lazy review cycles.
-            small = size < np.quantile(sizes, 0.5)
+            small = size < small_cut
             if small and rng.random() < 0.55:
                 review = float(rng.uniform(180.0, 400.0))
             else:
@@ -120,18 +119,24 @@ def _product_lines(
     return lines
 
 
-def _generation_for(deployed_at: float, config: FleetConfig):
-    """Hardware generation implied by the deployment date: the wave
+def _generation_codes(deployed_ats: np.ndarray, config: FleetConfig) -> np.ndarray:
+    """Hardware generation implied by each deployment date: the wave
     window is split evenly across the five generations."""
     start = -config.oldest_wave_years * YEAR
     end = config.newest_wave_years * YEAR
-    frac = (deployed_at - start) / (end - start)
-    idx = min(len(GENERATIONS) - 1, max(0, int(frac * len(GENERATIONS))))
-    return GENERATIONS[idx]
+    frac = (deployed_ats - start) / (end - start)
+    codes = np.clip(np.trunc(frac * len(GENERATIONS)), 0, len(GENERATIONS) - 1)
+    return codes.astype(np.int8)
 
 
 def build_fleet(config: FleetConfig, rng: np.random.Generator) -> Fleet:
-    """Assemble the full fleet for one scenario."""
+    """Assemble the full fleet for one scenario.
+
+    Racks are filled in order, and every rack draws the same random
+    numbers in the same order: its product line (only once the shuffled
+    quota runs out), its deployment wave, its server count, its occupied
+    slots, then one deployment jitter per server.
+    """
     dc_sizes = _dc_sizes(config, rng)
     total_servers = int(dc_sizes.sum())
     lines = _product_lines(config, total_servers, rng)
@@ -166,78 +171,78 @@ def build_fleet(config: FleetConfig, rng: np.random.Generator) -> Fleet:
     assignment_cursor = 0
 
     datacenters: List[DataCenter] = []
-    servers: List[Server] = []
-    host_id = 0
+    # Per rack: (dc, rack, pdu, line, n servers), its sorted slots and
+    # its servers' deployment times.
+    racks: List[Tuple[int, int, int, int, int]] = []
+    slots: List[np.ndarray] = []
+    deployed: List[np.ndarray] = []
     global_pdu = 0
 
     for dc_idx in range(n_dcs):
-        idc = f"dc{dc_idx:02d}"
         built = built_years[dc_idx]
         profile = _spatial_profile(built > 2014, rng, config.legacy_profile_mix)
         target = int(dc_sizes[dc_idx])
         n_racks = max(1, math.ceil(target / servers_per_rack))
 
-        racks: List[Rack] = []
         placed = 0
         for rack_idx in range(n_racks):
-            pdu_id = global_pdu + rack_idx // config.racks_per_pdu
-            rack = Rack(
-                rack_id=rack_idx, idc=idc, n_slots=config.rack_slots, pdu_id=pdu_id
-            )
-            racks.append(rack)
-
             if assignment_cursor < len(rack_line_assignment):
-                line = lines[rack_line_assignment[assignment_cursor]]
+                line = rack_line_assignment[assignment_cursor]
                 assignment_cursor += 1
             else:
-                line = lines[int(rng.integers(len(lines)))]
+                line = int(rng.integers(len(lines)))
 
             # The whole rack is deployed together (one wave), servers get
             # a small per-server jitter.
             wave = float(rng.uniform(wave_start, wave_end))
-            remaining = target - placed
-            n_here = min(
-                remaining, int(rng.binomial(config.rack_slots, 0.8))
-            )
+            n_here = min(target - placed, int(rng.binomial(config.rack_slots, 0.8)))
             if n_here <= 0:
                 continue
-            slots = rng.choice(
+            occupied = rng.choice(
                 config.rack_slots, size=n_here, replace=False, p=occupancy_probs
             )
-            for slot in sorted(int(s) for s in slots):
-                deployed_at = wave + float(rng.uniform(0, 14)) * DAY
-                generation = _generation_for(deployed_at, config)
-                servers.append(
-                    Server(
-                        host_id=host_id,
-                        hostname=f"{idc}-r{rack_idx:03d}-s{slot:02d}",
-                        idc=idc,
-                        rack_id=rack_idx,
-                        position=slot,
-                        pdu_id=rack.pdu_id,
-                        product_line=line.name,
-                        generation=generation,
-                        deployed_at=deployed_at,
-                    )
-                )
-                host_id += 1
-                placed += 1
+            slots.append(np.sort(occupied))
+            deployed.append(wave + rng.uniform(0, 14, size=n_here) * DAY)
+            pdu = global_pdu + rack_idx // config.racks_per_pdu
+            racks.append((dc_idx, rack_idx, pdu, line, n_here))
+            placed += n_here
             if placed >= target:
                 break
         global_pdu += n_racks // config.racks_per_pdu + 1
         datacenters.append(
             DataCenter(
-                name=idc,
+                name=f"dc{dc_idx:02d}",
                 built_year=built,
                 spatial_profile=profile,
-                racks=tuple(racks),
+                n_slots=config.rack_slots,
             )
         )
 
-    # Drop product lines that ended up owning no servers (tiny tails).
-    owned = {s.product_line for s in servers}
-    lines = [pl for pl in lines if pl.name in owned]
-    return Fleet(datacenters, lines, servers)
+    # One row per server: each rack's fields repeated once per server.
+    per_rack = np.array(racks, dtype=np.int64).reshape(-1, 5)
+    dc_col, rack_col, pdu_col, line_col = (
+        np.repeat(per_rack[:, i], per_rack[:, 4]) for i in range(4)
+    )
+    deployed_ats = np.concatenate(deployed)
+
+    # Drop product lines that ended up owning no servers (tiny tails);
+    # the fleet codes the rest by sorted name.
+    owned = np.bincount(line_col, minlength=len(lines)) > 0
+    kept = [pl for pl, own in zip(lines, owned.tolist()) if own]
+    code_of = {name: code for code, name in enumerate(sorted(pl.name for pl in kept))}
+    line_codes = np.array([code_of.get(pl.name, -1) for pl in lines], dtype=np.int32)
+    return Fleet(
+        datacenters,
+        kept,
+        host_ids=np.arange(deployed_ats.size),
+        idc_codes=dc_col,
+        rack_ids=rack_col,
+        positions=np.concatenate(slots),
+        pdu_ids=pdu_col,
+        line_codes=line_codes[line_col],
+        generation_codes=_generation_codes(deployed_ats, config),
+        deployed_ats=deployed_ats,
+    )
 
 
 __all__ = ["build_fleet", "HOTSPOT_SLOTS", "GRADIENT_TOP"]

@@ -1,14 +1,13 @@
-"""Data centers: cooling era, spatial profile, PDU topology."""
+"""Data centers: cooling era, spatial profile, rack size."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 
 from repro.config import SpatialProfile
-from repro.fleet.rack import Rack, slot_risk_multipliers
+from repro.fleet.rack import slot_risk_multipliers
 
 
 @dataclass(frozen=True)
@@ -20,29 +19,22 @@ class DataCenter:
         built_year: Construction year; DCs built after 2014 have modern
             cooling and a uniform spatial profile (Section IV).
         spatial_profile: How failure risk varies with rack slot.
-        racks: The racks in deployment order.
+        n_slots: Physical slots per rack (every rack of a DC is alike).
     """
 
     name: str
     built_year: int
     spatial_profile: SpatialProfile
-    racks: Tuple[Rack, ...]
+    n_slots: int
+
+    def __post_init__(self) -> None:
+        if self.n_slots <= 0:
+            raise ValueError("rack needs at least one slot")
 
     @property
     def is_modern(self) -> bool:
         """Built after 2014 — the paper's cut for uniform cooling."""
         return self.built_year > 2014
-
-    @property
-    def n_slots(self) -> int:
-        if not self.racks:
-            raise ValueError(f"data center {self.name} has no racks")
-        return self.racks[0].n_slots
-
-    @property
-    def pdu_ids(self) -> List[int]:
-        """Distinct PDUs feeding this DC, sorted."""
-        return sorted({rack.pdu_id for rack in self.racks})
 
     def slot_multipliers(self) -> np.ndarray:
         """Per-slot failure-rate multipliers from the spatial profile."""

@@ -1,4 +1,4 @@
-"""Racks: slot occupancy and per-slot environment multipliers.
+"""Rack slots: occupancy and per-slot environment multipliers.
 
 Two physical effects from Section IV live here:
 
@@ -13,31 +13,9 @@ Two physical effects from Section IV live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 
 from repro.config import SpatialProfile
-
-
-@dataclass(frozen=True)
-class Rack:
-    """One rack within a data center.
-
-    Attributes:
-        rack_id: Index within the data center.
-        idc: Owning data center name.
-        n_slots: Physical slot count.
-        pdu_id: Power distribution unit feeding this rack.
-    """
-
-    rack_id: int
-    idc: str
-    n_slots: int
-    pdu_id: int
-
-    def __post_init__(self) -> None:
-        if self.n_slots <= 0:
-            raise ValueError("rack needs at least one slot")
 
 
 def slot_risk_multipliers(profile: SpatialProfile, n_slots: int) -> np.ndarray:
@@ -73,4 +51,4 @@ def slot_occupancy_weights(n_slots: int, edge_vacancy: float = 0.5) -> np.ndarra
     return weights
 
 
-__all__ = ["Rack", "slot_risk_multipliers", "slot_occupancy_weights"]
+__all__ = ["slot_risk_multipliers", "slot_occupancy_weights"]

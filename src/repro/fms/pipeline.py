@@ -76,11 +76,11 @@ class FMSPipeline:
         repair: Optional[RepairModel] = None,
         chain_id_base: int = 0,
     ):
-        """``fleet`` may be any object exposing a ``servers`` sequence
-        (the sharded engine passes a per-DC slice); a full
-        :class:`~repro.fleet.fleet.Fleet` is only required when
-        ``operators`` is left to the default.  ``chain_id_base`` offsets
-        FMS-grown repeat-chain ids so shards of one run never collide."""
+        """``fleet`` holds the servers that ``RawFailure.server_row``
+        indexes: the whole fleet, or one data center's
+        :meth:`~repro.fleet.fleet.Fleet.take` in the sharded engine.
+        ``chain_id_base`` offsets FMS-grown repeat-chain ids so shards of
+        one run never collide."""
         self.fleet = fleet
         self.chain_id_base = int(chain_id_base)
         self.horizon = float(horizon_seconds)
@@ -89,7 +89,6 @@ class FMSPipeline:
         self.detection = detection or DetectionModel()
         self.operators = operators or OperatorModel(fleet, rng)
         self.repair = repair or RepairModel(rng)
-        self._warranty = None  # set in run() from config via fleet ages
 
         # Pre-computed per-class type samplers (cumulative probabilities).
         self._type_names: Dict[ComponentClass, List[str]] = {}
@@ -151,18 +150,25 @@ class FMSPipeline:
         fot_id = 0
         next_chain = self.chain_id_base
         chain_lengths: Dict[int, int] = {}
-        servers = self.fleet.servers
+        fleet = self.fleet
+        host_ids = fleet.host_ids.tolist()
+        hostnames = fleet.hostnames()
+        idcs = fleet.idcs()
+        positions = fleet.positions.tolist()
+        lines = fleet.lines()
+        deployed_ats = fleet.deployed_ats.tolist()
 
         for time, raw in queue.drain():
             self.stats["events_in"] += 1
             if time >= self.horizon:
                 self.stats["dropped_beyond_horizon"] += 1
                 continue
-            server = servers[raw.server_row]
+            row = raw.server_row
+            line = lines[row]
             component = raw.component
             error_type = raw.forced_type or self._sample_type(component)
             source = self.detection.source_for(component)
-            is_lemon = raw.server_row in self.lemon_rows
+            is_lemon = row in self.lemon_rows
             detail: Dict[str, object] = {"tag": raw.tag}
             if raw.chain_id is not None:
                 detail["chain_id"] = raw.chain_id
@@ -171,7 +177,10 @@ class FMSPipeline:
                 not raw.suppress_repeat
                 and self._rng.random() < calibration.FALSE_ALARM_RATE
             )
-            in_warranty = server.in_warranty(time, warranty_seconds)
+            # Service age, clamped at zero; the warranty covers its
+            # last second.
+            age = max(0.0, time - deployed_ats[row])
+            in_warranty = age <= warranty_seconds
 
             action: Optional[OperatorAction] = None
             operator_id: Optional[str] = None
@@ -180,9 +189,7 @@ class FMSPipeline:
             if is_false_alarm:
                 category = FOTCategory.FALSE_ALARM
                 action = OperatorAction.MARK_FALSE_ALARM
-                op_time, operator_id = self.operators.close_false_alarm(
-                    server.product_line, time
-                )
+                op_time, operator_id = self.operators.close_false_alarm(line, time)
                 self.stats["false_alarms"] += 1
             elif not in_warranty:
                 # Out-of-warranty: not repaired, set to decommission; the
@@ -193,28 +200,24 @@ class FMSPipeline:
                 category = FOTCategory.FIXING
                 action = OperatorAction.REPAIR_ORDER
                 op_time, operator_id = self.operators.close_fixing(
-                    component,
-                    server.product_line,
-                    time,
-                    server.age_seconds(time),
-                    is_lemon,
+                    component, line, time, age, is_lemon
                 )
                 self.stats["repairs"] += 1
 
             builder.append(
                 fot_id=fot_id,
-                host_id=server.host_id,
-                hostname=server.hostname,
-                host_idc=server.idc,
+                host_id=host_ids[row],
+                hostname=hostnames[row],
+                host_idc=idcs[row],
                 error_device=component,
                 error_type=error_type,
                 error_time=time,
-                error_position=server.position,
+                error_position=positions[row],
                 error_detail=device_detail(component, raw.slot),
                 category=category,
                 source=source,
-                product_line=server.product_line,
-                deployed_at=server.deployed_at,
+                product_line=line,
+                deployed_at=deployed_ats[row],
                 device_slot=raw.slot,
                 action=action,
                 operator_id=operator_id,
@@ -262,7 +265,7 @@ class FMSPipeline:
                             max(repeat_time, time),
                             RawFailure(
                                 time=max(repeat_time, time),
-                                server_row=raw.server_row,
+                                server_row=row,
                                 component=component,
                                 slot=raw.slot,
                                 forced_type=repeat_type,

@@ -40,7 +40,7 @@ from repro.fleet.fleet import Fleet
 from repro.fms.detectors import DetectionModel
 from repro.simulation import calibration
 from repro.simulation.events import RawFailure
-from repro.simulation.hazards import build_shapes
+from repro.simulation.hazards import MAX_MONTH, build_shapes
 
 #: Days per simulation month (see :data:`repro.core.timeutil.MONTH`).
 _DAYS_PER_MONTH = int(MONTH // DAY)
@@ -106,17 +106,20 @@ def day_effect_series(
     return out
 
 
-def _month_age_service(
+def _month_terms(
     m: int, deployed: np.ndarray
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Server ages (months) at mid-month ``m`` and the in-service
-    fraction of that month.  The deploy month is prorated, otherwise
-    mid-month deployments concentrate a full month of hazard into half a
-    month of exposure and fake an infant-mortality spike."""
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """What every class shares in month ``m``, per server: whether it is
+    not yet deployed at mid-month, its lifecycle-table index (service
+    age in whole months, see :meth:`LifecycleShape.at`) and the
+    in-service fraction of the month.  The deploy month is prorated,
+    otherwise mid-month deployments concentrate a full month of hazard
+    into half a month of exposure and fake an infant-mortality spike."""
     month_mid = (m + 0.5) * MONTH
     age_months = np.floor((month_mid - deployed) / MONTH)
     in_service = np.clip(((m + 1) * MONTH - deployed) / MONTH, 0.0, 1.0)
-    return age_months, in_service
+    idx = np.clip(age_months, 0, MAX_MONTH).astype(int)
+    return age_months < 0, idx, in_service
 
 
 def class_budget_scales(
@@ -150,9 +153,9 @@ def class_budget_scales(
             static[cls] = weight
     totals = {cls: 0.0 for cls in static}
     for m in range(n_months):
-        age_months, in_service = _month_age_service(m, deployed)
+        unborn, idx, in_service = _month_terms(m, deployed)
         for cls, weight in static.items():
-            lam = weight * shapes[cls](age_months) * in_service
+            lam = weight * shapes[cls].at(unborn, idx) * in_service
             totals[cls] += float(lam.sum())
     return {
         cls: budgets[cls] / total
@@ -203,6 +206,7 @@ def sample_shard_failures(
 
     day_indices = np.arange(n_days)
     dows = day_of_week(day_indices * DAY).astype(int)
+    months = [_month_terms(m, deployed) for m in range(n_months)]
 
     for cls, scale in scales.items():
         shape = shapes[cls]
@@ -214,9 +218,8 @@ def sample_shard_failures(
         # Month-resolved per-server intensities (unnormalized).
         lam_by_month = []
         month_totals = np.zeros(n_months)
-        for m in range(n_months):
-            age_months, in_service = _month_age_service(m, deployed)
-            lam = static_weight * shape(age_months) * in_service
+        for m, (unborn, idx, in_service) in enumerate(months):
+            lam = static_weight * shape.at(unborn, idx) * in_service
             lam_by_month.append(lam)
             month_totals[m] = lam.sum()
         if month_totals.sum() == 0.0:
@@ -271,13 +274,8 @@ def sample_shard_failures(
             slots = (rng.random(n_month) * max_slots).astype(int)
 
             events.extend(
-                RawFailure(
-                    time=float(t),
-                    server_row=int(r),
-                    component=cls,
-                    slot=int(s),
-                )
-                for t, r, s in zip(times, rows, slots)
+                RawFailure(time=t, server_row=r, component=cls, slot=s)
+                for t, r, s in zip(times.tolist(), rows.tolist(), slots.tolist())
             )
     return events
 

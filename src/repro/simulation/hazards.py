@@ -18,6 +18,9 @@ import numpy as np
 from repro.core.types import ComponentClass
 from repro.simulation import calibration
 
+#: Service months each shape tabulates; later months reuse the last one.
+MAX_MONTH = 120
+
 
 class LifecycleShape:
     """Relative hazard as a function of service month.
@@ -27,7 +30,9 @@ class LifecycleShape:
     (the component does not exist yet).
     """
 
-    def __init__(self, breakpoints: Sequence[Tuple[float, float]], max_month: int = 120):
+    def __init__(
+        self, breakpoints: Sequence[Tuple[float, float]], max_month: int = MAX_MONTH
+    ):
         if len(breakpoints) < 2:
             raise ValueError("a lifecycle shape needs at least 2 breakpoints")
         months = [m for m, _ in breakpoints]
@@ -48,9 +53,13 @@ class LifecycleShape:
         the final value.
         """
         month = np.asarray(month, dtype=float)
-        idx = np.clip(month, 0, self._max_month).astype(int)
-        out = self._table[idx]
-        return np.where(month < 0, 0.0, out)
+        return self.at(month < 0, np.clip(month, 0, self._max_month).astype(int))
+
+    def at(self, unborn: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Hazard at table index ``idx`` (service months clipped to
+        ``0..max_month``), zero where ``unborn`` (negative months).
+        Callers that evaluate many shapes at the same months clip once."""
+        return np.where(unborn, 0.0, self._table[idx])
 
     def share_before(self, month: float, horizon_month: float) -> float:
         """Fraction of lifetime hazard mass that falls before ``month``,
@@ -65,7 +74,7 @@ class LifecycleShape:
         return float(mass[: int(month)].sum() / total)
 
 
-def build_shapes(max_month: int = 120) -> Dict[ComponentClass, LifecycleShape]:
+def build_shapes(max_month: int = MAX_MONTH) -> Dict[ComponentClass, LifecycleShape]:
     """Instantiate the calibrated shape for every component class."""
     return {
         cls: LifecycleShape(points, max_month)
@@ -73,4 +82,4 @@ def build_shapes(max_month: int = 120) -> Dict[ComponentClass, LifecycleShape]:
     }
 
 
-__all__ = ["LifecycleShape", "build_shapes"]
+__all__ = ["LifecycleShape", "build_shapes", "MAX_MONTH"]

@@ -111,9 +111,9 @@ class TestSynchronousGroups:
             if r.kind == "synchronous_group"
         }
         assert injected
-        host_by_row = {i: s.host_id for i, s in enumerate(small_trace.fleet.servers)}
+        host_ids = small_trace.fleet.host_ids
         injected_hosts = {
-            frozenset(host_by_row[r] for r in rows) for rows in injected
+            frozenset(host_ids[list(rows)].tolist()) for rows in injected
         }
         groups = repeating.synchronous_groups(
             small_trace.dataset, window_seconds=60.0, min_matches=3

@@ -64,7 +64,7 @@ class TestSampling:
 
     def test_slots_within_component_count(self, fleet, events):
         for e in events[::17]:
-            count = fleet.servers[e.server_row].component_count(e.component)
+            count = fleet.counts_for(e.component)[e.server_row]
             assert 0 <= e.slot < count
 
     def test_tag_is_base(self, events):

@@ -7,10 +7,21 @@ from repro.config import FleetConfig
 from repro.core.timeutil import DAY, HOUR, PAPER_TRACE_SECONDS
 from repro.core.types import ComponentClass
 from repro.fleet.builder import build_fleet
+from repro.fleet.component import GENERATIONS
 from repro.simulation.batch_events import (
     inject_batch_events,
     storm_prone_cohorts,
 )
+
+
+def cohort_keys(fleet, rows):
+    """The distinct (DC, line, generation) codes of the servers at ``rows``."""
+    rows = np.asarray(rows)
+    return set(zip(
+        fleet.idc_codes[rows].tolist(),
+        fleet.line_codes[rows].tolist(),
+        fleet.generation_codes[rows].tolist(),
+    ))
 
 
 @pytest.fixture(scope="module")
@@ -32,21 +43,19 @@ class TestStormProneCohorts:
         cohorts = storm_prone_cohorts(fleet)
         assert cohorts
         for rows in cohorts:
-            servers = [fleet.servers[int(r)] for r in rows]
-            assert len({(s.idc, s.product_line, s.generation.name) for s in servers}) == 1
+            assert len(cohort_keys(fleet, rows)) == 1
 
     def test_sorted_by_preference(self, fleet):
+        def batch_and_heavy(rows):
+            lines = [fleet.product_lines[fleet.line_names[c]] for c in fleet.line_codes[rows]]
+            gens = [GENERATIONS[g] for g in fleet.generation_codes[rows]]
+            return [pl.is_batch and gen.storage_heavy for pl, gen in zip(lines, gens)]
+
         cohorts = storm_prone_cohorts(fleet)
-        first = fleet.servers[int(cohorts[0][0])]
-        line = fleet.product_line(first.product_line)
         # The top cohort should be a batch line with storage-heavy
         # hardware whenever the fleet has one.
-        any_heavy = any(
-            fleet.product_line(s.product_line).is_batch and s.generation.storage_heavy
-            for s in fleet.servers
-        )
-        if any_heavy:
-            assert line.is_batch and first.generation.storage_heavy
+        if any(batch_and_heavy(np.arange(len(fleet)))):
+            assert all(batch_and_heavy(cohorts[0]))
 
 
 class TestInjection:
@@ -79,12 +88,8 @@ class TestInjection:
     def test_storm_within_one_cohort(self, fleet, injected):
         events, records = injected
         record = next(r for r in records if r.kind == "smart_storm_case1")
-        rows = {e.server_row for e in events if e.tag == record.tag}
-        keys = {
-            (fleet.servers[r].idc, fleet.servers[r].product_line)
-            for r in rows
-        }
-        assert len(keys) == 1
+        rows = [e.server_row for e in events if e.tag == record.tag]
+        assert len(cohort_keys(fleet, rows)) == 1
 
     def test_case1_window_is_evening(self, injected):
         _, records = injected
@@ -96,7 +101,7 @@ class TestInjection:
         events, records = injected
         record = next(r for r in records if r.kind == "pdu_outage")
         rows = [e.server_row for e in events if e.tag == record.tag]
-        pdus = {fleet.servers[r].pdu_id for r in rows}
+        pdus = set(fleet.pdu_ids[rows].tolist())
         assert len(pdus) == 1
         assert all(
             e.forced_type == "PSUInputLost"

@@ -140,5 +140,10 @@ class TestSynchronousGroups:
     def test_members_are_cohort_neighbours(self, fleet, sync):
         _, records = sync
         for record in records:
-            servers = [fleet.servers[r] for r in record.server_rows]
-            assert len({(s.idc, s.product_line, s.generation.name) for s in servers}) == 1
+            rows = list(record.server_rows)
+            keys = zip(
+                fleet.idc_codes[rows].tolist(),
+                fleet.line_codes[rows].tolist(),
+                fleet.generation_codes[rows].tolist(),
+            )
+            assert len(set(keys)) == 1

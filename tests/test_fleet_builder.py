@@ -7,6 +7,7 @@ from repro.config import FleetConfig
 from repro.core.timeutil import YEAR
 from repro.core.types import ComponentClass
 from repro.fleet.builder import build_fleet
+from repro.fleet.component import GENERATIONS
 from repro.fleet.fleet import Fleet
 
 
@@ -31,22 +32,31 @@ class TestStructure:
 
     def test_every_server_in_known_dc_and_line(self, fleet):
         dc_names = {dc.name for dc in fleet.datacenters}
-        for server in fleet.servers:
-            assert server.idc in dc_names
-            assert server.product_line in fleet.product_lines
+        assert set(fleet.idcs()) <= dc_names
+        assert set(fleet.lines()) <= set(fleet.product_lines)
+        assert fleet.idc_codes.min() >= 0
+        assert fleet.idc_codes.max() < len(fleet.datacenters)
+        assert fleet.line_codes.min() >= 0
+        assert fleet.line_codes.max() < len(fleet.line_names)
 
     def test_positions_within_rack(self, fleet):
         assert fleet.positions.min() >= 0
         assert fleet.positions.max() < 40
 
     def test_no_two_servers_share_a_slot(self, fleet):
-        keys = {(s.idc, s.rack_id, s.position) for s in fleet.servers}
+        keys = set(zip(
+            fleet.idc_codes.tolist(), fleet.rack_ids.tolist(), fleet.positions.tolist()
+        ))
         assert len(keys) == len(fleet)
 
     def test_hostname_encodes_location(self, fleet):
-        s = fleet.servers[0]
-        assert s.idc in s.hostname
-        assert f"s{s.position:02d}" in s.hostname
+        hostnames = fleet.hostnames()
+        assert len(hostnames) == len(set(hostnames)) == len(fleet)
+        for row in [0, len(fleet) // 2, len(fleet) - 1]:
+            idc = fleet.datacenters[fleet.idc_codes[row]].name
+            assert hostnames[row] == (
+                f"{idc}-r{fleet.rack_ids[row]:03d}-s{fleet.positions[row]:02d}"
+            )
 
 
 class TestSpatialProfiles:
@@ -93,20 +103,23 @@ class TestDeployment:
         assert gens.min() == 0
 
     def test_rack_deployed_together(self, fleet):
-        # All servers of one rack share a wave (within the 14-day jitter).
+        # All servers of one rack share a wave (within the 14-day jitter)
+        # and one PDU.
         by_rack = {}
-        for s in fleet.servers:
-            by_rack.setdefault((s.idc, s.rack_id), []).append(s.deployed_at)
-        for times in by_rack.values():
+        for idc, rack, pdu, t in zip(
+            fleet.idc_codes.tolist(), fleet.rack_ids.tolist(),
+            fleet.pdu_ids.tolist(), fleet.deployed_ats.tolist(),
+        ):
+            by_rack.setdefault((idc, rack), []).append((pdu, t))
+        for servers in by_rack.values():
+            times = [t for _, t in servers]
             assert max(times) - min(times) <= 15 * 86400.0
+            assert len({pdu for pdu, _ in servers}) == 1
 
 
 class TestProductLines:
     def test_zipf_sizes(self, fleet):
-        sizes = sorted(
-            (len(fleet.servers_of_line(pl)) for pl in fleet.product_lines),
-            reverse=True,
-        )
+        sizes = sorted(np.bincount(fleet.line_codes).tolist(), reverse=True)
         # Heavily skewed: biggest line much bigger than median line.
         assert sizes[0] > 5 * max(1, sizes[len(sizes) // 2])
 
@@ -127,12 +140,14 @@ class TestColumnarViews:
     def test_counts_match_objects(self, fleet):
         hdd = fleet.counts_for(ComponentClass.HDD)
         for i in [0, len(fleet) // 2, len(fleet) - 1]:
-            assert hdd[i] == fleet.servers[i].component_count(ComponentClass.HDD)
+            gen = GENERATIONS[fleet.generation_codes[i]]
+            assert hdd[i] == gen.count(ComponentClass.HDD)
 
     def test_idc_codes(self, fleet):
         codes = fleet.idc_codes
+        idcs = fleet.idcs()
         for i in [0, len(fleet) - 1]:
-            assert fleet.datacenters[codes[i]].name == fleet.servers[i].idc
+            assert fleet.datacenters[codes[i]].name == idcs[i]
 
     def test_cohorts_partition_fleet(self, fleet):
         cohorts = fleet.cohorts()
@@ -164,7 +179,7 @@ class TestInventoryExport:
         per_pos = inv.servers_per_position()
         assert per_pos.sum() == len(fleet)
         dc = fleet.datacenters[0].name
-        assert inv.servers_per_position(dc).sum() == len(fleet.servers_of_idc(dc))
+        assert inv.servers_per_position(dc).sum() == np.sum(fleet.idc_codes == 0)
 
     def test_unknown_idc_rejected(self, fleet):
         with pytest.raises(ValueError):

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from repro.config import SpatialProfile
-from repro.core.types import ComponentClass
+from repro.core.types import ComponentClass, FOTCategory
 from repro.fleet.component import GENERATIONS, ServerGeneration, generation
-from repro.fleet.rack import Rack, slot_occupancy_weights, slot_risk_multipliers
-from repro.fleet.server import Server
+from repro.fleet.datacenter import DataCenter
+from repro.fleet.fleet import Fleet
+from repro.fleet.product_line import ProductLine
+from repro.fleet.rack import slot_occupancy_weights, slot_risk_multipliers
+from repro.fms.pipeline import FMSPipeline
+from repro.simulation.events import RawFailure
 
 
 class TestGenerations:
@@ -43,39 +47,74 @@ class TestGenerations:
             ServerGeneration("bad", {ComponentClass.HDD: -1}, "m", "fw")
 
 
-class TestServer:
-    def _server(self, **kw):
-        defaults = dict(
-            host_id=1, hostname="dc00-r000-s03", idc="dc00", rack_id=0,
-            position=3, pdu_id=0, product_line="pl000",
-            generation=GENERATIONS[0], deployed_at=-1000.0,
-        )
-        defaults.update(kw)
-        return Server(**defaults)
+def _dc(n_slots=40):
+    return DataCenter("dc00", 2012, SpatialProfile("uniform"), n_slots=n_slots)
 
+
+def _fleet(positions=(3, 4), generation_codes=(0, 4), deployed_ats=(-100.0, 500.0)):
+    """A two-server fleet built column by column."""
+    n = len(positions)
+    return Fleet(
+        [_dc()],
+        [ProductLine("pl000", "online", 0.1, 0.0, 2)],
+        host_ids=np.arange(n), idc_codes=np.zeros(n), rack_ids=np.zeros(n),
+        positions=positions, pdu_ids=np.zeros(n), line_codes=np.zeros(n),
+        generation_codes=generation_codes, deployed_ats=deployed_ats,
+    )
+
+
+class _AgeRecorder:
+    """Operator stand-in recording the service age each repair sees."""
+
+    def __init__(self):
+        self.ages = []
+
+    def close_fixing(self, component, line, time, age, is_lemon):
+        self.ages.append(age)
+        return time + 1.0, "op"
+
+
+def _tickets(fleet, events, warranty_seconds, operators=None):
+    pipeline = FMSPipeline(
+        fleet, 1e9, np.random.default_rng(0), operators=operators or _AgeRecorder()
+    )
+    return pipeline.run(events, warranty_seconds=warranty_seconds)
+
+
+def _event(row, time):
+    return RawFailure(time=time, server_row=row, component=ComponentClass.HDD,
+                      suppress_repeat=True)
+
+
+class TestServer:
     def test_age(self):
-        s = self._server(deployed_at=-100.0)
-        assert s.age_seconds(0.0) == 100.0
-        assert s.age_seconds(-200.0) == 0.0
+        # Server 0 was deployed at -100 s, server 1 only at 500 s.
+        operators = _AgeRecorder()
+        _tickets(_fleet(), [_event(0, 0.0), _event(1, 200.0)], 1e9, operators)
+        assert operators.ages == [100.0, 0.0]
 
     def test_warranty(self):
-        s = self._server(deployed_at=0.0)
-        assert s.in_warranty(10.0, warranty_seconds=100.0)
-        assert not s.in_warranty(101.0, warranty_seconds=100.0)
+        fleet = _fleet()
+        ds = _tickets(fleet, [_event(1, 600.0), _event(1, 601.0)], warranty_seconds=100.0)
+        assert [t.category for t in ds] == [FOTCategory.FIXING, FOTCategory.ERROR]
 
     def test_component_count_delegates(self):
-        s = self._server()
-        assert s.component_count(ComponentClass.HDD) == 12
+        fleet = _fleet(generation_codes=(0, 4))
+        np.testing.assert_array_equal(fleet.counts_for(ComponentClass.HDD), [12, 6])
+        np.testing.assert_array_equal(fleet.counts_for(ComponentClass.SSD), [0, 4])
+        np.testing.assert_array_equal(fleet.counts_for(ComponentClass.MISC), [1, 1])
 
     def test_negative_position_rejected(self):
         with pytest.raises(ValueError):
-            self._server(position=-1)
+            _fleet(positions=(3, -1))
+        with pytest.raises(ValueError):
+            _fleet(positions=(3, 40))
 
 
 class TestRack:
     def test_requires_slots(self):
         with pytest.raises(ValueError):
-            Rack(rack_id=0, idc="dc00", n_slots=0, pdu_id=0)
+            _dc(n_slots=0)
 
 
 class TestSlotRisk:

@@ -83,7 +83,7 @@ class TestMineIncidents:
             for r in small_trace.injections
             if r.kind == "bbu_flapping"
         )
-        flap_host = small_trace.fleet.servers[flap_row].host_id
+        flap_host = int(small_trace.fleet.host_ids[flap_row])
         flap_incidents = [i for i in incidents if flap_host in i.servers]
         assert flap_incidents
         assert max(len(i) for i in flap_incidents) >= 10

@@ -39,11 +39,12 @@ class TestTicketCreation:
         _, ds = run_pipeline(fleet, events)
         assert len(ds) == 1
         ticket = ds[0]
-        server = fleet.servers[row]
-        assert ticket.host_id == server.host_id
-        assert ticket.host_idc == server.idc
-        assert ticket.error_position == server.position
-        assert ticket.product_line == server.product_line
+        assert ticket.host_id == fleet.host_ids[row]
+        assert ticket.hostname == fleet.hostnames()[row]
+        assert ticket.host_idc == fleet.idcs()[row]
+        assert ticket.error_position == fleet.positions[row]
+        assert ticket.product_line == fleet.lines()[row]
+        assert ticket.deployed_at == fleet.deployed_ats[row]
         assert ticket.source is DetectionSource.SYSLOG
         assert ticket.error_type  # sampled from the class mix
 

@@ -1,5 +1,7 @@
 """End-to-end trace generation: integration invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -44,14 +46,16 @@ class TestStructure:
         assert times.max() < tiny_trace.horizon_seconds
 
     def test_metadata_consistent_with_fleet(self, tiny_trace):
-        servers = {s.host_id: s for s in tiny_trace.fleet.servers}
+        fleet = tiny_trace.fleet
+        row_of = {h: i for i, h in enumerate(fleet.host_ids.tolist())}
+        hostnames, idcs, lines = fleet.hostnames(), fleet.idcs(), fleet.lines()
         for ticket in list(tiny_trace.dataset)[::50]:
-            server = servers[ticket.host_id]
-            assert ticket.hostname == server.hostname
-            assert ticket.host_idc == server.idc
-            assert ticket.error_position == server.position
-            assert ticket.product_line == server.product_line
-            assert ticket.deployed_at == server.deployed_at
+            row = row_of[ticket.host_id]
+            assert ticket.hostname == hostnames[row]
+            assert ticket.host_idc == idcs[row]
+            assert ticket.error_position == fleet.positions[row]
+            assert ticket.product_line == lines[row]
+            assert ticket.deployed_at == fleet.deployed_ats[row]
 
     def test_inventory_covers_fleet(self, tiny_trace):
         assert len(tiny_trace.inventory) == len(tiny_trace.fleet)
@@ -69,6 +73,82 @@ class TestStructure:
         stats = tiny_trace.fms_stats
         assert stats["events_in"] >= len(tiny_trace.dataset)
         assert stats["repairs"] > 0
+
+
+class TestGoldenOutput:
+    """What the simulator emits for the two session traces, pinned: a
+    reordered draw or a changed default anywhere in fleet, simulation or
+    FMS fails here."""
+
+    @pytest.mark.parametrize("fixture, fingerprint, inventory_sha256", [
+        (
+            "tiny_trace",
+            "d64073f92dad26a1599fb2773b69470bf72295e2a3bba71ed8b58c9d37e7107f:all",
+            "7f59af1d45d76e3ba4d2e627ab57abb152695b1ca985896c95dbb1622de3c77b",
+        ),
+        (
+            "small_trace",
+            "e653d5f23bb88425bd5dfd5869a5ad6599cbc6b35c9a579fee9b2f0dfb9c8885:all",
+            "5384115f1d8967a8e84b6afa6149d5f6d37b6a8cc4a4229ef5edea5dcab4a209",
+        ),
+    ])
+    def test_pinned(self, request, tmp_path, fixture, fingerprint, inventory_sha256):
+        trace = request.getfixturevalue(fixture)
+        assert trace.dataset.fingerprint() == fingerprint
+        path = tmp_path / "inventory.csv"
+        trace.inventory.save_csv(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == inventory_sha256
+
+
+@pytest.fixture(scope="module")
+def ticket_rows(small_trace):
+    """``(tag, fleet row)`` of every ``small_trace`` ticket."""
+    fleet = small_trace.fleet
+    row_of = {host: row for row, host in enumerate(fleet.host_ids.tolist())}
+    tags = np.array([t.detail["tag"] for t in small_trace.dataset])
+    rows = np.array([row_of[h] for h in small_trace.dataset.host_ids.tolist()])
+    return tags, rows
+
+
+class TestGroundTruthRows:
+    """Injected ground truth reaches the tickets of the servers it names,
+    so fleet rows map to ticket columns end to end."""
+
+    def test_injections_land_on_their_rows(self, small_trace, ticket_rows):
+        tags, rows = ticket_rows
+        assert small_trace.injections
+        for record in small_trace.injections:
+            hit = rows[tags == record.tag]
+            assert hit.size, record.tag
+            assert set(hit.tolist()) <= set(record.server_rows), record.tag
+
+    @staticmethod
+    def _storm_rows(small_trace, ticket_rows, kinds):
+        tags, rows = ticket_rows
+        storms = [
+            r for r in small_trace.storms if r.kind in kinds and r.n_events
+        ]
+        assert storms
+        for record in storms:
+            hit = rows[tags == record.tag]
+            assert hit.size, record.tag
+            yield record.tag, hit
+
+    def test_pdu_outage_tickets_share_one_pdu(self, small_trace, ticket_rows):
+        pdus = small_trace.fleet.pdu_ids
+        for tag, hit in self._storm_rows(small_trace, ticket_rows, {"pdu_outage"}):
+            assert np.unique(pdus[hit]).size == 1, tag
+
+    def test_smart_storm_tickets_share_one_cohort(self, small_trace, ticket_rows):
+        fleet = small_trace.fleet
+        kinds = {"smart_storm", "smart_storm_case1"}
+        for tag, hit in self._storm_rows(small_trace, ticket_rows, kinds):
+            cohorts = zip(
+                fleet.idc_codes[hit].tolist(),
+                fleet.line_codes[hit].tolist(),
+                fleet.generation_codes[hit].tolist(),
+            )
+            assert len(set(cohorts)) == 1, tag
 
 
 class TestContent:
