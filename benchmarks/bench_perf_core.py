@@ -66,7 +66,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_perf_core.py \
         --tiers 50k,290k --label current
 
-    # CI regression gate: fresh 50k run vs. the checked-in numbers
+    # CI regression gate: fresh 50k text load and report vs. the
+    # checked-in numbers
     PYTHONPATH=src python benchmarks/bench_perf_core.py \
         --tiers 50k --check --max-regression 2.0
 
@@ -711,8 +712,13 @@ def update_json(path: Path, label: str, tiers: Dict[str, object]) -> None:
     print(f"updated {path} [{label}: {', '.join(sorted(tiers))}]")
 
 
+#: Stages ``--check`` gates against the checked-in numbers: the text
+#: parse and the headline report.
+REGRESSION_STAGES = ("load", "report")
+
+
 def check_regression(
-    path: Path, tier: str, measured_report_s: float, max_regression: float
+    path: Path, tier: str, measured: Dict[str, float], max_regression: float
 ) -> int:
     data = load_json(path)
     runs = data.get("runs", {})
@@ -724,14 +730,18 @@ def check_regression(
     if not ref:
         print(f"no reference tier {tier!r} in {path}; skipping regression check")
         return 0
-    ref_s = float(ref["stages"]["report"])
-    ratio = measured_report_s / ref_s if ref_s > 0 else float("inf")
-    print(
-        f"regression check [{tier}]: report {measured_report_s:.3f}s vs "
-        f"checked-in {ref_s:.3f}s (x{ratio:.2f}, limit x{max_regression:.1f})"
-    )
-    if ratio > max_regression:
-        print("FAIL: full-report wall time regressed beyond the allowed factor")
+    failures = 0
+    for stage in REGRESSION_STAGES:
+        ref_s = float(ref["stages"][stage])
+        ratio = measured[stage] / ref_s if ref_s > 0 else float("inf")
+        print(
+            f"regression check [{tier}]: {stage} {measured[stage]:.3f}s vs "
+            f"checked-in {ref_s:.3f}s (x{ratio:.2f}, limit x{max_regression:.1f})"
+        )
+        if ratio > max_regression:
+            print(f"FAIL: {stage} wall time regressed beyond the allowed factor")
+            failures += 1
+    if failures:
         return 1
     print("OK")
     return 0
@@ -755,8 +765,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="compare the first tier's report time against the checked-in "
-        "numbers and exit 1 on regression",
+        help="compare the first tier's text load and report times against "
+        "the checked-in numbers and exit 1 on regression",
     )
     parser.add_argument("--max-regression", type=float, default=2.0)
     parser.add_argument(
@@ -861,7 +871,8 @@ def main(argv=None) -> int:
 
     if args.check:
         first = tier_names[0]
-        measured = float(results[first]["stages"]["report"])
+        stages = results[first]["stages"]
+        measured = {stage: float(stages[stage]) for stage in REGRESSION_STAGES}
         return check_regression(json_path, first, measured, args.max_regression)
 
     if not args.no_update:

@@ -16,9 +16,9 @@ Two ways to build a store:
 * :meth:`ColumnStore.from_tickets` — wraps an existing list of ``FOT``
   objects; columns are derived lazily and the originals are kept, so
   iteration returns the exact objects that were passed in.
-* :class:`ColumnBuilder` — append raw field values row by row (the
-  loaders and the FMS pipeline use this) and :meth:`ColumnBuilder.build`
-  a store without ever constructing intermediate ``FOT`` objects.
+* :class:`ColumnBuilder` — add raw field values a column at a time (the
+  loaders) or a row at a time (the FMS pipeline) and ``build`` a store
+  without ever constructing intermediate ``FOT`` objects.
 
 ``ColumnStore.n_materialized`` counts on-demand materializations, so
 tests can assert that subsetting and grouping allocate no tickets.
@@ -26,8 +26,9 @@ tests can assert that subsetting and grouping allocate no tickets.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,47 +55,82 @@ CATEGORY_CODE: Dict[FOTCategory, int] = {c: i for i, c in enumerate(CATEGORY_ORD
 SOURCE_CODE: Dict[DetectionSource, int] = {s: i for i, s in enumerate(SOURCE_ORDER)}
 ACTION_CODE: Dict[OperatorAction, int] = {a: i for i, a in enumerate(ACTION_ORDER)}
 
-#: Numeric / categorical columns: name -> (dtype, per-ticket getter).
-_NUMERIC_BUILDERS = {
-    "fot_ids": (np.int64, lambda t: t.fot_id),
-    "host_ids": (np.int64, lambda t: t.host_id),
-    "error_times": (np.float64, lambda t: t.error_time),
-    "op_times": (np.float64, lambda t: np.nan if t.op_time is None else t.op_time),
-    "deployed_ats": (np.float64, lambda t: t.deployed_at),
-    "positions": (np.int32, lambda t: t.error_position),
-    "device_slots": (np.int32, lambda t: t.device_slot),
-    "category_codes": (np.int8, lambda t: CATEGORY_CODE[t.category]),
-    "component_codes": (np.int8, lambda t: COMPONENT_CODE[t.error_device]),
-    "source_codes": (np.int8, lambda t: SOURCE_CODE[t.source]),
-    "action_codes": (
-        np.int8,
-        lambda t: -1 if t.action is None else ACTION_CODE[t.action],
-    ),
+#: Numeric columns: name -> (``FOT`` field, dtype); ``None`` is NaN.
+_NUMERIC: Dict[str, Tuple[str, type]] = {
+    "fot_ids": ("fot_id", np.int64),
+    "host_ids": ("host_id", np.int64),
+    "error_times": ("error_time", np.float64),
+    "op_times": ("op_time", np.float64),
+    "deployed_ats": ("deployed_at", np.float64),
+    "positions": ("error_position", np.int32),
+    "device_slots": ("device_slot", np.int32),
+}
+
+#: Enum code columns: name -> (``FOT`` field, member -> int8 code).
+_CODED: Dict[str, Tuple[str, Mapping[Any, int]]] = {
+    "category_codes": ("category", CATEGORY_CODE),
+    "component_codes": ("error_device", COMPONENT_CODE),
+    "source_codes": ("source", SOURCE_CODE),
+    "action_codes": ("action", {**ACTION_CODE, None: -1}),
 }
 
 #: Per-ticket Python objects kept as object columns (no interning).
-_OBJECT_BUILDERS = {
-    "hostnames": lambda t: t.hostname,
-    "error_details": lambda t: t.error_detail,
-    "details": lambda t: t.detail,
+_OBJECTS = {
+    "hostnames": "hostname",
+    "error_details": "error_detail",
+    "details": "detail",
 }
 
-#: Interned string columns: codes-column name -> (table name, ticket
-#: attribute, whether ``None`` is a legal value, coded as -1).
+#: Interned string columns: codes-column name -> (table name, ``FOT``
+#: field); ``None`` is coded -1.
 _INTERNED = {
-    "idc_codes": ("idc", "host_idc", False),
-    "product_line_codes": ("product_line", "product_line", False),
-    "error_type_codes": ("error_type", "error_type", False),
-    "operator_id_codes": ("operator_id", "operator_id", True),
+    "idc_codes": ("idc", "host_idc"),
+    "product_line_codes": ("product_line", "product_line"),
+    "error_type_codes": ("error_type", "error_type"),
+    "operator_id_codes": ("operator_id", "operator_id"),
 }
 
-COLUMN_NAMES: Tuple[str, ...] = (
-    *_NUMERIC_BUILDERS, *_OBJECT_BUILDERS, *_INTERNED,
-)
+COLUMN_NAMES: Tuple[str, ...] = (*_NUMERIC, *_CODED, *_OBJECTS, *_INTERNED)
+
+#: The ``FOT`` field each column holds.
+_FIELD_OF: Dict[str, str] = {
+    **{name: spec[0] for name, spec in _NUMERIC.items()},
+    **{name: spec[0] for name, spec in _CODED.items()},
+    **_OBJECTS,
+    **{name: spec[1] for name, spec in _INTERNED.items()},
+}
+
+#: The ``FOT`` fields, in declaration order: the keywords of
+#: :meth:`ColumnBuilder.append` and :meth:`ColumnBuilder.extend`.
+FIELD_NAMES: Tuple[str, ...] = tuple(f.name for f in dataclasses.fields(FOT))
+
+#: The column that holds each ``FOT`` field.
+FIELD_COLUMNS: Dict[str, str] = {field: name for name, field in _FIELD_OF.items()}
 
 TABLE_NAMES: Tuple[str, ...] = tuple(spec[0] for spec in _INTERNED.values())
 
 _TABLE_TO_CODES = {spec[0]: codes_name for codes_name, spec in _INTERNED.items()}
+
+
+def _column(name: str, values: Sequence[Any]) -> np.ndarray:
+    """Column ``name`` (not an interned one) from its field's values."""
+    if name in _NUMERIC:
+        return np.asarray(values, dtype=_NUMERIC[name][1])
+    if name in _CODED:
+        codes = _CODED[name][1]
+        return np.fromiter(map(codes.__getitem__, values), np.int8, len(values))
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def _intern(values: Sequence[Any]) -> Tuple[np.ndarray, Tuple[str, ...]]:
+    """Codes and table of a string column, interned in first-occurrence
+    order; ``None`` is coded -1."""
+    table = tuple(v for v in dict.fromkeys(values) if v is not None)
+    index: Dict[Any, int] = {v: i for i, v in enumerate(table)}
+    index[None] = -1
+    codes = np.asarray(list(map(index.__getitem__, values)), dtype=np.int32)
+    codes.setflags(write=False)
+    return codes, table
 
 
 def compute_fingerprint(store: "ColumnStore") -> str:
@@ -304,39 +340,21 @@ class ColumnStore:
         the interned code columns through a shared table.  Tickets
         already materialized in a part stay shared (no re-allocation)."""
         arrays: Dict[str, np.ndarray] = {}
-        for name in (*_NUMERIC_BUILDERS, *_OBJECT_BUILDERS):
+        for name in (*_NUMERIC, *_CODED, *_OBJECTS):
             chunks = [store.column(name)[idx] for store, idx in parts]
-            dtype = _NUMERIC_BUILDERS[name][0] if name in _NUMERIC_BUILDERS else object
-            arrays[name] = (
-                np.concatenate(chunks) if chunks else np.empty(0, dtype=dtype)
-            )
+            arrays[name] = np.concatenate(chunks) if chunks else _column(name, [])
         tables: Dict[str, Tuple[str, ...]] = {}
-        for codes_name, (table_name, _, _) in _INTERNED.items():
-            index: Dict[str, int] = {}
-            table: List[str] = []
-            chunks = []
-            for store, idx in parts:
-                mapping: List[int] = []
-                for value in store.table(table_name):
-                    code = index.get(value)
-                    if code is None:
-                        code = len(table)
-                        index[value] = code
-                        table.append(value)
-                    mapping.append(code)
-                codes = store.column(codes_name)[idx]
-                if mapping:
-                    lookup = np.asarray(mapping, dtype=np.int32)
-                    remapped = np.where(
-                        codes < 0, np.int32(-1), lookup[np.maximum(codes, 0)]
-                    ).astype(np.int32)
-                else:
-                    remapped = codes.astype(np.int32)
-                chunks.append(remapped)
-            arrays[codes_name] = (
-                np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int32)
-            )
-            tables[table_name] = tuple(table)
+        for codes_name, (table_name, _) in _INTERNED.items():
+            part_tables = [store.table(table_name) for store, _ in parts]
+            shared, tables[table_name] = _intern([v for t in part_tables for v in t])
+            chunks, start = [], 0
+            for (store, idx), part_table in zip(parts, part_tables):
+                # each part's codes through its slice of the shared codes;
+                # -1 (missing) indexes the appended -1
+                lookup = np.append(shared[start:start + len(part_table)], np.int32(-1))
+                start += len(part_table)
+                chunks.append(lookup[store.column(codes_name)[idx]])
+            arrays[codes_name] = np.concatenate(chunks) if chunks else np.empty(0, np.int32)
         caches = [store._ticket_cache[idx] for store, idx in parts]
         cache = np.concatenate(caches) if caches else np.empty(0, dtype=object)
         for arr in arrays.values():
@@ -390,36 +408,15 @@ class ColumnStore:
         return mask
 
     def _build_column(self, name: str) -> np.ndarray:
-        tickets = self._ticket_cache
-        if name in _NUMERIC_BUILDERS:
-            dtype, get = _NUMERIC_BUILDERS[name]
-            arr = np.fromiter((get(t) for t in tickets), dtype=dtype, count=self.n)
-        elif name in _OBJECT_BUILDERS:
-            get = _OBJECT_BUILDERS[name]
-            arr = np.empty(self.n, dtype=object)
-            for i, ticket in enumerate(tickets):
-                arr[i] = get(ticket)
-        elif name in _INTERNED:
-            table_name, attr, noneable = _INTERNED[name]
-            index: Dict[str, int] = {}
-            table: List[str] = []
-            codes = np.empty(self.n, dtype=np.int32)
-            for i, ticket in enumerate(tickets):
-                value = getattr(ticket, attr)
-                if noneable and value is None:
-                    codes[i] = -1
-                    continue
-                code = index.get(value)
-                if code is None:
-                    code = len(table)
-                    index[value] = code
-                    table.append(value)
-                codes[i] = code
-            self._tables[table_name] = tuple(table)
-            self._table_index[table_name] = index
-            arr = codes
-        else:
+        if name not in _FIELD_OF:
             raise KeyError(f"unknown column {name!r}")
+        values = [getattr(ticket, _FIELD_OF[name]) for ticket in self._ticket_cache]
+        if name in _INTERNED:
+            arr, table = _intern(values)
+            self._tables[_INTERNED[name][0]] = table
+            self._table_index[_INTERNED[name][0]] = {v: i for i, v in enumerate(table)}
+        else:
+            arr = _column(name, values)
         arr.setflags(write=False)
         self._arrays[name] = arr
         return arr
@@ -497,55 +494,27 @@ class ColumnStore:
         )
 
 
-class _Interner:
-    """Append-side string interning: value -> dense int code."""
-
-    __slots__ = ("index", "table")
-
-    def __init__(self) -> None:
-        self.index: Dict[str, int] = {}
-        self.table: List[str] = []
-
-    def intern(self, value: str) -> int:
-        code = self.index.get(value)
-        if code is None:
-            code = len(self.table)
-            self.index[value] = code
-            self.table.append(value)
-        return code
-
-
 class ColumnBuilder:
-    """Accumulates ticket fields row by row and builds a
+    """Accumulates ticket fields, whole columns at a time
+    (:meth:`extend`) or row by row (:meth:`append`), and builds a
     :class:`ColumnStore` — the zero-``FOT`` emission path used by the
-    loaders and the FMS pipeline."""
+    loaders and the FMS pipeline.  Values are checked once, in
+    :meth:`build`."""
 
     def __init__(self) -> None:
-        self._fot_ids: List[int] = []
-        self._host_ids: List[int] = []
-        self._error_times: List[float] = []
-        self._op_times: List[float] = []
-        self._deployed_ats: List[float] = []
-        self._positions: List[int] = []
-        self._device_slots: List[int] = []
-        self._category_codes: List[int] = []
-        self._component_codes: List[int] = []
-        self._source_codes: List[int] = []
-        self._action_codes: List[int] = []
-        self._hostnames: List[str] = []
-        self._error_details: List[str] = []
-        self._details: List[dict] = []
-        self._idc = _Interner()
-        self._product_line = _Interner()
-        self._error_type = _Interner()
-        self._operator_id = _Interner()
-        self._idc_codes: List[int] = []
-        self._product_line_codes: List[int] = []
-        self._error_type_codes: List[int] = []
-        self._operator_id_codes: List[int] = []
+        self._values: Dict[str, List[object]] = {name: [] for name in FIELD_NAMES}
 
     def __len__(self) -> int:
-        return len(self._fot_ids)
+        return len(self._values["fot_id"])
+
+    def extend(self, **columns: Sequence[object]) -> None:
+        """Append whole columns: one equal-length sequence per name in
+        :data:`FIELD_NAMES`, holding what :meth:`append` takes (enum
+        members, ``None`` for an absent action/operator/op_time)."""
+        if set(columns) != set(FIELD_NAMES) or len(set(map(len, columns.values()))) > 1:
+            raise ValueError(f"extend() takes one equal-length column per {FIELD_NAMES}")
+        for name, values in columns.items():
+            self._values[name].extend(values)
 
     def append(
         self,
@@ -569,107 +538,40 @@ class ColumnBuilder:
         op_time: Optional[float] = None,
         detail: Optional[dict] = None,
     ) -> None:
-        """Append one ticket's fields (same invariants as
-        :class:`~repro.core.ticket.FOT`; validation happens before any
-        column is touched, so a raise leaves the builder consistent)."""
-        error_time = float(error_time)
-        if error_time < 0:
-            raise ValueError(f"error_time must be >= 0, got {error_time}")
-        if op_time is not None:
-            op_time = float(op_time)
-            if op_time < error_time:
-                raise ValueError(
-                    "op_time must not precede error_time "
-                    f"({op_time} < {error_time})"
-                )
-        category_code = CATEGORY_CODE[category]
-        component_code = COMPONENT_CODE[error_device]
-        source_code = SOURCE_CODE[source]
-        action_code = -1 if action is None else ACTION_CODE[action]
-
-        self._fot_ids.append(int(fot_id))
-        self._host_ids.append(int(host_id))
-        self._hostnames.append(hostname)
-        self._idc_codes.append(self._idc.intern(host_idc))
-        self._component_codes.append(component_code)
-        self._error_type_codes.append(self._error_type.intern(error_type))
-        self._error_times.append(error_time)
-        self._positions.append(int(error_position))
-        self._error_details.append(error_detail)
-        self._category_codes.append(category_code)
-        self._source_codes.append(source_code)
-        self._product_line_codes.append(self._product_line.intern(product_line))
-        self._deployed_ats.append(float(deployed_at))
-        self._device_slots.append(int(device_slot))
-        self._action_codes.append(action_code)
-        self._operator_id_codes.append(
-            -1 if operator_id is None else self._operator_id.intern(operator_id)
+        """Append one ticket's fields (a one-row :meth:`extend`)."""
+        row = (
+            fot_id, host_id, hostname, host_idc, error_device, error_type,
+            error_time, error_position, error_detail, category, source,
+            product_line, deployed_at, device_slot, action, operator_id,
+            op_time, {} if detail is None else detail,
         )
-        self._op_times.append(np.nan if op_time is None else op_time)
-        self._details.append({} if detail is None else detail)
+        for values, value in zip(self._values.values(), row):
+            values.append(value)
 
     def append_ticket(self, ticket: FOT) -> None:
-        self.append(
-            fot_id=ticket.fot_id,
-            host_id=ticket.host_id,
-            hostname=ticket.hostname,
-            host_idc=ticket.host_idc,
-            error_device=ticket.error_device,
-            error_type=ticket.error_type,
-            error_time=ticket.error_time,
-            error_position=ticket.error_position,
-            error_detail=ticket.error_detail,
-            category=ticket.category,
-            source=ticket.source,
-            product_line=ticket.product_line,
-            deployed_at=ticket.deployed_at,
-            device_slot=ticket.device_slot,
-            action=ticket.action,
-            operator_id=ticket.operator_id,
-            op_time=ticket.op_time,
-            detail=ticket.detail,
-        )
+        self.append(**{name: getattr(ticket, name) for name in FIELD_NAMES})
 
     def build(self) -> ColumnStore:
-        n = len(self)
-        arrays: Dict[str, np.ndarray] = {
-            "fot_ids": np.asarray(self._fot_ids, dtype=np.int64),
-            "host_ids": np.asarray(self._host_ids, dtype=np.int64),
-            "error_times": np.asarray(self._error_times, dtype=np.float64),
-            "op_times": np.asarray(self._op_times, dtype=np.float64),
-            "deployed_ats": np.asarray(self._deployed_ats, dtype=np.float64),
-            "positions": np.asarray(self._positions, dtype=np.int32),
-            "device_slots": np.asarray(self._device_slots, dtype=np.int32),
-            "category_codes": np.asarray(self._category_codes, dtype=np.int8),
-            "component_codes": np.asarray(self._component_codes, dtype=np.int8),
-            "source_codes": np.asarray(self._source_codes, dtype=np.int8),
-            "action_codes": np.asarray(self._action_codes, dtype=np.int8),
-            "idc_codes": np.asarray(self._idc_codes, dtype=np.int32),
-            "product_line_codes": np.asarray(
-                self._product_line_codes, dtype=np.int32
-            ),
-            "error_type_codes": np.asarray(self._error_type_codes, dtype=np.int32),
-            "operator_id_codes": np.asarray(
-                self._operator_id_codes, dtype=np.int32
-            ),
-        }
-        for name, values in (
-            ("hostnames", self._hostnames),
-            ("error_details", self._error_details),
-            ("details", self._details),
-        ):
-            column = np.empty(n, dtype=object)
-            for i, value in enumerate(values):
-                column[i] = value
-            column.setflags(write=False)
-            arrays[name] = column
-        tables = {
-            "idc": tuple(self._idc.table),
-            "product_line": tuple(self._product_line.table),
-            "error_type": tuple(self._error_type.table),
-            "operator_id": tuple(self._operator_id.table),
-        }
-        return ColumnStore.from_columns(n, arrays, tables)
+        """The store of every row added so far.  Raises ``FOT``'s
+        ``ValueError`` for the first row whose ``error_time`` is negative
+        or whose ``op_time`` precedes it."""
+        arrays: Dict[str, np.ndarray] = {}
+        tables: Dict[str, Tuple[str, ...]] = {}
+        for name, field in _FIELD_OF.items():
+            if name in _INTERNED:
+                arrays[name], tables[_INTERNED[name][0]] = _intern(self._values[field])
+            else:
+                arrays[name] = _column(name, self._values[field])
+        error_times, op_times = arrays["error_times"], arrays["op_times"]
+        bad = np.flatnonzero((error_times < 0) | (op_times < error_times))
+        if bad.size:
+            error_time, op_time = float(error_times[bad[0]]), float(op_times[bad[0]])
+            if error_time < 0:
+                raise ValueError(f"error_time must be >= 0, got {error_time}")
+            raise ValueError(
+                f"op_time must not precede error_time ({op_time} < {error_time})"
+            )
+        return ColumnStore.from_columns(len(self), arrays, tables)
 
 
 __all__ = [
@@ -685,5 +587,7 @@ __all__ = [
     "TABLE_NAMES",
     "ColumnStore",
     "ColumnBuilder",
+    "FIELD_NAMES",
+    "FIELD_COLUMNS",
     "compute_fingerprint",
 ]

@@ -43,23 +43,41 @@ import os
 import tempfile
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import compress, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import (
+    Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
+    List,
     Literal,
     NamedTuple,
     Optional,
+    Sequence,
+    Set,
     TextIO,
     Tuple,
     Type,
     TypeVar,
     Union,
+    cast,
     overload,
 )
 
-from repro.core.columns import ColumnBuilder
+import numpy as np
+
+from repro.core.columns import (
+    ACTION_ORDER,
+    CATEGORY_ORDER,
+    COMPONENT_ORDER,
+    FIELD_COLUMNS,
+    FIELD_NAMES,
+    SOURCE_ORDER,
+    ColumnBuilder,
+)
 from repro.core.dataset import FOTDataset
 from repro.core.storage import (
     COLUMNAR_SUFFIX,
@@ -71,7 +89,6 @@ from repro.core.storage import (
     load_columnar,
     save_columnar,
 )
-from repro.core.ticket import FOT
 from repro.core.types import (
     ComponentClass,
     DetectionSource,
@@ -221,18 +238,39 @@ def _require(record: Dict[str, object], key: str) -> object:
     return record[key]
 
 
+#: The range of the column that stores each integer field.
+_INT_RANGES: Dict[str, Tuple[int, int]] = {
+    **dict.fromkeys(["fot_id", "host_id"], (-(2**63), 2**63 - 1)),
+    **dict.fromkeys(["error_position", "device_slot"], (-(2**31), 2**31 - 1)),
+}
+
+
+class _OutOfRange(RowError):
+    """An integer its column cannot hold: always a skip, never a repair."""
+
+    def __init__(self, field: str, value: object) -> None:
+        super().__init__(q.BAD_NUMBER, f"{field}: {value!r} is out of range", field)
+
+
 def _parse_int(value: object, field: str) -> int:
+    number: Optional[int] = None
     try:
-        return int(value)  # type: ignore[arg-type]
+        number = int(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
-        pass
-    try:
-        as_float = float(value)  # type: ignore[arg-type]
-        if as_float.is_integer():
-            return int(as_float)
-    except (TypeError, ValueError):
-        pass
-    raise RowError(q.BAD_NUMBER, f"{field}: {value!r} is not an integer", field)
+        try:
+            as_float = float(value)  # type: ignore[arg-type]
+            if as_float.is_integer():
+                number = int(as_float)
+        except (TypeError, ValueError):
+            pass
+    except OverflowError:  # int() of an infinite float
+        raise _OutOfRange(field, value) from None
+    if number is None:
+        raise RowError(q.BAD_NUMBER, f"{field}: {value!r} is not an integer", field)
+    low, high = _INT_RANGES[field]
+    if not low <= number <= high:
+        raise _OutOfRange(field, value)
+    return number
 
 
 _E = TypeVar("_E", bound=Enum)
@@ -273,7 +311,7 @@ def _parse_timestamp(
 ) -> float:
     try:
         return float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # overflow: an int past 1e308
         pass
     if repairs is not None and isinstance(value, str):
         text = value.strip().replace("T", " ")
@@ -292,40 +330,14 @@ def _parse_timestamp(
     )
 
 
-def _ticket_to_record(ticket: FOT, include_detail: bool) -> Dict[str, object]:
-    record: Dict[str, object] = {
-        "fot_id": ticket.fot_id,
-        "host_id": ticket.host_id,
-        "hostname": ticket.hostname,
-        "host_idc": ticket.host_idc,
-        "error_device": ticket.error_device.value,
-        "error_type": ticket.error_type,
-        "error_time": ticket.error_time,
-        "error_position": ticket.error_position,
-        "error_detail": ticket.error_detail,
-        "category": ticket.category.value,
-        "source": ticket.source.value,
-        "product_line": ticket.product_line,
-        "deployed_at": ticket.deployed_at,
-        "device_slot": ticket.device_slot,
-        "action": ticket.action.value if ticket.action else "",
-        "operator_id": ticket.operator_id or "",
-        "op_time": "" if ticket.op_time is None else ticket.op_time,
-    }
-    if include_detail:
-        record["detail"] = ticket.detail
-    return record
-
-
 def _parse_fields(
     record: Dict[str, object], repairs: Optional[_Repairs]
 ) -> Dict[str, object]:
     """Parse one record into validated FOT field values, raising
     :class:`RowError` on any unrecoverable defect.  With ``repairs`` set
     (quarantining mode) the recoverable defects are repaired in place
-    and recorded.  The returned dict feeds either ``FOT(**fields)`` or
-    :meth:`~repro.core.columns.ColumnBuilder.append` — the loaders use
-    the latter, building columns directly without intermediate tickets."""
+    and recorded.  The row path behind the column pass of
+    :func:`parse_records`: it sees only the rows that pass rejects."""
     error_time = _parse_timestamp(_require(record, "error_time"), "error_time", repairs)
     if error_time < 0:
         raise RowError(
@@ -350,6 +362,8 @@ def _parse_fields(
     slot_raw = record.get("device_slot", 0) or 0
     try:
         device_slot = _parse_int(slot_raw, "device_slot")
+    except _OutOfRange:
+        raise
     except RowError:
         if repairs is None:
             raise
@@ -391,24 +405,156 @@ def _parse_fields(
     )
 
 
-def _build_ticket(record: Dict[str, object], repairs: Optional[_Repairs]) -> FOT:
-    """Parse one record into an FOT (single-ticket convenience path)."""
-    return FOT(**_parse_fields(record, repairs))  # type: ignore[arg-type]
+# ----------------------------------------------------------------------
+# the column pass
+# ----------------------------------------------------------------------
+#: Records per column pass over lazily read input, and rows per save
+#: chunk.  Small enough that freshly decoded records seldom live through
+#: a garbage collection (CPython collects every 700 net container
+#: allocations); at 4,096 that made JSONL loads slower than row by row.
+_CHUNK = 128
+
+_CONVERSION_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+_Column = Callable[[Sequence[Any]], List[Any]]
 
 
-def _record_to_ticket(record: Dict[str, object], line: int) -> FOT:
-    """Strict single-record parse (kept for backwards compatibility)."""
+def _by_value(enum_cls: Type[_E]) -> Callable[[Any], _E]:
+    """The exact value lookup ``_parse_enum`` tries first (a non-string misses)."""
+    return {member.value: member for member in enum_cls}.__getitem__
+
+
+_action = _by_value(OperatorAction)
+
+
+def _each(convert: Callable[[Any], object]) -> _Column:
+    return lambda values: list(map(convert, values))
+
+
+def _strings(values: Sequence[Any]) -> List[str]:
+    if not all(values) and (None in values or "" in values):
+        raise ValueError("missing")
+    return list(map(str, values))
+
+
+#: Per ``FOT`` field, over a whole column: the conversion
+#: :func:`_parse_fields` tries first, with its default for an absent
+#: optional field.  A missing (``""``/``None``) required value fails.
+_COLUMN_CONVERSIONS: Dict[str, _Column] = {
+    "fot_id": _each(int),
+    "host_id": _each(int),
+    "hostname": _strings,
+    "host_idc": _strings,
+    "error_device": _each(_by_value(ComponentClass)),
+    "error_type": _strings,
+    "error_time": _each(float),
+    "error_position": _each(int),
+    "error_detail": lambda values: [str(v) if v else "" for v in values],
+    "category": _each(_by_value(FOTCategory)),
+    "source": _each(_by_value(DetectionSource)),
+    "product_line": _strings,
+    "deployed_at": _each(float),
+    "device_slot": lambda values: [int(v) if v else 0 for v in values],
+    "action": lambda values: [_action(v) if v else None for v in values],
+    "operator_id": lambda values: [str(v) if v else None for v in values],
+    "op_time": lambda values: [None if v in ("", None) else float(v) for v in values],
+    "detail": lambda values: [dict(v) if v else {} for v in values],
+}
+
+
+def _convert(values: Sequence[object], convert: _Column, bad: Set[int]) -> List[object]:
+    """``convert`` over one column.  The positions of the values it
+    rejects go into ``bad`` and hold 0."""
     try:
-        return _build_ticket(record, repairs=None)
-    except RowError as exc:
-        raise ValueError(f"line {line}: malformed ticket record: {exc}") from exc
+        return convert(values)
+    except _CONVERSION_ERRORS:
+        pass
+    out: List[object] = []
+    for i, value in enumerate(values):
+        try:
+            out.extend(convert([value]))
+        except _CONVERSION_ERRORS:
+            bad.add(i)
+            out.append(0)
+    return out
+
+
+def _column_pass(records: List[object]) -> Tuple[Dict[str, List[object]], List[int]]:
+    """Convert a run of records column by column.  Returns the columns
+    and, in order, the rows they hold placeholders for: a conversion or
+    a bound failed, or :func:`_parse_fields` would repair the row."""
+    rows = [record if isinstance(record, dict) else {} for record in records]
+    raw: Dict[str, Sequence[Any]]
+    try:
+        raw = dict(zip(CSV_FIELDS, zip(*map(itemgetter(*CSV_FIELDS), rows))))
+    except KeyError:  # a record lacks a field
+        raw = {field: [row.get(field) for row in rows] for field in CSV_FIELDS}
+    raw["detail"] = [row.get("detail") for row in rows]
+    bad: Set[int] = set()
+    columns = {
+        field: _convert(raw[field], convert, bad)
+        for field, convert in _COLUMN_CONVERSIONS.items()
+    }
+    error_times = np.asarray(columns["error_time"], dtype=np.float64)
+    op_times = np.asarray(columns["op_time"], dtype=np.float64)  # None -> nan
+    flagged = (error_times < 0) | (op_times < error_times)
+    for field, (low, high) in _INT_RANGES.items():
+        ints = cast(List[int], columns[field])
+        if min(ints) < low or max(ints) > high:
+            flagged |= np.asarray([not low <= v <= high for v in ints])
+    bad.update(np.flatnonzero(flagged).tolist())
+    return columns, sorted(bad)
+
+
+def _parse_row(
+    line_no: int, record: object, report: Optional[QuarantineReport]
+) -> Optional[Dict[str, object]]:
+    """One record through :func:`_parse_fields`: its fields, or ``None``
+    once quarantined (strict mode, ``report=None``, raises instead)."""
+    if not isinstance(record, dict):
+        error = record if isinstance(record, json.JSONDecodeError) else None
+        message = "record is not a JSON object" if error is None else f"invalid JSON: {error}"
+        if report is None:
+            raise ValueError(f"line {line_no}: {message}") from error
+        report.record_skip(line_no, q.BAD_JSON, message)
+        return None
+    try:
+        return _parse_fields(record, None if report is None else _Repairs(report, line_no))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"line {line}: malformed ticket record: {exc}") from exc
+        if report is None:
+            raise ValueError(f"line {line_no}: malformed ticket record: {exc}") from exc
+        if isinstance(exc, RowError):
+            report.record_skip(line_no, exc.error_class, str(exc), exc.field)
+        else:
+            report.record_skip(line_no, q.BAD_NUMBER, str(exc))
+    return None
+
+
+def _parse_chunk(
+    chunk: List[Tuple[int, object]],
+    builder: ColumnBuilder,
+    report: Optional[QuarantineReport],
+) -> None:
+    """Parse a run of ``(line, record)`` pairs into ``builder``: the
+    column pass, then :func:`_parse_row` for its rejects, in line order."""
+    records = [record for _, record in chunk]
+    columns, bad = _column_pass(records)
+    if bad:
+        keep = [True] * len(records)
+        for i in bad:
+            fields = _parse_row(chunk[i][0], records[i], report)
+            if fields is None:
+                keep[i] = False
+                continue
+            for name, value in fields.items():
+                columns[name][i] = value
+        if not all(keep):
+            columns = {name: list(compress(values, keep)) for name, values in columns.items()}
+    builder.extend(**columns)
 
 
 @overload
 def parse_records(
-    numbered: Iterable[Tuple[int, Dict[str, object]]],
+    numbered: Iterable[Tuple[int, object]],
     *,
     strict: Literal[True] = ...,
     source: str = ...,
@@ -418,7 +564,7 @@ def parse_records(
 
 @overload
 def parse_records(
-    numbered: Iterable[Tuple[int, Dict[str, object]]],
+    numbered: Iterable[Tuple[int, object]],
     *,
     strict: Literal[False],
     source: str = ...,
@@ -427,7 +573,7 @@ def parse_records(
 
 
 def parse_records(
-    numbered: Iterable[Tuple[int, Dict[str, object]]],
+    numbered: Iterable[Tuple[int, object]],
     *,
     strict: bool = True,
     source: str = "<records>",
@@ -436,38 +582,74 @@ def parse_records(
     """Parse ``(line_number, record)`` pairs into a dataset.
 
     Strict mode raises on the first defect; quarantining mode skips the
-    defective line, records it, and keeps going.  Pass ``report`` to
-    accumulate into an existing :class:`QuarantineReport` (the JSONL
-    loader uses this so bad-JSON skips land in the same report).
+    defective line, records it, and keeps going.  A record that is not
+    a dict is a ``bad_json`` defect (a :class:`json.JSONDecodeError` in
+    its place stands for a line that did not parse).  Pass ``report`` to
+    accumulate into an existing :class:`QuarantineReport`.
+
+    Records are converted column by column, a list in one pass and lazy
+    input :data:`_CHUNK` at a time; the rows that pass rejects go
+    through :func:`_parse_fields` in line order, so every repair, skip
+    and message is the row parser's.  An exception raised by
+    ``numbered`` surfaces after the records before it are parsed.
     """
     if report is None:
         report = QuarantineReport(source)
     builder = ColumnBuilder()
-    for line_no, record in numbered:
-        if strict:
-            try:
-                builder.append(**_parse_fields(record, repairs=None))
-            except RowError as exc:
-                raise ValueError(
-                    f"line {line_no}: malformed ticket record: {exc}"
-                ) from exc
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"line {line_no}: malformed ticket record: {exc}"
-                ) from exc
-            continue
-        repairs = _Repairs(report, line_no)
+    size = max(len(numbered), 1) if isinstance(numbered, (list, tuple)) else _CHUNK
+    pairs = iter(numbered)
+    while True:
+        chunk: List[Tuple[int, object]] = []
+        failure: Optional[Exception] = None
         try:
-            builder.append(**_parse_fields(record, repairs))
-        except RowError as exc:
-            report.record_skip(line_no, exc.error_class, str(exc), exc.field)
-        except (KeyError, TypeError, ValueError) as exc:
-            report.record_skip(line_no, q.BAD_NUMBER, str(exc))
+            chunk.extend(islice(pairs, size))
+        except Exception as exc:  # raised once the rows before it are parsed
+            failure = exc
+        if chunk:
+            _parse_chunk(chunk, builder, None if strict else report)
+        if failure is not None:
+            raise failure
+        if len(chunk) < size:
+            break
     report.n_loaded += len(builder)
     dataset = FOTDataset.from_store(builder.build())
     if strict:
         return dataset
     return LoadResult(dataset, report)
+
+
+# ----------------------------------------------------------------------
+# records from columns (the save side)
+# ----------------------------------------------------------------------
+def iter_records(
+    dataset: FOTDataset, *, include_detail: bool = True
+) -> Iterator[Dict[str, object]]:
+    """Each ticket's raw record, as :func:`save_jsonl` and :func:`save_csv`
+    write it (absent action, operator or ``op_time`` as ``""``), built
+    from the columns :data:`_CHUNK` rows at a time: no ticket is built."""
+    store = dataset.store
+    decoded: Dict[str, Sequence[object]] = {
+        "host_idc": store.table("idc"),
+        "error_device": [c.value for c in COMPONENT_ORDER],
+        "error_type": store.table("error_type"),
+        "category": [c.value for c in CATEGORY_ORDER],
+        "source": [s.value for s in SOURCE_ORDER],
+        "product_line": store.table("product_line"),
+        "action": [*(a.value for a in ACTION_ORDER), ""],  # code -1 -> ""
+        "operator_id": [*store.table("operator_id"), ""],
+    }
+    fields = FIELD_NAMES if include_detail else FIELD_NAMES[:-1]
+    for start in range(0, len(dataset), _CHUNK):
+        columns = []
+        for field in fields:
+            values = dataset._col(FIELD_COLUMNS[field])[start:start + _CHUNK].tolist()
+            if field in decoded:
+                values = list(map(decoded[field].__getitem__, values))
+            elif field == "op_time":
+                values = ["" if v != v else v for v in values]  # nan -> ""
+            columns.append(values)
+        for row in zip(*columns):
+            yield dict(zip(fields, row))
 
 
 # ----------------------------------------------------------------------
@@ -554,25 +736,22 @@ def write_jsonl_records(records: Iterable[Dict[str, object]], path: Union[str, P
 
 def save_jsonl(dataset: FOTDataset, path: Union[str, Path]) -> None:
     """Write one JSON object per ticket (lossless)."""
-    write_jsonl_records(
-        (_ticket_to_record(t, include_detail=True) for t in dataset), path
-    )
+    write_jsonl_records(iter_records(dataset), path)
 
 
-def _iter_jsonl(
-    path: Path, report: Optional[QuarantineReport]
-) -> Iterator[Tuple[int, Dict[str, object]]]:
+def _iter_jsonl(path: Path) -> Iterator[Tuple[int, object]]:
+    """``(line, record)`` per non-blank line; the record of a line that
+    is not JSON is its :class:`json.JSONDecodeError`."""
     with contextlib.closing(_open_read(path)) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield line_no, json.loads(line)
+                record: object = json.loads(line)
             except json.JSONDecodeError as exc:
-                if report is None:
-                    raise ValueError(f"line {line_no}: invalid JSON: {exc}") from exc
-                report.record_skip(line_no, q.BAD_JSON, f"invalid JSON: {exc}")
+                record = exc
+            yield line_no, record
 
 
 @overload
@@ -591,15 +770,13 @@ def load_jsonl(
     """Load a JSONL ticket dump written by :func:`save_jsonl`.
 
     With ``strict=False``, returns ``(dataset, quarantine)`` instead of
-    raising on malformed lines.
+    raising on malformed lines; a line that is not JSON, or not a JSON
+    object, is a ``bad_json`` skip.
     """
     path = Path(path)
     if strict:
-        return parse_records(_iter_jsonl(path, None), strict=True, source=str(path))
-    report = QuarantineReport(str(path))
-    return parse_records(
-        _iter_jsonl(path, report), strict=False, source=str(path), report=report
-    )
+        return parse_records(_iter_jsonl(path), strict=True, source=str(path))
+    return parse_records(_iter_jsonl(path), strict=False, source=str(path))
 
 
 # ----------------------------------------------------------------------
@@ -618,9 +795,7 @@ def write_csv_records(records: Iterable[Dict[str, object]], path: Union[str, Pat
 
 def save_csv(dataset: FOTDataset, path: Union[str, Path]) -> None:
     """Write a flat CSV (drops the ``detail`` dict)."""
-    write_csv_records(
-        (_ticket_to_record(t, include_detail=False) for t in dataset), path
-    )
+    write_csv_records(iter_records(dataset, include_detail=False), path)
 
 
 @overload
@@ -739,6 +914,7 @@ __all__ = [
     "SOURCE_ALIASES",
     "ACTION_ALIASES",
     "parse_records",
+    "iter_records",
     "save",
     "load",
     "save_jsonl",

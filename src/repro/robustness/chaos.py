@@ -44,7 +44,7 @@ import numpy as np
 from repro.core.timeutil import HOUR
 
 from repro.core.dataset import FOTDataset
-from repro.core.io import _ticket_to_record
+from repro.core.io import iter_records
 from repro.core.types import FOTCategory
 
 Record = Dict[str, object]
@@ -362,7 +362,7 @@ def corrupt_dataset(
     """Corrupt a clean dataset into raw records (see
     :func:`corrupt_records`); write them out with
     :func:`repro.core.io.write_jsonl_records` / ``write_csv_records``."""
-    records = [_ticket_to_record(t, include_detail=include_detail) for t in dataset]
+    records = list(iter_records(dataset, include_detail=include_detail))
     return corrupt_records(records, specs, seed)
 
 

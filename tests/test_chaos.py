@@ -19,10 +19,7 @@ SEED = 20170626
 
 @pytest.fixture(scope="module")
 def records(tiny_dataset):
-    return [
-        core_io._ticket_to_record(t, include_detail=False)
-        for t in tiny_dataset[:400]
-    ]
+    return list(core_io.iter_records(tiny_dataset[:400], include_detail=False))
 
 
 class TestCorruptionSpec:

@@ -1,5 +1,6 @@
 """Malformed-input edges, gzip transport and crash-safe saves."""
 
+import dataclasses
 import gzip
 import json
 
@@ -21,7 +22,7 @@ from tests.test_ticket import make_ticket
 
 class TestMalformedEdges:
     def _jsonl_with(self, tmp_path, **overrides):
-        record = core_io._ticket_to_record(make_ticket(), include_detail=True)
+        (record,) = core_io.iter_records(FOTDataset([make_ticket()]))
         record.update(overrides)
         path = tmp_path / "t.jsonl"
         path.write_text(json.dumps(record) + "\n")
@@ -165,12 +166,22 @@ class TestGzip:
             core_io.load(tmp_path / "t.parquet.gz")
 
 
-class _ExplodingDataset(FOTDataset):
-    """Yields one ticket, then dies — models a crash mid-save."""
+class _CrashOnWrite(dict):
+    """A field value both writers choke on: JSON lists the items of a
+    non-empty dict, CSV takes its ``str()``."""
 
-    def __iter__(self):
-        yield self[0]
+    def items(self):
         raise RuntimeError("simulated crash mid-write")
+
+    def __str__(self):
+        raise RuntimeError("simulated crash mid-write")
+
+
+def _exploding_dataset(dataset):
+    """Writes one ticket, then dies — models a crash mid-save."""
+    tickets = list(dataset)
+    tickets[1] = dataclasses.replace(tickets[1], hostname=_CrashOnWrite(crash=True))
+    return FOTDataset(tickets)
 
 
 class TestAtomicSave:
@@ -179,13 +190,13 @@ class TestAtomicSave:
         core_io.save_jsonl(tiny_dataset[:5], path)
         before = path.read_bytes()
         with pytest.raises(RuntimeError, match="mid-write"):
-            core_io.save_jsonl(_ExplodingDataset(list(tiny_dataset[:5])), path)
+            core_io.save_jsonl(_exploding_dataset(tiny_dataset[:5]), path)
         assert path.read_bytes() == before  # old dump intact, not truncated
 
     def test_failed_save_leaves_no_file(self, tmp_path, tiny_dataset):
         path = tmp_path / "fresh.csv"
         with pytest.raises(RuntimeError):
-            core_io.save_csv(_ExplodingDataset(list(tiny_dataset[:5])), path)
+            core_io.save_csv(_exploding_dataset(tiny_dataset[:5]), path)
         assert not path.exists()
 
     @pytest.mark.parametrize("name", ["t.jsonl", "t.csv", "t.jsonl.gz", "t.csv.gz"])
@@ -193,5 +204,5 @@ class TestAtomicSave:
         path = tmp_path / name
         core_io.save(tiny_dataset[:5], path)
         with pytest.raises(RuntimeError):
-            core_io.save(_ExplodingDataset(list(tiny_dataset[:5])), path)
+            core_io.save(_exploding_dataset(tiny_dataset[:5]), path)
         assert [p.name for p in tmp_path.iterdir()] == [name]
