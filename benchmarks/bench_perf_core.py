@@ -273,7 +273,7 @@ def synth_store(n: int, seed: int = 20170626) -> FOTDataset:
     }
     for arr in arrays.values():
         arr.setflags(write=False)
-    return FOTDataset.from_store(ColumnStore.adopt_buffers(n, arrays, tables))
+    return FOTDataset.from_store(ColumnStore.from_columns(n, arrays, tables))
 
 
 def columnar_fixture(name: str, n: int, dataset=None) -> Path:

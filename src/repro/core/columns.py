@@ -11,14 +11,18 @@ the remaining per-ticket strings.  Datasets are *views* into a store
 :class:`~repro.core.ticket.FOT` dataclasses the public API hands out
 are materialized lazily, one row at a time, and memoized.
 
-Two ways to build a store:
+:data:`SCHEMA` declares the ticket layout once, one :class:`Field` per
+``FOT`` field.  The rest of ``repro.core`` derives what it knows of the
+layout from it: the store's column and table names, the builder and
+ticket materialization here, the per-column encodings of
+:mod:`repro.core.storage`, and the CSV fields, integer ranges, parse
+passes and decode tables of :mod:`repro.core.io`.
 
-* :meth:`ColumnStore.from_tickets` — wraps an existing list of ``FOT``
-  objects; columns are derived lazily and the originals are kept, so
-  iteration returns the exact objects that were passed in.
-* :class:`ColumnBuilder` — add raw field values a column at a time (the
-  loaders) or a row at a time (the FMS pipeline) and ``build`` a store
-  without ever constructing intermediate ``FOT`` objects.
+A store is built one way, :meth:`ColumnStore.from_columns`:
+:class:`ColumnBuilder` (the loaders, the FMS pipeline and
+``FOTDataset(tickets)``) converts field values to columns and hands
+them over, and :mod:`repro.core.storage` hands over memory-mapped
+buffers plus decoders for the columns it defers.
 
 ``ColumnStore.n_materialized`` counts on-demand materializations, so
 tests can assert that subsetting and grouping allocate no tickets.
@@ -26,9 +30,10 @@ tests can assert that subsetting and grouping allocate no tickets.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from enum import Enum
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
@@ -40,86 +45,124 @@ from repro.core.types import (
     OperatorAction,
 )
 
-#: Stable integer coding for the categorical columns.  Codes index into
-#: these tuples; analyses rely on the ordering being enum-declaration
-#: order, exactly as the row-first implementation did.
-COMPONENT_ORDER: Sequence[ComponentClass] = tuple(ComponentClass)
-CATEGORY_ORDER: Sequence[FOTCategory] = tuple(FOTCategory)
-SOURCE_ORDER: Sequence[DetectionSource] = tuple(DetectionSource)
-ACTION_ORDER: Sequence[OperatorAction] = tuple(OperatorAction)
+#: Storage encodings (:mod:`repro.core.storage`): raw dtype bytes,
+#: offsets plus UTF-8 data, or one JSON object per row.
+NUMERIC, VARSTR, JSONL = "numeric", "varstr", "jsonl"
 
-COMPONENT_CODE: Dict[ComponentClass, int] = {
-    c: i for i, c in enumerate(COMPONENT_ORDER)
-}
-CATEGORY_CODE: Dict[FOTCategory, int] = {c: i for i, c in enumerate(CATEGORY_ORDER)}
-SOURCE_CODE: Dict[DetectionSource, int] = {s: i for i, s in enumerate(SOURCE_ORDER)}
-ACTION_CODE: Dict[OperatorAction, int] = {a: i for i, a in enumerate(ACTION_ORDER)}
+#: Absent-value rules of the text parser.  ``""``, ``None`` or a missing
+#: key is a ``missing_field`` defect in a ``REQUIRED`` field and gives a
+#: ``BLANK`` field its default; in a ``FALSY`` field any falsy value does.
+REQUIRED, BLANK, FALSY = "required", "blank", "falsy"
 
-#: Numeric columns: name -> (``FOT`` field, dtype); ``None`` is NaN.
-_NUMERIC: Dict[str, Tuple[str, type]] = {
-    "fot_ids": ("fot_id", np.int64),
-    "host_ids": ("host_id", np.int64),
-    "error_times": ("error_time", np.float64),
-    "op_times": ("op_time", np.float64),
-    "deployed_ats": ("deployed_at", np.float64),
-    "positions": ("error_position", np.int32),
-    "device_slots": ("device_slot", np.int32),
-}
+_I1, _I4, _I8, _F8 = (np.dtype(code) for code in ("|i1", "<i4", "<i8", "<f8"))
+_OBJECT = np.dtype(object)
 
-#: Enum code columns: name -> (``FOT`` field, member -> int8 code).
-_CODED: Dict[str, Tuple[str, Mapping[Any, int]]] = {
-    "category_codes": ("category", CATEGORY_CODE),
-    "component_codes": ("error_device", COMPONENT_CODE),
-    "source_codes": ("source", SOURCE_CODE),
-    "action_codes": ("action", {**ACTION_CODE, None: -1}),
-}
 
-#: Per-ticket Python objects kept as object columns (no interning).
-_OBJECTS = {
-    "hostnames": "hostname",
-    "error_details": "error_detail",
-    "details": "detail",
-}
+class Field(NamedTuple):
+    """One ``FOT`` field: where the store keeps it and how text reads it."""
 
-#: Interned string columns: codes-column name -> (table name, ``FOT``
-#: field); ``None`` is coded -1.
-_INTERNED = {
-    "idc_codes": ("idc", "host_idc"),
-    "product_line_codes": ("product_line", "product_line"),
-    "error_type_codes": ("error_type", "error_type"),
-    "operator_id_codes": ("operator_id", "operator_id"),
-}
+    #: The ``FOT`` field, which is also its key in a text record.
+    name: str
+    #: The store column that holds it.
+    column: str
+    #: The column's place in the store's layout (:data:`COLUMN_NAMES`):
+    #: the order the content and schema fingerprints hash columns in, so
+    #: every saved dataset depends on it.
+    layout: int
+    #: The column's dtype, little-endian whatever the host; object for
+    #: per-ticket Python values.
+    dtype: np.dtype
+    #: How :mod:`repro.core.storage` writes the column.
+    encoding: str
+    #: How the text parser reads a present value (``int``, ``time``,
+    #: ``str``, ``enum`` or ``object``); :mod:`repro.core.io` keeps one
+    #: first conversion and one row parser per kind.
+    text: str
+    #: The enum members the int8 codes index, in declaration order.
+    order: Tuple[Enum, ...] = ()
+    #: The interned string table the int32 codes index.
+    table: Optional[str] = None
+    #: Which values the text parser treats as absent.
+    absent: str = REQUIRED
+    #: Makes the value of an absent optional field, fresh for each row.
+    default: Callable[[], Any] = lambda: None
 
-COLUMN_NAMES: Tuple[str, ...] = (*_NUMERIC, *_CODED, *_OBJECTS, *_INTERNED)
 
-#: The ``FOT`` field each column holds.
-_FIELD_OF: Dict[str, str] = {
-    **{name: spec[0] for name, spec in _NUMERIC.items()},
-    **{name: spec[0] for name, spec in _CODED.items()},
-    **_OBJECTS,
-    **{name: spec[1] for name, spec in _INTERNED.items()},
-}
+#: The ticket layout, in ``FOT`` declaration order.  Coded columns store
+#: -1 for an absent (``None``) action or string.
+SCHEMA: Tuple[Field, ...] = (
+    Field("fot_id", "fot_ids", 0, _I8, NUMERIC, "int"),
+    Field("host_id", "host_ids", 1, _I8, NUMERIC, "int"),
+    Field("hostname", "hostnames", 11, _OBJECT, VARSTR, "str"),
+    Field("host_idc", "idc_codes", 14, _I4, NUMERIC, "str", table="idc"),
+    Field("error_device", "component_codes", 8, _I1, NUMERIC, "enum",
+          order=tuple(ComponentClass)),
+    Field("error_type", "error_type_codes", 16, _I4, NUMERIC, "str", table="error_type"),
+    Field("error_time", "error_times", 2, _F8, NUMERIC, "time"),
+    Field("error_position", "positions", 5, _I4, NUMERIC, "int"),
+    Field("error_detail", "error_details", 12, _OBJECT, VARSTR, "str",
+          absent=FALSY, default=str),
+    Field("category", "category_codes", 7, _I1, NUMERIC, "enum", order=tuple(FOTCategory)),
+    Field("source", "source_codes", 9, _I1, NUMERIC, "enum", order=tuple(DetectionSource)),
+    Field("product_line", "product_line_codes", 15, _I4, NUMERIC, "str",
+          table="product_line"),
+    Field("deployed_at", "deployed_ats", 4, _F8, NUMERIC, "time"),
+    Field("device_slot", "device_slots", 6, _I4, NUMERIC, "int", absent=FALSY, default=int),
+    Field("action", "action_codes", 10, _I1, NUMERIC, "enum", order=tuple(OperatorAction),
+          absent=FALSY),
+    Field("operator_id", "operator_id_codes", 17, _I4, NUMERIC, "str", table="operator_id",
+          absent=FALSY),
+    Field("op_time", "op_times", 3, _F8, NUMERIC, "time", absent=BLANK),
+    Field("detail", "details", 13, _OBJECT, JSONL, "object", absent=FALSY, default=dict),
+)
+
+#: :data:`SCHEMA` in store-layout order.
+LAYOUT: Tuple[Field, ...] = tuple(sorted(SCHEMA, key=attrgetter("layout")))
+
+COLUMN_NAMES: Tuple[str, ...] = tuple(field.column for field in LAYOUT)
+TABLE_NAMES: Tuple[str, ...] = tuple(field.table for field in LAYOUT if field.table)
 
 #: The ``FOT`` fields, in declaration order: the keywords of
 #: :meth:`ColumnBuilder.append` and :meth:`ColumnBuilder.extend`.
-FIELD_NAMES: Tuple[str, ...] = tuple(f.name for f in dataclasses.fields(FOT))
+FIELD_NAMES: Tuple[str, ...] = tuple(field.name for field in SCHEMA)
 
-#: The column that holds each ``FOT`` field.
-FIELD_COLUMNS: Dict[str, str] = {field: name for name, field in _FIELD_OF.items()}
+#: Each ``FOT`` field's row of :data:`SCHEMA`.
+FIELDS: Dict[str, Field] = {field.name: field for field in SCHEMA}
 
-TABLE_NAMES: Tuple[str, ...] = tuple(spec[0] for spec in _INTERNED.values())
+#: Stable integer coding for the categorical columns.  Codes index into
+#: these tuples; analyses rely on the ordering being enum-declaration
+#: order, exactly as the row-first implementation did.
+COMPONENT_ORDER = cast(Tuple[ComponentClass, ...], FIELDS["error_device"].order)
+CATEGORY_ORDER = cast(Tuple[FOTCategory, ...], FIELDS["category"].order)
+SOURCE_ORDER = cast(Tuple[DetectionSource, ...], FIELDS["source"].order)
+ACTION_ORDER = cast(Tuple[OperatorAction, ...], FIELDS["action"].order)
 
-_TABLE_TO_CODES = {spec[0]: codes_name for codes_name, spec in _INTERNED.items()}
+
+def _codes(order: Sequence[Any]) -> Dict[Any, int]:
+    return {member: code for code, member in enumerate(order)}
 
 
-def _column(name: str, values: Sequence[Any]) -> np.ndarray:
-    """Column ``name`` (not an interned one) from its field's values."""
-    if name in _NUMERIC:
-        return np.asarray(values, dtype=_NUMERIC[name][1])
-    if name in _CODED:
-        codes = _CODED[name][1]
-        return np.fromiter(map(codes.__getitem__, values), np.int8, len(values))
-    return np.fromiter(values, dtype=object, count=len(values))
+COMPONENT_CODE: Dict[ComponentClass, int] = _codes(COMPONENT_ORDER)
+CATEGORY_CODE: Dict[FOTCategory, int] = _codes(CATEGORY_ORDER)
+SOURCE_CODE: Dict[DetectionSource, int] = _codes(SOURCE_ORDER)
+ACTION_CODE: Dict[OperatorAction, int] = _codes(ACTION_ORDER)
+
+#: Member -> code per enum field; an optional one codes ``None`` as -1.
+_ENUM_CODES: Dict[str, Dict[Any, int]] = {
+    field.name: {**_codes(field.order), **({} if field.absent == REQUIRED else {None: -1})}
+    for field in SCHEMA
+    if field.order
+}
+
+
+def _column(field: Field, values: Sequence[Any]) -> np.ndarray:
+    """The column of ``field`` (not an interned one) from its values."""
+    if field.order:
+        codes = _ENUM_CODES[field.name]
+        return np.fromiter(map(codes.__getitem__, values), field.dtype, len(values))
+    if field.dtype == _OBJECT:
+        return np.fromiter(values, dtype=object, count=len(values))
+    return np.asarray(values, dtype=field.dtype)
 
 
 def _intern(values: Sequence[Any]) -> Tuple[np.ndarray, Tuple[str, ...]]:
@@ -158,13 +201,13 @@ def compute_fingerprint(store: "ColumnStore") -> str:
     """
     digest = hashlib.sha256()
     digest.update(str(store.n).encode())
-    for name in COLUMN_NAMES:
-        if name == "details":
+    for field in LAYOUT:
+        if field.encoding == JSONL:
             continue
-        column = store.column(name)
-        digest.update(name.encode())
-        if name in _INTERNED:
-            table = store.table(_INTERNED[name][0])
+        column = store.column(field.column)
+        digest.update(field.column.encode())
+        if field.table:
+            table = store.table(field.table)
             used = sorted({table[int(code)] for code in np.unique(column) if code >= 0})
             value_rank = {value: rank for rank, value in enumerate(used)}
             lookup = np.asarray(
@@ -207,78 +250,21 @@ class ColumnStore:
         "_lengths",
     )
 
-    def __init__(
-        self,
-        n: int,
-        arrays: Dict[str, np.ndarray],
-        tables: Dict[str, Tuple[str, ...]],
-        table_index: Dict[str, Dict[str, int]],
-        ticket_cache: np.ndarray,
-        deferred: Optional[Dict[str, Callable[[], np.ndarray]]] = None,
-        fingerprint: Optional[str] = None,
-        lengths: Optional[Dict[str, Callable[[], np.ndarray]]] = None,
-    ) -> None:
-        self.n = int(n)
-        self.n_materialized = 0
-        self._arrays = arrays
-        self._tables = tables
-        self._table_index = table_index
-        self._ticket_cache = ticket_cache
-        self._fingerprint: Optional[str] = fingerprint
-        self._deferred: Dict[str, Callable[[], np.ndarray]] = (
-            {} if deferred is None else dict(deferred)
-        )
-        self._lengths: Dict[str, Callable[[], np.ndarray]] = (
-            {} if lengths is None else dict(lengths)
-        )
+    n: int
+    n_materialized: int
+    _arrays: Dict[str, np.ndarray]
+    _tables: Dict[str, Tuple[str, ...]]
+    _table_index: Dict[str, Dict[str, int]]
+    _ticket_cache: np.ndarray
+    _fingerprint: Optional[str]
+    _deferred: Dict[str, Callable[[], np.ndarray]]
+    _lengths: Dict[str, Callable[[], np.ndarray]]
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_tickets(cls, tickets: Iterable[FOT]) -> "ColumnStore":
-        """Wrap an existing ticket sequence; columns build lazily and
-        the original objects are returned on iteration."""
-        ticket_list = list(tickets)
-        cache = np.empty(len(ticket_list), dtype=object)
-        for i, ticket in enumerate(ticket_list):
-            cache[i] = ticket
-        return cls(
-            n=len(ticket_list),
-            arrays={},
-            tables={},
-            table_index={},
-            ticket_cache=cache,
-        )
-
-    @classmethod
     def from_columns(
-        cls,
-        n: int,
-        arrays: Dict[str, np.ndarray],
-        tables: Dict[str, Tuple[str, ...]],
-    ) -> "ColumnStore":
-        """Build from fully-populated columns (loader / pipeline path);
-        tickets materialize lazily on demand."""
-        missing = set(COLUMN_NAMES) - set(arrays)
-        if missing:
-            raise ValueError(f"ColumnStore.from_columns missing columns: {sorted(missing)}")
-        for arr in arrays.values():
-            arr.setflags(write=False)
-        table_index = {
-            name: {value: i for i, value in enumerate(table)}
-            for name, table in tables.items()
-        }
-        return cls(
-            n=n,
-            arrays=dict(arrays),
-            tables=dict(tables),
-            table_index=table_index,
-            ticket_cache=np.empty(n, dtype=object),
-        )
-
-    @classmethod
-    def adopt_buffers(
         cls,
         n: int,
         arrays: Dict[str, np.ndarray],
@@ -288,14 +274,15 @@ class ColumnStore:
         lengths: Optional[Dict[str, Callable[[], np.ndarray]]] = None,
         fingerprint: Optional[str] = None,
     ) -> "ColumnStore":
-        """Zero-copy construction from externally-owned buffers — the
-        :mod:`repro.core.storage` mmap load path.
+        """The store of ``n`` rows over ``arrays`` (one per column) and
+        the interned ``tables``; tickets materialize lazily on demand.
+        This is the only constructor.
 
-        Unlike :meth:`from_columns` this never copies ``arrays`` (they
-        may be ``np.memmap`` views into on-disk blobs) and accepts
-        ``deferred`` thunks for columns that are expensive to
-        materialize (the per-ticket object columns): a thunk runs once,
-        on first :meth:`column` access, so opening a dataset stays
+        The arrays are adopted, never copied (they may be ``np.memmap``
+        views into on-disk blobs), and frozen.  ``deferred`` thunks
+        stand in for columns that are expensive to materialize (the
+        per-ticket object columns of a stored dataset): a thunk runs
+        once, on first :meth:`column` access, so opening a dataset stays
         near-constant in its size.  ``lengths`` thunks give the byte
         length of each string of a deferred string column, which
         :meth:`nonempty` reads instead of decoding it.  ``fingerprint``
@@ -306,31 +293,31 @@ class ColumnStore:
         """
         deferred = {} if deferred is None else dict(deferred)
         missing = set(COLUMN_NAMES) - set(arrays) - set(deferred)
+        missing |= set(TABLE_NAMES) - set(tables)
         if missing:
             raise ValueError(
-                f"ColumnStore.adopt_buffers missing columns: {sorted(missing)}"
+                f"ColumnStore.from_columns missing columns or tables: {sorted(missing)}"
             )
         for name, arr in arrays.items():
             if arr.shape != (n,):
                 raise ValueError(
-                    f"ColumnStore.adopt_buffers: column {name!r} has shape "
+                    f"ColumnStore.from_columns: column {name!r} has shape "
                     f"{arr.shape}, expected ({n},)"
                 )
             arr.setflags(write=False)
-        table_index = {
-            name: {value: i for i, value in enumerate(table)}
-            for name, table in tables.items()
+        store = cls.__new__(cls)
+        store.n = int(n)
+        store.n_materialized = 0
+        store._arrays = dict(arrays)
+        store._tables = dict(tables)
+        store._deferred = deferred
+        store._lengths = {} if lengths is None else dict(lengths)
+        store._table_index = {
+            name: {value: i for i, value in enumerate(table)} for name, table in tables.items()
         }
-        return cls(
-            n=n,
-            arrays=dict(arrays),
-            tables=dict(tables),
-            table_index=table_index,
-            ticket_cache=np.empty(n, dtype=object),
-            deferred=deferred,
-            fingerprint=fingerprint,
-            lengths=lengths,
-        )
+        store._ticket_cache = np.empty(store.n, dtype=object)
+        store._fingerprint = fingerprint
+        return store
 
     @classmethod
     def concatenate(
@@ -340,59 +327,47 @@ class ColumnStore:
         the interned code columns through a shared table.  Tickets
         already materialized in a part stay shared (no re-allocation)."""
         arrays: Dict[str, np.ndarray] = {}
-        for name in (*_NUMERIC, *_CODED, *_OBJECTS):
-            chunks = [store.column(name)[idx] for store, idx in parts]
-            arrays[name] = np.concatenate(chunks) if chunks else _column(name, [])
         tables: Dict[str, Tuple[str, ...]] = {}
-        for codes_name, (table_name, _) in _INTERNED.items():
-            part_tables = [store.table(table_name) for store, _ in parts]
-            shared, tables[table_name] = _intern([v for t in part_tables for v in t])
-            chunks, start = [], 0
-            for (store, idx), part_table in zip(parts, part_tables):
-                # each part's codes through its slice of the shared codes;
-                # -1 (missing) indexes the appended -1
-                lookup = np.append(shared[start:start + len(part_table)], np.int32(-1))
-                start += len(part_table)
-                chunks.append(lookup[store.column(codes_name)[idx]])
-            arrays[codes_name] = np.concatenate(chunks) if chunks else np.empty(0, np.int32)
-        caches = [store._ticket_cache[idx] for store, idx in parts]
-        cache = np.concatenate(caches) if caches else np.empty(0, dtype=object)
-        for arr in arrays.values():
-            arr.setflags(write=False)
-        table_index = {
-            name: {value: i for i, value in enumerate(table)}
-            for name, table in tables.items()
-        }
+        for field in SCHEMA:
+            chunks = [store.column(field.column)[idx] for store, idx in parts]
+            if field.table:
+                part_tables = [store.table(field.table) for store, _ in parts]
+                shared, tables[field.table] = _intern([v for t in part_tables for v in t])
+                start = 0
+                for i, part_table in enumerate(part_tables):
+                    # each part's codes through its slice of the shared codes;
+                    # -1 (missing) indexes the appended -1
+                    lookup = np.append(shared[start:start + len(part_table)], np.int32(-1))
+                    start += len(part_table)
+                    chunks[i] = lookup[chunks[i]]
+            arrays[field.column] = np.concatenate(chunks) if chunks else np.empty(0, field.dtype)
         n = sum(int(idx.size) for _, idx in parts)
-        return cls(
-            n=n,
-            arrays=arrays,
-            tables=tables,
-            table_index=table_index,
-            ticket_cache=cache,
-        )
+        store = cls.from_columns(n, arrays, tables)
+        if parts:
+            store._ticket_cache = np.concatenate(
+                [part._ticket_cache[idx] for part, idx in parts]
+            )
+        return store
 
     # ------------------------------------------------------------------
     # column / table access
     # ------------------------------------------------------------------
     def column(self, name: str) -> np.ndarray:
-        """The full-length column ``name``, building it from the ticket
-        cache (ticket-wrapped stores) or a deferred thunk (adopted
-        buffers) on first access."""
+        """The full-length column ``name``, running its deferred thunk
+        (a stored object column) on first access."""
         arr = self._arrays.get(name)
         if arr is None:
-            thunk = self._deferred.pop(name, None) if self._deferred else None
-            if thunk is not None:
-                arr = thunk()
-                if arr.shape != (self.n,):
-                    raise ValueError(
-                        f"deferred column {name!r} materialized shape "
-                        f"{arr.shape}, expected ({self.n},)"
-                    )
-                arr.setflags(write=False)
-                self._arrays[name] = arr
-            else:
-                arr = self._build_column(name)
+            thunk = self._deferred.pop(name, None)
+            if thunk is None:
+                raise KeyError(f"unknown column {name!r}")
+            arr = thunk()
+            if arr.shape != (self.n,):
+                raise ValueError(
+                    f"deferred column {name!r} materialized shape "
+                    f"{arr.shape}, expected ({self.n},)"
+                )
+            arr.setflags(write=False)
+            self._arrays[name] = arr
         return arr
 
     def nonempty(self, name: str) -> np.ndarray:
@@ -407,36 +382,20 @@ class ColumnStore:
         mask: np.ndarray = np.not_equal(column, None) & np.not_equal(column, "")
         return mask
 
-    def _build_column(self, name: str) -> np.ndarray:
-        if name not in _FIELD_OF:
-            raise KeyError(f"unknown column {name!r}")
-        values = [getattr(ticket, _FIELD_OF[name]) for ticket in self._ticket_cache]
-        if name in _INTERNED:
-            arr, table = _intern(values)
-            self._tables[_INTERNED[name][0]] = table
-            self._table_index[_INTERNED[name][0]] = {v: i for i, v in enumerate(table)}
-        else:
-            arr = _column(name, values)
-        arr.setflags(write=False)
-        self._arrays[name] = arr
-        return arr
-
     def table(self, name: str) -> Tuple[str, ...]:
         """The interned string table for ``name`` (``idc`` /
         ``product_line`` / ``error_type`` / ``operator_id``)."""
-        if name not in self._tables:
-            codes_name = _TABLE_TO_CODES.get(name)
-            if codes_name is None:
-                raise KeyError(f"unknown string table {name!r}")
-            self.column(codes_name)
-        return self._tables.get(name, ())
+        table = self._tables.get(name)
+        if table is None:
+            raise KeyError(f"unknown string table {name!r}")
+        return table
 
     def code_for(self, table_name: str, value: Optional[str]) -> int:
         """The integer code of ``value`` in a string table, or -1 when
         the value never occurs (so ``codes == code_for(...)`` is a valid
         never-matching filter)."""
         self.table(table_name)
-        return self._table_index.get(table_name, {}).get(value, -1)
+        return self._table_index[table_name].get(value, -1)
 
     # ------------------------------------------------------------------
     # content fingerprint
@@ -464,34 +423,19 @@ class ColumnStore:
 
     def _materialize(self, row: int) -> FOT:
         self.n_materialized += 1
-        col = self.column
-        op_time = float(col("op_times")[row])
-        action_code = int(col("action_codes")[row])
-        operator_code = int(col("operator_id_codes")[row])
-        return FOT(
-            fot_id=int(col("fot_ids")[row]),
-            host_id=int(col("host_ids")[row]),
-            hostname=col("hostnames")[row],
-            host_idc=self.table("idc")[int(col("idc_codes")[row])],
-            error_device=COMPONENT_ORDER[int(col("component_codes")[row])],
-            error_type=self.table("error_type")[int(col("error_type_codes")[row])],
-            error_time=float(col("error_times")[row]),
-            error_position=int(col("positions")[row]),
-            error_detail=col("error_details")[row],
-            category=CATEGORY_ORDER[int(col("category_codes")[row])],
-            source=SOURCE_ORDER[int(col("source_codes")[row])],
-            product_line=self.table("product_line")[
-                int(col("product_line_codes")[row])
-            ],
-            deployed_at=float(col("deployed_ats")[row]),
-            device_slot=int(col("device_slots")[row]),
-            action=None if action_code < 0 else ACTION_ORDER[action_code],
-            operator_id=None
-            if operator_code < 0
-            else self.table("operator_id")[operator_code],
-            op_time=None if np.isnan(op_time) else op_time,
-            detail=col("details")[row],
-        )
+        values: Dict[str, Any] = {}
+        for field in SCHEMA:
+            value = self.column(field.column)[row]
+            if field.order:
+                value = None if value < 0 else field.order[value]
+            elif field.table:
+                value = None if value < 0 else self._tables[field.table][value]
+            elif field.dtype != _OBJECT:
+                value = value.item()
+                if value != value and field.absent != REQUIRED:  # NaN: no op_time
+                    value = field.default()
+            values[field.name] = value
+        return FOT(**values)
 
 
 class ColumnBuilder:
@@ -557,11 +501,12 @@ class ColumnBuilder:
         or whose ``op_time`` precedes it."""
         arrays: Dict[str, np.ndarray] = {}
         tables: Dict[str, Tuple[str, ...]] = {}
-        for name, field in _FIELD_OF.items():
-            if name in _INTERNED:
-                arrays[name], tables[_INTERNED[name][0]] = _intern(self._values[field])
+        for field in SCHEMA:
+            values = self._values[field.name]
+            if field.table:
+                arrays[field.column], tables[field.table] = _intern(values)
             else:
-                arrays[name] = _column(name, self._values[field])
+                arrays[field.column] = _column(field, values)
         error_times, op_times = arrays["error_times"], arrays["op_times"]
         bad = np.flatnonzero((error_times < 0) | (op_times < error_times))
         if bad.size:
@@ -575,6 +520,10 @@ class ColumnBuilder:
 
 
 __all__ = [
+    "Field",
+    "SCHEMA",
+    "LAYOUT",
+    "FIELDS",
     "COMPONENT_ORDER",
     "CATEGORY_ORDER",
     "SOURCE_ORDER",
@@ -588,6 +537,5 @@ __all__ = [
     "ColumnStore",
     "ColumnBuilder",
     "FIELD_NAMES",
-    "FIELD_COLUMNS",
     "compute_fingerprint",
 ]

@@ -44,6 +44,7 @@ from repro.core.columns import (
     COMPONENT_ORDER,
     SOURCE_CODE,
     SOURCE_ORDER,
+    ColumnBuilder,
     ColumnStore,
 )
 from repro.core.grouping import composite_key, group_slices
@@ -51,26 +52,22 @@ from repro.core.ticket import FOT
 from repro.core.timeutil import DAY
 from repro.core.types import ComponentClass, DetectionSource, FOTCategory
 
-_COMPONENT_CODE = COMPONENT_CODE
-_CATEGORY_CODE = CATEGORY_CODE
-
 
 class FOTDataset:
     """An immutable collection of FOTs with columnar accessors.
 
-    Constructing from an iterable of tickets wraps them in a fresh
-    store; every derived subset shares that store and only carries an
-    index array.  Use :meth:`from_store` to wrap a store built by a
-    :class:`~repro.core.columns.ColumnBuilder` (loaders, pipeline).
+    Constructing from an iterable of tickets builds a fresh store from
+    their fields (a :class:`~repro.core.columns.ColumnBuilder`); every
+    derived subset shares that store and only carries an index array.
+    Use :meth:`from_store` to wrap a store built elsewhere (loaders,
+    pipeline).
     """
 
     def __init__(self, tickets: Iterable[FOT] = ()) -> None:
-        self._store = ColumnStore.from_tickets(tickets)
-        self._indices: Optional[np.ndarray] = None
-        self._cols: Dict[str, np.ndarray] = {}
-        self._gind: Optional[np.ndarray] = None
-        self._tickets_memo: Optional[List[FOT]] = None
-        self._fingerprint_memo: Optional[str] = None
+        builder = ColumnBuilder()
+        for ticket in tickets:
+            builder.append_ticket(ticket)
+        self._bind(builder.build(), None)
 
     @classmethod
     def from_store(
@@ -79,18 +76,19 @@ class FOTDataset:
         """A view of ``store``: all rows (``indices=None``) or the given
         row index array."""
         dataset = cls.__new__(cls)
-        dataset._store = store
-        if indices is None:
-            dataset._indices = None
-        else:
-            indices = np.asarray(indices, dtype=np.int64)
-            indices.setflags(write=False)
-            dataset._indices = indices
-        dataset._cols = {}
-        dataset._gind = None
-        dataset._tickets_memo = None
-        dataset._fingerprint_memo = None
+        dataset._bind(store, indices)
         return dataset
+
+    def _bind(self, store: ColumnStore, indices: Optional[np.ndarray]) -> None:
+        self._store = store
+        self._indices: Optional[np.ndarray] = None
+        if indices is not None:
+            self._indices = np.asarray(indices, dtype=np.int64)
+            self._indices.setflags(write=False)
+        self._cols: Dict[str, np.ndarray] = {}
+        self._gind: Optional[np.ndarray] = None
+        self._tickets_memo: Optional[List[FOT]] = None
+        self._fingerprint_memo: Optional[str] = None
 
     # ------------------------------------------------------------------
     # view plumbing
@@ -381,14 +379,14 @@ class FOTDataset:
     def failures(self) -> "FOTDataset":
         """Tickets in D_fixing or D_error — the paper's failure
         definition, excluding false alarms (Section II)."""
-        false_code = _CATEGORY_CODE[FOTCategory.FALSE_ALARM]
+        false_code = CATEGORY_CODE[FOTCategory.FALSE_ALARM]
         return self.where(self.category_codes != false_code)
 
     def of_category(self, category: FOTCategory) -> "FOTDataset":
-        return self.where(self.category_codes == _CATEGORY_CODE[category])
+        return self.where(self.category_codes == CATEGORY_CODE[category])
 
     def of_component(self, component: ComponentClass) -> "FOTDataset":
-        return self.where(self.component_codes == _COMPONENT_CODE[component])
+        return self.where(self.component_codes == COMPONENT_CODE[component])
 
     def of_idc(self, idc: str) -> "FOTDataset":
         code = self._store.code_for("idc", idc)

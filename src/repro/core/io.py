@@ -39,10 +39,12 @@ import csv
 import gzip
 import io as _stdio
 import json
+import math
 import os
 import tempfile
 from datetime import datetime, timezone
 from enum import Enum
+from functools import lru_cache, partial
 from itertools import compress, islice
 from operator import itemgetter
 from pathlib import Path
@@ -60,8 +62,6 @@ from typing import (
     Set,
     TextIO,
     Tuple,
-    Type,
-    TypeVar,
     Union,
     cast,
     overload,
@@ -70,13 +70,13 @@ from typing import (
 import numpy as np
 
 from repro.core.columns import (
-    ACTION_ORDER,
-    CATEGORY_ORDER,
-    COMPONENT_ORDER,
-    FIELD_COLUMNS,
-    FIELD_NAMES,
-    SOURCE_ORDER,
+    BLANK,
+    FALSY,
+    FIELDS,
+    REQUIRED,
+    SCHEMA,
     ColumnBuilder,
+    Field,
 )
 from repro.core.dataset import FOTDataset
 from repro.core.storage import (
@@ -98,30 +98,14 @@ from repro.core.types import (
 from repro.robustness import quarantine as q
 from repro.robustness.quarantine import QuarantineReport, RowError
 
-CSV_FIELDS = [
-    "fot_id",
-    "host_id",
-    "hostname",
-    "host_idc",
-    "error_device",
-    "error_type",
-    "error_time",
-    "error_position",
-    "error_detail",
-    "category",
-    "source",
-    "product_line",
-    "deployed_at",
-    "device_slot",
-    "action",
-    "operator_id",
-    "op_time",
-]
+#: The columns of a CSV dump: every field with a flat text form (all
+#: but the ``detail`` dict).
+CSV_FIELDS = [field.name for field in SCHEMA if field.text != "object"]
 
 #: Columns a CSV dump may omit entirely in quarantining mode — fields the
-#: FOT schema treats as optional (open tickets carry no action/op_time).
+#: parser treats as optional (open tickets carry no action/op_time).
 OPTIONAL_CSV_FIELDS = frozenset(
-    ["error_detail", "device_slot", "action", "operator_id", "op_time"]
+    field.name for field in SCHEMA if field.absent != REQUIRED and field.name in CSV_FIELDS
 )
 
 SUPPORTED_SUFFIXES = (".jsonl", ".csv", ".jsonl.gz", ".csv.gz", COLUMNAR_SUFFIX)
@@ -221,28 +205,10 @@ _ENUM_ALIASES = {
 # ----------------------------------------------------------------------
 # field parsers (raise RowError with a stable error class)
 # ----------------------------------------------------------------------
-class _Repairs:
-    """Per-line repair collector; ``None`` stands for strict mode."""
-
-    def __init__(self, report: QuarantineReport, line: int) -> None:
-        self.report = report
-        self.line = line
-
-    def note(self, repair: str, field: str, original: object, fixed: object) -> None:
-        self.report.record_repair(self.line, repair, field, original, fixed)
-
-
-def _require(record: Dict[str, object], key: str) -> object:
-    if key not in record or record[key] in ("", None):
-        raise RowError(q.MISSING_FIELD, f"missing required field {key!r}", key)
-    return record[key]
-
-
-#: The range of the column that stores each integer field.
-_INT_RANGES: Dict[str, Tuple[int, int]] = {
-    **dict.fromkeys(["fot_id", "host_id"], (-(2**63), 2**63 - 1)),
-    **dict.fromkeys(["error_position", "device_slot"], (-(2**31), 2**31 - 1)),
-}
+#: Records a repair of one line: ``(repair, field, original, fixed)``,
+#: the report's ``record_repair`` bound to the line.  ``None`` stands for
+#: strict mode.
+_Repairs = Callable[[str, str, object, object], None]
 
 
 class _OutOfRange(RowError):
@@ -252,7 +218,14 @@ class _OutOfRange(RowError):
         super().__init__(q.BAD_NUMBER, f"{field}: {value!r} is out of range", field)
 
 
-def _parse_int(value: object, field: str) -> int:
+@lru_cache(maxsize=None)
+def _bounds(field: Field) -> Tuple[int, int]:
+    """The range of the integers ``field``'s column holds."""
+    info = np.iinfo(field.dtype)
+    return int(info.min), int(info.max)
+
+
+def _parse_int(value: object, field: Field, repairs: Optional[_Repairs]) -> int:
     number: Optional[int] = None
     try:
         number = int(value)  # type: ignore[arg-type]
@@ -264,55 +237,40 @@ def _parse_int(value: object, field: str) -> int:
         except (TypeError, ValueError):
             pass
     except OverflowError:  # int() of an infinite float
-        raise _OutOfRange(field, value) from None
+        raise _OutOfRange(field.name, value) from None
     if number is None:
-        raise RowError(q.BAD_NUMBER, f"{field}: {value!r} is not an integer", field)
-    low, high = _INT_RANGES[field]
+        raise RowError(q.BAD_NUMBER, f"{field.name}: {value!r} is not an integer", field.name)
+    low, high = _bounds(field)
     if not low <= number <= high:
-        raise _OutOfRange(field, value)
+        raise _OutOfRange(field.name, value)
     return number
 
 
-_E = TypeVar("_E", bound=Enum)
-
-
-def _parse_enum(
-    enum_cls: Type[_E], value: object, field: str, repairs: Optional[_Repairs]
-) -> _E:
+def _parse_enum(value: object, field: Field, repairs: Optional[_Repairs]) -> Enum:
+    by_value = {member.value: member for member in field.order}
     text = str(value)
-    try:
-        return enum_cls(text)
-    except ValueError:
-        pass
-    if repairs is not None:
+    if text in by_value:
+        return by_value[text]
+    enum_cls = type(field.order[0])
+    if repairs is not None:  # the normalized label, else its alias
+        aliases, repair_kind = _ENUM_ALIASES[enum_cls]
         key = _norm_label(text)
-        try:
-            fixed = enum_cls(key)
-        except ValueError:
-            aliases, repair_kind = _ENUM_ALIASES[enum_cls]
-            fixed = aliases.get(key)
-            if fixed is None:
-                raise RowError(
-                    q.BAD_ENUM,
-                    f"{field}: {text!r} is not a valid {enum_cls.__name__}",
-                    field,
-                ) from None
-        else:
-            _, repair_kind = _ENUM_ALIASES[enum_cls]
-        repairs.note(repair_kind, field, text, fixed.value)
-        return fixed
+        fixed = by_value.get(key) or aliases.get(key)
+        if fixed is not None:
+            repairs(repair_kind, field.name, text, fixed.value)
+            return fixed
     raise RowError(
-        q.BAD_ENUM, f"{field}: {text!r} is not a valid {enum_cls.__name__}", field
+        q.BAD_ENUM, f"{field.name}: {text!r} is not a valid {enum_cls.__name__}", field.name
     )
 
 
-def _parse_timestamp(
-    value: object, field: str, repairs: Optional[_Repairs]
-) -> float:
+def _parse_timestamp(value: object, field: Field, repairs: Optional[_Repairs]) -> float:
     try:
-        return float(value)  # type: ignore[arg-type]
+        seconds = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError, OverflowError):  # overflow: an int past 1e308
-        pass
+        seconds = math.nan
+    if math.isfinite(seconds):  # NaN and +-Infinity are no point in time
+        return seconds
     if repairs is not None and isinstance(value, str):
         text = value.strip().replace("T", " ")
         try:
@@ -323,11 +281,48 @@ def _parse_timestamp(
             if stamp.tzinfo is None:
                 stamp = stamp.replace(tzinfo=timezone.utc)
             seconds = stamp.timestamp()
-            repairs.note(q.TIMESTAMP_COERCED, field, value, seconds)
+            repairs(q.TIMESTAMP_COERCED, field.name, value, seconds)
             return seconds
     raise RowError(
-        q.BAD_TIMESTAMP, f"{field}: {value!r} is not a timestamp", field
+        q.BAD_TIMESTAMP, f"{field.name}: {value!r} is not a timestamp", field.name
     )
+
+
+def _parse_object(value: object, field: Field, repairs: Optional[_Repairs]) -> dict:
+    if not isinstance(value, dict):
+        raise RowError(q.BAD_JSON, f"{field.name}: {value!r} is not a JSON object", field.name)
+    return dict(value)
+
+
+#: Per text kind (:attr:`Field.text`): the conversion its row parser
+#: tries first, made for a field, and the row parser.  The conversion
+#: fails wherever the row parser would repair or reject a value (an
+#: enum lookup misses a non-string), so only those rows need the parser.
+_KINDS: Dict[str, Tuple[Callable[[Field], Callable[[Any], Any]], Callable[..., Any]]] = {
+    "int": (lambda field: int, _parse_int),
+    "time": (lambda field: float, _parse_timestamp),
+    "str": (lambda field: str, lambda value, field, repairs: str(value)),
+    "enum": (
+        lambda field: {member.value: member for member in field.order}.__getitem__,
+        _parse_enum,
+    ),
+    "object": (lambda field: partial(_parse_object, field=field, repairs=None), _parse_object),
+}
+
+
+def _parse_value(
+    record: Dict[str, object], field: Field, repairs: Optional[_Repairs]
+) -> object:
+    """``field`` of ``record``, by the field's absent-value rule and then
+    its row parser."""
+    value = record.get(field.name)
+    if (not value) if field.absent == FALSY else value in ("", None):
+        if field.absent == REQUIRED:
+            raise RowError(
+                q.MISSING_FIELD, f"missing required field {field.name!r}", field.name
+            )
+        return field.default()
+    return _KINDS[field.text][1](value, field, repairs)
 
 
 def _parse_fields(
@@ -337,20 +332,22 @@ def _parse_fields(
     :class:`RowError` on any unrecoverable defect.  With ``repairs`` set
     (quarantining mode) the recoverable defects are repaired in place
     and recorded.  The row path behind the column pass of
-    :func:`parse_records`: it sees only the rows that pass rejects."""
-    error_time = _parse_timestamp(_require(record, "error_time"), "error_time", repairs)
+    :func:`parse_records`: it sees only the rows that pass rejects.
+
+    ``error_time`` comes first, then ``op_time`` against it, then
+    ``device_slot``, then the other fields in ``FOT`` order: that order
+    decides which defect of a row is reported and which repairs it
+    records before that."""
+    error_time = cast(float, _parse_value(record, FIELDS["error_time"], repairs))
     if error_time < 0:
         raise RowError(
             q.NEGATIVE_TIME, f"error_time: {error_time!r} is negative", "error_time"
         )
 
-    op_raw = record.get("op_time")
-    op_time: Optional[float] = (
-        None if op_raw in ("", None) else _parse_timestamp(op_raw, "op_time", repairs)
-    )
+    op_time = cast(Optional[float], _parse_value(record, FIELDS["op_time"], repairs))
     if op_time is not None and op_time < error_time:
         if repairs is not None:
-            repairs.note(q.OP_TIME_DROPPED, "op_time", op_time, "")
+            repairs(q.OP_TIME_DROPPED, "op_time", op_time, "")
             op_time = None
         else:
             raise RowError(
@@ -359,50 +356,19 @@ def _parse_fields(
                 "op_time",
             )
 
-    slot_raw = record.get("device_slot", 0) or 0
     try:
-        device_slot = _parse_int(slot_raw, "device_slot")
-    except _OutOfRange:
-        raise
-    except RowError:
-        if repairs is None:
+        device_slot = _parse_value(record, FIELDS["device_slot"], repairs)
+    except RowError as exc:
+        if repairs is None or isinstance(exc, _OutOfRange):
             raise
-        repairs.note(q.SLOT_DEFAULTED, "device_slot", slot_raw, 0)
+        repairs(q.SLOT_DEFAULTED, "device_slot", record["device_slot"], 0)
         device_slot = 0
 
-    action_raw = record.get("action") or ""
-    return dict(
-        fot_id=_parse_int(_require(record, "fot_id"), "fot_id"),
-        host_id=_parse_int(_require(record, "host_id"), "host_id"),
-        hostname=str(_require(record, "hostname")),
-        host_idc=str(_require(record, "host_idc")),
-        error_device=_parse_enum(
-            ComponentClass, _require(record, "error_device"), "error_device", repairs
-        ),
-        error_type=str(_require(record, "error_type")),
-        error_time=error_time,
-        error_position=_parse_int(
-            _require(record, "error_position"), "error_position"
-        ),
-        error_detail=str(record.get("error_detail", "") or ""),
-        category=_parse_enum(
-            FOTCategory, _require(record, "category"), "category", repairs
-        ),
-        source=_parse_enum(
-            DetectionSource, _require(record, "source"), "source", repairs
-        ),
-        product_line=str(_require(record, "product_line")),
-        deployed_at=_parse_timestamp(
-            _require(record, "deployed_at"), "deployed_at", repairs
-        ),
-        device_slot=device_slot,
-        action=_parse_enum(OperatorAction, action_raw, "action", repairs)
-        if action_raw
-        else None,
-        operator_id=str(record["operator_id"]) if record.get("operator_id") else None,
-        op_time=op_time,
-        detail=dict(record.get("detail") or {}),  # type: ignore[arg-type]
-    )
+    fields = {"error_time": error_time, "op_time": op_time, "device_slot": device_slot}
+    for field in SCHEMA:
+        if field.name not in fields:
+            fields[field.name] = _parse_value(record, field, repairs)
+    return fields
 
 
 # ----------------------------------------------------------------------
@@ -418,47 +384,29 @@ _CONVERSION_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 _Column = Callable[[Sequence[Any]], List[Any]]
 
 
-def _by_value(enum_cls: Type[_E]) -> Callable[[Any], _E]:
-    """The exact value lookup ``_parse_enum`` tries first (a non-string misses)."""
-    return {member.value: member for member in enum_cls}.__getitem__
+def _whole_column(field: Field) -> _Column:
+    """The first conversion of ``field`` over a whole column, with the
+    field's absent-value rule.  A missing required value fails."""
+    convert, default = _KINDS[field.text][0](field), field.default
+    empty = default()
+    if field.absent == FALSY and empty.__hash__ is None:  # mutable: a fresh one per row
+        return lambda values: [convert(v) if v else default() for v in values]
+    if field.absent == FALSY:
+        return lambda values: [convert(v) if v else empty for v in values]
+    if field.absent == BLANK:
+        return lambda values: [empty if v in ("", None) else convert(v) for v in values]
+    if field.text != "str":  # int(), float() and the enum lookup reject "" and None
+        return lambda values: list(map(convert, values))
+
+    def strings(values: Sequence[Any]) -> List[Any]:
+        if not all(values) and (None in values or "" in values):
+            raise ValueError("missing")
+        return list(map(convert, values))
+
+    return strings
 
 
-_action = _by_value(OperatorAction)
-
-
-def _each(convert: Callable[[Any], object]) -> _Column:
-    return lambda values: list(map(convert, values))
-
-
-def _strings(values: Sequence[Any]) -> List[str]:
-    if not all(values) and (None in values or "" in values):
-        raise ValueError("missing")
-    return list(map(str, values))
-
-
-#: Per ``FOT`` field, over a whole column: the conversion
-#: :func:`_parse_fields` tries first, with its default for an absent
-#: optional field.  A missing (``""``/``None``) required value fails.
-_COLUMN_CONVERSIONS: Dict[str, _Column] = {
-    "fot_id": _each(int),
-    "host_id": _each(int),
-    "hostname": _strings,
-    "host_idc": _strings,
-    "error_device": _each(_by_value(ComponentClass)),
-    "error_type": _strings,
-    "error_time": _each(float),
-    "error_position": _each(int),
-    "error_detail": lambda values: [str(v) if v else "" for v in values],
-    "category": _each(_by_value(FOTCategory)),
-    "source": _each(_by_value(DetectionSource)),
-    "product_line": _strings,
-    "deployed_at": _each(float),
-    "device_slot": lambda values: [int(v) if v else 0 for v in values],
-    "action": lambda values: [_action(v) if v else None for v in values],
-    "operator_id": lambda values: [str(v) if v else None for v in values],
-    "op_time": lambda values: [None if v in ("", None) else float(v) for v in values],
-    "detail": lambda values: [dict(v) if v else {} for v in values],
-}
+_WHOLE_COLUMNS = [(field, _whole_column(field)) for field in SCHEMA]
 
 
 def _convert(values: Sequence[object], convert: _Column, bad: Set[int]) -> List[object]:
@@ -491,16 +439,24 @@ def _column_pass(records: List[object]) -> Tuple[Dict[str, List[object]], List[i
     raw["detail"] = [row.get("detail") for row in rows]
     bad: Set[int] = set()
     columns = {
-        field: _convert(raw[field], convert, bad)
-        for field, convert in _COLUMN_CONVERSIONS.items()
+        field.name: _convert(raw[field.name], convert, bad)
+        for field, convert in _WHOLE_COLUMNS
     }
     error_times = np.asarray(columns["error_time"], dtype=np.float64)
     op_times = np.asarray(columns["op_time"], dtype=np.float64)  # None -> nan
     flagged = (error_times < 0) | (op_times < error_times)
-    for field, (low, high) in _INT_RANGES.items():
-        ints = cast(List[int], columns[field])
-        if min(ints) < low or max(ints) > high:
-            flagged |= np.asarray([not low <= v <= high for v in ints])
+    for field in SCHEMA:
+        if field.text == "time":
+            times = cast(List[Optional[float]], columns[field.name])
+            # a sum is finite unless a value is nan or infinite (or it overflows)
+            if not math.isfinite(sum(filter(None, times))):
+                present = np.not_equal(times, None)  # an absent op_time is no defect
+                flagged |= ~np.isfinite(np.asarray(times, dtype=np.float64)) & present
+        elif field.text == "int":
+            ints = cast(List[int], columns[field.name])
+            low, high = _bounds(field)
+            if min(ints) < low or max(ints) > high:
+                flagged |= np.asarray([not low <= v <= high for v in ints])
     bad.update(np.flatnonzero(flagged).tolist())
     return columns, sorted(bad)
 
@@ -518,7 +474,8 @@ def _parse_row(
         report.record_skip(line_no, q.BAD_JSON, message)
         return None
     try:
-        return _parse_fields(record, None if report is None else _Repairs(report, line_no))
+        repairs = None if report is None else partial(report.record_repair, line_no)
+        return _parse_fields(record, repairs)
     except (KeyError, TypeError, ValueError) as exc:
         if report is None:
             raise ValueError(f"line {line_no}: malformed ticket record: {exc}") from exc
@@ -628,28 +585,29 @@ def iter_records(
     write it (absent action, operator or ``op_time`` as ``""``), built
     from the columns :data:`_CHUNK` rows at a time: no ticket is built."""
     store = dataset.store
-    decoded: Dict[str, Sequence[object]] = {
-        "host_idc": store.table("idc"),
-        "error_device": [c.value for c in COMPONENT_ORDER],
-        "error_type": store.table("error_type"),
-        "category": [c.value for c in CATEGORY_ORDER],
-        "source": [s.value for s in SOURCE_ORDER],
-        "product_line": store.table("product_line"),
-        "action": [*(a.value for a in ACTION_ORDER), ""],  # code -1 -> ""
-        "operator_id": [*store.table("operator_id"), ""],
-    }
-    fields = FIELD_NAMES if include_detail else FIELD_NAMES[:-1]
+    fields = [field for field in SCHEMA if include_detail or field.name in CSV_FIELDS]
+    names = [field.name for field in fields]
+    labels: List[Optional[List[object]]] = []  # what each code decodes to
+    for field in fields:
+        if field.order:
+            values: List[object] = [member.value for member in field.order]
+        elif field.table:
+            values = [*store.table(field.table)]
+        else:
+            labels.append(None)
+            continue
+        labels.append(values if field.absent == REQUIRED else [*values, ""])  # -1 -> ""
     for start in range(0, len(dataset), _CHUNK):
         columns = []
-        for field in fields:
-            values = dataset._col(FIELD_COLUMNS[field])[start:start + _CHUNK].tolist()
-            if field in decoded:
-                values = list(map(decoded[field].__getitem__, values))
-            elif field == "op_time":
+        for field, decoded in zip(fields, labels):
+            values = dataset._col(field.column)[start:start + _CHUNK].tolist()
+            if decoded is not None:
+                values = list(map(decoded.__getitem__, values))
+            elif field.absent == BLANK:
                 values = ["" if v != v else v for v in values]  # nan -> ""
             columns.append(values)
         for row in zip(*columns):
-            yield dict(zip(fields, row))
+            yield dict(zip(names, row))
 
 
 # ----------------------------------------------------------------------

@@ -22,8 +22,8 @@ manifest, and :func:`load_columnar` pre-seeds the loaded store's
 fingerprint memo from it — warm :class:`~repro.engine.cache.
 AnalysisCache` hits therefore never re-hash column bytes on open.
 
-Per-column encodings (fixed by :data:`NUMERIC_DTYPES` /
-:data:`VARSTR_COLUMNS` / :data:`JSONL_COLUMNS`, all little-endian):
+Per-column encodings (each column's ``encoding`` and ``dtype`` in
+:data:`~repro.core.columns.SCHEMA`, all little-endian):
 
 * **numeric** — raw dtype bytes, memory-mapped read-only on load;
 * **varstr**  — an ``int64`` offsets blob plus a concatenated UTF-8
@@ -44,7 +44,8 @@ shard's blobs first and rewrite the manifest once.
 Failure modes raise typed :class:`StorageError` subclasses (all
 ``ValueError``) instead of numpy shape garbage: a foreign or unreadable
 directory is a :class:`StorageFormatError`, a manifest written by a
-different format version or column schema is a
+different format version or column schema, or naming a column
+encoding or dtype its schema row does not, is a
 :class:`StorageVersionError`, and a missing/truncated/corrupt blob is a
 :class:`StorageIntegrityError`.  Size checks run on every load;
 ``verify=True`` additionally re-hashes every blob against its
@@ -65,12 +66,11 @@ from typing import Any, Callable, Dict, List, Tuple, Union
 import numpy as np
 
 from repro.core.columns import (
-    ACTION_ORDER,
-    CATEGORY_ORDER,
     COLUMN_NAMES,
-    COMPONENT_ORDER,
-    SOURCE_ORDER,
+    LAYOUT,
+    NUMERIC,
     TABLE_NAMES,
+    VARSTR,
     ColumnStore,
 )
 from repro.core.dataset import FOTDataset
@@ -88,32 +88,6 @@ COLUMNAR_SUFFIX = ".fourcol"
 MANIFEST_NAME = "manifest.json"
 BLOBS_DIR = "blobs"
 
-#: Numeric/categorical column -> on-disk little-endian dtype (matches
-#: the in-memory dtypes of :class:`~repro.core.columns.ColumnBuilder`).
-NUMERIC_DTYPES: Dict[str, str] = {
-    "fot_ids": "<i8",
-    "host_ids": "<i8",
-    "error_times": "<f8",
-    "op_times": "<f8",
-    "deployed_ats": "<f8",
-    "positions": "<i4",
-    "device_slots": "<i4",
-    "category_codes": "|i1",
-    "component_codes": "|i1",
-    "source_codes": "|i1",
-    "action_codes": "|i1",
-    "idc_codes": "<i4",
-    "product_line_codes": "<i4",
-    "error_type_codes": "<i4",
-    "operator_id_codes": "<i4",
-}
-
-#: Per-ticket string columns stored as offsets + UTF-8 data blobs.
-VARSTR_COLUMNS: Tuple[str, ...] = ("hostnames", "error_details")
-
-#: Free-form object columns stored as JSON lines.
-JSONL_COLUMNS: Tuple[str, ...] = ("details",)
-
 _OFFSETS_DTYPE = "<i8"
 
 
@@ -123,12 +97,13 @@ class StorageError(ValueError):
 
 class StorageFormatError(StorageError):
     """The path is not a readable columnar dataset (no/foreign/broken
-    manifest, unknown column encoding)."""
+    manifest, a shard without a column or table)."""
 
 
 class StorageVersionError(StorageError):
     """The manifest was written by an incompatible format version or
-    column schema (enum orders, dtypes, column set)."""
+    column schema (enum orders, dtypes, column set), or stores a column
+    in another encoding or dtype than its schema row."""
 
 
 class StorageIntegrityError(StorageError):
@@ -145,19 +120,20 @@ def schema_fingerprint() -> str:
     misreading codes."""
     digest = hashlib.sha256()
     digest.update(f"{FORMAT_NAME}/{FORMAT_VERSION}".encode())
-    for name in COLUMN_NAMES:
-        if name in NUMERIC_DTYPES:
-            spec = f"numeric:{NUMERIC_DTYPES[name]}"
-        elif name in VARSTR_COLUMNS:
-            spec = f"varstr:{_OFFSETS_DTYPE}"
+    for field in LAYOUT:
+        if field.encoding == NUMERIC:
+            spec = f"{NUMERIC}:{field.dtype.str}"
+        elif field.encoding == VARSTR:
+            spec = f"{VARSTR}:{_OFFSETS_DTYPE}"
         else:
-            spec = "jsonl"
-        digest.update(f";{name}={spec}".encode())
+            spec = field.encoding
+        digest.update(f";{field.column}={spec}".encode())
     for table_name in TABLE_NAMES:
         digest.update(f";table={table_name}".encode())
-    for order in (CATEGORY_ORDER, COMPONENT_ORDER, SOURCE_ORDER, ACTION_ORDER):
-        digest.update(";".join(member.value for member in order).encode())
-        digest.update(b"|")
+    for field in LAYOUT:
+        if field.order:
+            digest.update(";".join(member.value for member in field.order).encode())
+            digest.update(b"|")
     return digest.hexdigest()
 
 
@@ -312,66 +288,45 @@ def _decode_jsonl(path: Path, n: int, what: str) -> np.ndarray:
 # ----------------------------------------------------------------------
 # save / append
 # ----------------------------------------------------------------------
-def _view_columns(
-    dataset: FOTDataset,
-) -> Tuple[int, Dict[str, np.ndarray], Dict[str, Tuple[str, ...]]]:
-    """Materialize the column values of a dataset *view* (no copy for a
-    full view) plus the backing store's interned tables (codes stay
-    valid against the full tables, so views need no re-interning)."""
+def _write_shard(root: Path, dataset: FOTDataset) -> Dict[str, object]:
+    """Write the blobs of a dataset *view* and return its manifest shard
+    entry.  A full view's columns are written without a copy; the
+    backing store's interned tables serve any view (codes stay valid
+    against the full tables, so views need no re-interning)."""
     store = dataset.store
+    n = len(dataset)
     indices = None if dataset._indices is None else dataset._gindices()
     arrays: Dict[str, np.ndarray] = {}
     for name in COLUMN_NAMES:
         base = store.column(name)
         arrays[name] = base if indices is None else base[indices]
     tables = {name: store.table(name) for name in TABLE_NAMES}
-    return len(dataset), arrays, tables
-
-
-def _store_fingerprint(
-    dataset: FOTDataset,
-    n: int,
-    arrays: Dict[str, np.ndarray],
-    tables: Dict[str, Tuple[str, ...]],
-) -> str:
-    """The :func:`~repro.core.columns.compute_fingerprint` of the store
-    a future load of these columns will reconstruct.  For a full view
-    this is the backing store's own (memoized) fingerprint; a subset
-    view hashes its materialized columns once, here, at save time."""
-    store = dataset.store
-    if dataset._indices is None:
-        return store.fingerprint()
-    probe = ColumnStore.adopt_buffers(n, arrays, tables)
-    return probe.fingerprint()
-
-
-def _write_shard(
-    root: Path,
-    n: int,
-    arrays: Dict[str, np.ndarray],
-    tables: Dict[str, Tuple[str, ...]],
-    fingerprint: str,
-) -> Dict[str, object]:
+    # The compute_fingerprint of the store a future load of these
+    # columns will reconstruct: a full view's is the backing store's own
+    # (memoized); a subset view hashes its columns once, here.
+    if indices is None:
+        fingerprint = store.fingerprint()
+    else:
+        fingerprint = ColumnStore.from_columns(n, arrays, tables).fingerprint()
     blobs_dir = root / BLOBS_DIR
     blobs_dir.mkdir(parents=True, exist_ok=True)
     columns: Dict[str, object] = {}
-    for name in COLUMN_NAMES:
-        column = arrays[name]
-        if name in NUMERIC_DTYPES:
-            dtype = np.dtype(NUMERIC_DTYPES[name])
-            payload = np.ascontiguousarray(column, dtype=dtype).tobytes()
+    for field in LAYOUT:
+        column = arrays[field.column]
+        if field.encoding == NUMERIC:
+            payload = np.ascontiguousarray(column, dtype=field.dtype).tobytes()
             ref = _write_blob(blobs_dir, payload)
-            columns[name] = {
-                "encoding": "numeric",
-                "dtype": NUMERIC_DTYPES[name],
+            columns[field.column] = {
+                "encoding": NUMERIC,
+                "dtype": field.dtype.str,
                 **ref,
             }
-        elif name in VARSTR_COLUMNS:
+        elif field.encoding == VARSTR:
             offsets_payload, data_payload = _encode_varstr(column)
             offsets_ref = _write_blob(blobs_dir, offsets_payload)
             data_ref = _write_blob(blobs_dir, data_payload)
-            columns[name] = {
-                "encoding": "varstr",
+            columns[field.column] = {
+                "encoding": VARSTR,
                 "offsets_blob": offsets_ref["blob"],
                 "offsets_nbytes": offsets_ref["nbytes"],
                 "data_blob": data_ref["blob"],
@@ -379,7 +334,7 @@ def _write_shard(
             }
         else:
             ref = _write_blob(blobs_dir, _encode_jsonl(column))
-            columns[name] = {"encoding": "jsonl", **ref}
+            columns[field.column] = {"encoding": field.encoding, **ref}
     table_specs: Dict[str, object] = {}
     for table_name in TABLE_NAMES:
         payload = json.dumps(
@@ -421,17 +376,15 @@ def save_columnar(dataset: FOTDataset, path: Union[str, Path]) -> Path:
     """
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    n, arrays, tables = _view_columns(dataset)
-    fingerprint = _store_fingerprint(dataset, n, arrays, tables)
-    shard = _write_shard(root, n, arrays, tables, fingerprint)
+    shard = _write_shard(root, dataset)
     _write_manifest(
         root,
         {
             "format": FORMAT_NAME,
             "version": FORMAT_VERSION,
             "schema": schema_fingerprint(),
-            "n_rows": n,
-            "fingerprint": fingerprint,
+            "n_rows": shard["n_rows"],
+            "fingerprint": shard["fingerprint"],
             "shards": [shard],
         },
     )
@@ -451,13 +404,10 @@ def append_columnar(path: Union[str, Path], dataset: FOTDataset) -> Path:
     manifest = _read_manifest(root)
     if not len(dataset):
         return root
-    n, arrays, tables = _view_columns(dataset)
-    fingerprint = _store_fingerprint(dataset, n, arrays, tables)
-    shard = _write_shard(root, n, arrays, tables, fingerprint)
     shards = list(manifest["shards"])
-    shards.append(shard)
+    shards.append(_write_shard(root, dataset))
     manifest["shards"] = shards
-    manifest["n_rows"] = int(manifest.get("n_rows", 0)) + n
+    manifest["n_rows"] = int(manifest.get("n_rows", 0)) + len(dataset)
     # The concatenated store's fingerprint is no longer the single
     # shard's; leave it to the normal lazy computation on load.
     manifest["fingerprint"] = None
@@ -514,32 +464,32 @@ def _load_shard(root: Path, shard: Dict[str, Any], verify: bool) -> ColumnStore:
     arrays: Dict[str, np.ndarray] = {}
     deferred: Dict[str, Callable[[], np.ndarray]] = {}
     lengths: Dict[str, Callable[[], np.ndarray]] = {}
-    for name in COLUMN_NAMES:
+    for field in LAYOUT:
+        name = field.column
         spec = column_specs.get(name)
         if not isinstance(spec, dict):
             raise StorageFormatError(f"{root}: shard lacks column {name!r}")
-        encoding = spec.get("encoding")
         what = f"column {name!r}"
-        if encoding == "numeric":
-            dtype = np.dtype(str(spec.get("dtype", "")))
-            if name in NUMERIC_DTYPES and dtype != np.dtype(NUMERIC_DTYPES[name]):
-                raise StorageVersionError(
-                    f"{root}: {what} stored as {dtype}, schema expects "
-                    f"{NUMERIC_DTYPES[name]}"
-                )
+        stored = (spec.get("encoding"), spec.get("dtype"))
+        expected = (field.encoding, field.dtype.str if field.encoding == NUMERIC else None)
+        if stored != expected:
+            raise StorageVersionError(
+                f"{root}: {what} is stored as {stored}, schema expects {expected}"
+            )
+        if field.encoding == NUMERIC:
             digest, nbytes = _blob_ref(spec, "blob", what)
-            if nbytes != n * dtype.itemsize:
+            if nbytes != n * field.dtype.itemsize:
                 raise StorageIntegrityError(
-                    f"{what}: manifest says {nbytes} bytes for {n} rows of {dtype}"
+                    f"{what}: manifest says {nbytes} bytes for {n} rows of {field.dtype}"
                 )
             if n:
                 blob = _blob_path(root, digest, nbytes, what)
                 if verify:
                     _verify_blob(blob, digest, what)
-                arrays[name] = np.memmap(blob, dtype=dtype, mode="r")
+                arrays[name] = np.memmap(blob, dtype=field.dtype, mode="r")
             else:
-                arrays[name] = np.empty(0, dtype=dtype)
-        elif encoding == "varstr":
+                arrays[name] = np.empty(0, dtype=field.dtype)
+        elif field.encoding == VARSTR:
             off_digest, off_nbytes = _blob_ref(spec, "offsets_blob", what)
             data_digest, data_nbytes = _blob_ref(spec, "data_blob", what)
             item = np.dtype(_OFFSETS_DTYPE).itemsize
@@ -555,14 +505,12 @@ def _load_shard(root: Path, shard: Dict[str, Any], verify: bool) -> ColumnStore:
                 _verify_blob(data_blob, data_digest, what)
             deferred[name] = partial(_decode_varstr, offsets_blob, data_blob, n, what)
             lengths[name] = partial(_varstr_lengths, offsets_blob, data_blob, n, what)
-        elif encoding == "jsonl":
+        else:
             digest, nbytes = _blob_ref(spec, "blob", what)
             blob = _blob_path(root, digest, nbytes, what)
             if verify:
                 _verify_blob(blob, digest, what)
             deferred[name] = partial(_decode_jsonl, blob, n, what)
-        else:
-            raise StorageFormatError(f"{root}: {what} has unknown encoding {encoding!r}")
 
     tables: Dict[str, Tuple[str, ...]] = {}
     for table_name in TABLE_NAMES:
@@ -583,7 +531,7 @@ def _load_shard(root: Path, shard: Dict[str, Any], verify: bool) -> ColumnStore:
         tables[table_name] = tuple(str(v) for v in values)
 
     fingerprint = shard.get("fingerprint")
-    return ColumnStore.adopt_buffers(
+    return ColumnStore.from_columns(
         n,
         arrays,
         tables,
@@ -638,9 +586,6 @@ __all__ = [
     "FORMAT_VERSION",
     "COLUMNAR_SUFFIX",
     "MANIFEST_NAME",
-    "NUMERIC_DTYPES",
-    "VARSTR_COLUMNS",
-    "JSONL_COLUMNS",
     "StorageError",
     "StorageFormatError",
     "StorageVersionError",

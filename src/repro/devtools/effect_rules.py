@@ -771,7 +771,7 @@ def check_resource_lifetime(
                         for t in parent.targets)) \
             or (isinstance(parent, ast.Call)
                 and isinstance(parent.func, ast.Attribute)
-                and parent.func.attr == "adopt_buffers")
+                and parent.func.attr == "from_columns")
         if not escapes and isinstance(parent, ast.Assign) \
                 and isinstance(parent.targets[0], ast.Name):
             escapes = _name_is_returned(own, parent.targets[0].id)

@@ -20,11 +20,10 @@ four verdicts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence
 
 from repro.core.dataset import FOTDataset
 from repro.core.io import parse_records
-from repro.robustness import quarantine as q
 from repro.robustness.quarantine import QuarantineReport
 
 #: Stable verdict vocabulary.
@@ -68,20 +67,6 @@ class BatchValidation:
         return self.quarantine.n_skipped if self.accepted else 0
 
 
-def _split_structural(
-    records: Sequence[object],
-) -> Tuple[List[Tuple[int, Dict[str, object]]], List[int]]:
-    """Separate dict records (numbered from 1) from structural garbage."""
-    numbered: List[Tuple[int, Dict[str, object]]] = []
-    broken: List[int] = []
-    for line_no, record in enumerate(records, start=1):
-        if isinstance(record, dict):
-            numbered.append((line_no, record))
-        else:
-            broken.append(line_no)
-    return numbered, broken
-
-
 def validate_batch(
     records: Sequence[object],
     *,
@@ -92,20 +77,19 @@ def validate_batch(
     """Validate one batch of raw records for the streaming append path.
 
     Args:
-        records: the batch as delivered (list of dicts; non-dict entries
-            are structural defects).
+        records: the batch as delivered (list of dicts; a non-dict entry
+            is a ``bad_json`` skip, filed in line order with the rest).
         max_tickets: batches larger than this are rejected unparsed.
         poison_skip_fraction: reject the whole batch once skipped lines
             exceed this fraction of it.
     """
     report = QuarantineReport(source)
-    empty = FOTDataset()
 
     if not isinstance(records, (list, tuple)):
         return BatchValidation(
             POISON_STRUCTURAL,
             f"batch payload is {type(records).__name__}, not a record list",
-            empty,
+            FOTDataset(),
             report,
         )
     if len(records) > max_tickets:
@@ -113,34 +97,30 @@ def validate_batch(
             POISON_OVERSIZED,
             f"batch of {len(records)} records exceeds the "
             f"{max_tickets}-ticket limit",
-            empty,
+            FOTDataset(),
             report,
         )
     if not records:
-        return BatchValidation(ACCEPTED, "empty batch", empty, report)
+        return BatchValidation(ACCEPTED, "empty batch", FOTDataset(), report)
 
-    numbered, broken = _split_structural(records)
-    if len(broken) > poison_skip_fraction * len(records):
+    n_broken = sum(not isinstance(record, dict) for record in records)
+    if n_broken > poison_skip_fraction * len(records):
         return BatchValidation(
             POISON_STRUCTURAL,
-            f"{len(broken)}/{len(records)} records are not JSON objects",
-            empty,
+            f"{n_broken}/{len(records)} records are not JSON objects",
+            FOTDataset(),
             report,
-        )
-    for line_no in broken:
-        report.record_skip(
-            line_no, q.BAD_JSON, "record is not a JSON object"
         )
 
     dataset, report = parse_records(
-        numbered, strict=False, source=source, report=report
+        list(enumerate(records, start=1)), strict=False, source=source, report=report
     )
     if report.n_skipped > poison_skip_fraction * len(records):
         return BatchValidation(
             POISON_DIRTY,
             f"{report.n_skipped}/{len(records)} records quarantined "
             f"(> {poison_skip_fraction:.0%} poison threshold)",
-            empty,
+            FOTDataset(),
             QuarantineReport(source),
         )
     if report.n_skipped:

@@ -4,15 +4,21 @@ The columnar :class:`~repro.core.dataset.FOTDataset` must be
 indistinguishable from a row-first container built from the same
 tickets: every filter, slice, concat and grouping returns the same
 tickets, the same columns and the same ``summary()``.  The "row-first
-reference" here is a dataset freshly wrapped around the ticket objects
-(:meth:`ColumnStore.from_tickets` path), compared against one built
-through :class:`~repro.core.columns.ColumnBuilder` (the loader /
-pipeline path) — the two construction routes must converge.
+reference" here is the ticket-wrapped store the schema-driven
+:class:`~repro.core.columns.ColumnBuilder` replaced, kept verbatim
+below (:class:`TicketStore`: ``from_tickets``, ``_build_column`` and
+the hand-written ``_materialize``, over its own column specs), compared
+against ``FOTDataset(tickets)`` — two independent constructions must
+converge.
 
 Also verifies the zero-materialization guarantee: subsetting and
 grouping a builder-built dataset, or rendering the full report over a
 columnar-loaded trace, allocates no ``FOT`` objects.
 """
+
+import dataclasses
+import math
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,8 +26,21 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core import io
-from repro.core.columns import ColumnBuilder
+from repro.core.columns import (
+    ACTION_CODE,
+    ACTION_ORDER,
+    CATEGORY_CODE,
+    CATEGORY_ORDER,
+    COMPONENT_CODE,
+    COMPONENT_ORDER,
+    SCHEMA,
+    SOURCE_CODE,
+    SOURCE_ORDER,
+    ColumnBuilder,
+    compute_fingerprint,
+)
 from repro.core.dataset import FOTDataset
+from repro.core.ticket import FOT
 from repro.core.types import (
     ComponentClass,
     DetectionSource,
@@ -29,6 +48,192 @@ from repro.core.types import (
     OperatorAction,
 )
 from tests.test_ticket import make_ticket
+
+
+# ----------------------------------------------------------------------
+# reference: the ticket-wrapped store, as it was
+# ----------------------------------------------------------------------
+#: Numeric columns: name -> (``FOT`` field, dtype); ``None`` is NaN.
+_NUMERIC: Dict[str, Tuple[str, type]] = {
+    "fot_ids": ("fot_id", np.int64),
+    "host_ids": ("host_id", np.int64),
+    "error_times": ("error_time", np.float64),
+    "op_times": ("op_time", np.float64),
+    "deployed_ats": ("deployed_at", np.float64),
+    "positions": ("error_position", np.int32),
+    "device_slots": ("device_slot", np.int32),
+}
+
+#: Enum code columns: name -> (``FOT`` field, member -> int8 code).
+_CODED: Dict[str, Tuple[str, Mapping[Any, int]]] = {
+    "category_codes": ("category", CATEGORY_CODE),
+    "component_codes": ("error_device", COMPONENT_CODE),
+    "source_codes": ("source", SOURCE_CODE),
+    "action_codes": ("action", {**ACTION_CODE, None: -1}),
+}
+
+#: Per-ticket Python objects kept as object columns (no interning).
+_OBJECTS = {
+    "hostnames": "hostname",
+    "error_details": "error_detail",
+    "details": "detail",
+}
+
+#: Interned string columns: codes-column name -> (table name, ``FOT``
+#: field); ``None`` is coded -1.
+_INTERNED = {
+    "idc_codes": ("idc", "host_idc"),
+    "product_line_codes": ("product_line", "product_line"),
+    "error_type_codes": ("error_type", "error_type"),
+    "operator_id_codes": ("operator_id", "operator_id"),
+}
+
+#: The ``FOT`` field each column holds.
+_FIELD_OF: Dict[str, str] = {
+    **{name: spec[0] for name, spec in _NUMERIC.items()},
+    **{name: spec[0] for name, spec in _CODED.items()},
+    **_OBJECTS,
+    **{name: spec[1] for name, spec in _INTERNED.items()},
+}
+
+_TABLE_TO_CODES = {spec[0]: codes_name for codes_name, spec in _INTERNED.items()}
+
+
+def _column(name: str, values: Sequence[Any]) -> np.ndarray:
+    """Column ``name`` (not an interned one) from its field's values."""
+    if name in _NUMERIC:
+        return np.asarray(values, dtype=_NUMERIC[name][1])
+    if name in _CODED:
+        codes = _CODED[name][1]
+        return np.fromiter(map(codes.__getitem__, values), np.int8, len(values))
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
+def _intern(values: Sequence[Any]) -> Tuple[np.ndarray, Tuple[str, ...]]:
+    """Codes and table of a string column, interned in first-occurrence
+    order; ``None`` is coded -1."""
+    table = tuple(v for v in dict.fromkeys(values) if v is not None)
+    index: Dict[Any, int] = {v: i for i, v in enumerate(table)}
+    index[None] = -1
+    codes = np.asarray(list(map(index.__getitem__, values)), dtype=np.int32)
+    codes.setflags(write=False)
+    return codes, table
+
+
+class TicketStore:
+    """The store wrapped around a ticket list: columns build lazily from
+    the tickets, and iteration returns the original objects."""
+
+    def __init__(
+        self,
+        n: int,
+        arrays: Dict[str, np.ndarray],
+        tables: Dict[str, Tuple[str, ...]],
+        table_index: Dict[str, Dict[str, int]],
+        ticket_cache: np.ndarray,
+    ) -> None:
+        self.n = int(n)
+        self.n_materialized = 0
+        self._arrays = arrays
+        self._tables = tables
+        self._table_index = table_index
+        self._ticket_cache = ticket_cache
+        self._lengths: Dict[str, Any] = {}
+
+    @classmethod
+    def from_tickets(cls, tickets: Iterable[FOT]) -> "TicketStore":
+        """Wrap an existing ticket sequence; columns build lazily and
+        the original objects are returned on iteration."""
+        ticket_list = list(tickets)
+        cache = np.empty(len(ticket_list), dtype=object)
+        for i, ticket in enumerate(ticket_list):
+            cache[i] = ticket
+        return cls(
+            n=len(ticket_list),
+            arrays={},
+            tables={},
+            table_index={},
+            ticket_cache=cache,
+        )
+
+    def column(self, name: str) -> np.ndarray:
+        arr = self._arrays.get(name)
+        if arr is None:
+            arr = self._build_column(name)
+        return arr
+
+    def nonempty(self, name: str) -> np.ndarray:
+        column = self.column(name)
+        mask: np.ndarray = np.not_equal(column, None) & np.not_equal(column, "")
+        return mask
+
+    def _build_column(self, name: str) -> np.ndarray:
+        if name not in _FIELD_OF:
+            raise KeyError(f"unknown column {name!r}")
+        values = [getattr(ticket, _FIELD_OF[name]) for ticket in self._ticket_cache]
+        if name in _INTERNED:
+            arr, table = _intern(values)
+            self._tables[_INTERNED[name][0]] = table
+            self._table_index[_INTERNED[name][0]] = {v: i for i, v in enumerate(table)}
+        else:
+            arr = _column(name, values)
+        arr.setflags(write=False)
+        self._arrays[name] = arr
+        return arr
+
+    def table(self, name: str) -> Tuple[str, ...]:
+        if name not in self._tables:
+            codes_name = _TABLE_TO_CODES.get(name)
+            if codes_name is None:
+                raise KeyError(f"unknown string table {name!r}")
+            self.column(codes_name)
+        return self._tables.get(name, ())
+
+    def code_for(self, table_name: str, value: Optional[str]) -> int:
+        self.table(table_name)
+        return self._table_index.get(table_name, {}).get(value, -1)
+
+    def fingerprint(self) -> str:
+        return compute_fingerprint(self)  # type: ignore[arg-type]
+
+    def ticket(self, row: int) -> FOT:
+        cached = self._ticket_cache[row]
+        if cached is not None:
+            return cached
+        ticket = self._materialize(int(row))
+        self._ticket_cache[row] = ticket
+        return ticket
+
+    def _materialize(self, row: int) -> FOT:
+        self.n_materialized += 1
+        col = self.column
+        op_time = float(col("op_times")[row])
+        action_code = int(col("action_codes")[row])
+        operator_code = int(col("operator_id_codes")[row])
+        return FOT(
+            fot_id=int(col("fot_ids")[row]),
+            host_id=int(col("host_ids")[row]),
+            hostname=col("hostnames")[row],
+            host_idc=self.table("idc")[int(col("idc_codes")[row])],
+            error_device=COMPONENT_ORDER[int(col("component_codes")[row])],
+            error_type=self.table("error_type")[int(col("error_type_codes")[row])],
+            error_time=float(col("error_times")[row]),
+            error_position=int(col("positions")[row]),
+            error_detail=col("error_details")[row],
+            category=CATEGORY_ORDER[int(col("category_codes")[row])],
+            source=SOURCE_ORDER[int(col("source_codes")[row])],
+            product_line=self.table("product_line")[
+                int(col("product_line_codes")[row])
+            ],
+            deployed_at=float(col("deployed_ats")[row]),
+            device_slot=int(col("device_slots")[row]),
+            action=None if action_code < 0 else ACTION_ORDER[action_code],
+            operator_id=None
+            if operator_code < 0
+            else self.table("operator_id")[operator_code],
+            op_time=None if np.isnan(op_time) else op_time,
+            detail=col("details")[row],
+        )
 
 _COMPONENTS = list(ComponentClass)
 _CATEGORIES = list(FOTCategory)
@@ -92,12 +297,9 @@ def _ticket_lists(draw, min_size=1, max_size=24):
 
 
 def _build_pair(tickets):
-    """(row-first reference, builder-built columnar) over ``tickets``."""
-    reference = FOTDataset(tickets)
-    builder = ColumnBuilder()
-    for ticket in tickets:
-        builder.append_ticket(ticket)
-    return reference, FOTDataset.from_store(builder.build())
+    """(ticket-wrapped reference, builder-built columnar) over ``tickets``."""
+    reference = FOTDataset.from_store(TicketStore.from_tickets(tickets))
+    return reference, FOTDataset(tickets)
 
 
 def _assert_same_dataset(ref: FOTDataset, col: FOTDataset):
@@ -106,6 +308,7 @@ def _assert_same_dataset(ref: FOTDataset, col: FOTDataset):
         np.testing.assert_array_equal(
             getattr(ref, name), getattr(col, name), err_msg=name
         )
+        assert getattr(ref, name).dtype == getattr(col, name).dtype, name
     assert list(ref) == list(col)
     assert ref.summary() == col.summary()
     assert ref.idcs == col.idcs
@@ -189,6 +392,31 @@ class TestViewEquivalence:
         _assert_same_groups(ref.by_product_line(), col.by_product_line())
         _assert_same_groups(ref.by_host(), col.by_host())
         _assert_same_groups(ref.by_failure_type(), col.by_failure_type())
+
+
+class TestSchema:
+    def test_fields_are_fot_fields_in_declaration_order(self):
+        assert [field.name for field in SCHEMA] == [
+            field.name for field in dataclasses.fields(FOT)
+        ]
+        assert sorted(field.layout for field in SCHEMA) == list(range(len(SCHEMA)))
+
+    @given(tickets=_ticket_lists())
+    @settings(max_examples=40, deadline=None)
+    def test_materialize_matches_hand_written(self, tickets):
+        store = FOTDataset(tickets).store
+        for row, ticket in enumerate(tickets):
+            reference = TicketStore._materialize(store, row)  # type: ignore[arg-type]
+            assert store._materialize(row) == reference == ticket
+
+    def test_nan_op_time_is_none_nan_deployed_at_is_not(self):
+        builder = ColumnBuilder()
+        fields = dataclasses.asdict(make_ticket(deployed_at=math.nan))
+        builder.append(**dict(fields, op_time=math.nan))
+        ticket = FOTDataset.from_store(builder.build())[0]
+        reference = TicketStore._materialize(builder.build(), 0)  # type: ignore[arg-type]
+        assert ticket.op_time is None and reference.op_time is None
+        assert math.isnan(ticket.deployed_at) and math.isnan(reference.deployed_at)
 
 
 class TestZeroMaterialization:

@@ -14,9 +14,13 @@ JSONL files mixing bad JSON with bad fields, the new parser must equal
 the reference in every column (dtype and bytes; object columns as
 lists), every table, every quarantine entry in order, ``n_loaded``, the
 ``BatchValidation`` verdict and reason, and the strict-mode message;
-the save side must write the reference's bytes.  Two defect classes the
-reference crashes on or misfiles (out-of-range integers, non-object
-JSON lines) are asserted against their new outcome instead.
+the save side must write the reference's bytes.  Four defect classes
+the reference crashes on, misfiles or accepts (out-of-range integers,
+non-object JSON lines, non-finite timestamps, a ``detail`` that is not
+a JSON object) are asserted against their new outcome instead; where
+Hypothesis draws one of the last two, :func:`expected_parse_records`
+checks that record's new outcome and the reference's, and compares the
+rest of the batch with the reference.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import contextlib
 import csv
 import json
 import math
+from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Type, TypeVar
 from unittest import mock
@@ -504,7 +509,7 @@ def load_jsonl(path, *, strict=True):
     )
 
 
-def load_csv(path, *, strict=True):
+def load_csv(path, *, strict=True, parse=parse_records):
     path = Path(path)
     with contextlib.closing(core_io._open_read(path)) as fh:
         reader = csv.DictReader(fh)
@@ -515,8 +520,8 @@ def load_csv(path, *, strict=True):
             raise ValueError(f"CSV is missing columns: {sorted(missing)}")
         numbered = ((line_no, row) for line_no, row in enumerate(reader, start=2))
         if strict:
-            return parse_records(numbered, strict=True, source=str(path))
-        return parse_records(numbered, strict=False, source=str(path))
+            return parse(numbered, strict=True, source=str(path))
+        return parse(numbered, strict=False, source=str(path))
 
 
 def save_jsonl(dataset: FOTDataset, path) -> None:
@@ -571,12 +576,114 @@ def assert_same_strict(new, ref) -> None:
         assert_same_dataset(new, ref)
 
 
+# ----------------------------------------------------------------------
+# the cells two fixes change: non-finite timestamps, non-object details
+# ----------------------------------------------------------------------
+_TIMESTAMP_FIELDS = ("error_time", "deployed_at", "op_time")
+
+
+def _non_finite(value: object) -> bool:
+    try:
+        return not math.isfinite(float(value))  # type: ignore[arg-type]
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _fix_messages(record: object) -> List[Tuple[str, str, str]]:
+    """The ``(error class, field, message)`` skips the two fixes may file
+    for ``record``: one per non-finite timestamp and one for a truthy
+    ``detail`` that is not a dict."""
+    if not isinstance(record, dict):
+        return []
+    out = [
+        (q.BAD_TIMESTAMP, field, f"{field}: {record[field]!r} is not a timestamp")
+        for field in _TIMESTAMP_FIELDS
+        if _non_finite(record.get(field))
+    ]
+    detail = record.get("detail")
+    if detail and not isinstance(detail, dict):
+        out.append((q.BAD_JSON, "detail", f"detail: {detail!r} is not a JSON object"))
+    return out
+
+
+def _columns(dataset: FOTDataset) -> List[Tuple[str, object]]:
+    store = dataset.store
+    return [(name, store.table(name)) for name in TABLE_NAMES] + [
+        (name, store.column(name).tolist() if store.column(name).dtype == object
+         else (store.column(name).dtype.str, store.column(name).tobytes()))
+        for name in COLUMN_NAMES
+    ]
+
+
+def _alone(parse, pair: Tuple[int, object], strict: bool):
+    """What ``parse`` makes of one numbered record on its own."""
+    if strict:
+        result = _strict(parse, [pair])
+        return result if isinstance(result, str) else _columns(result)
+    dataset, report = parse([pair], strict=False)
+    skips = [(s.line, s.error_class, s.field, s.message) for s in report.skips]
+    return skips, report.repairs, _columns(dataset)
+
+
+def _split_fixed(numbered, strict: bool):
+    """The records whose outcome alone the two fixes change, and the
+    rest.  Each of the former must get the fix's outcome from the new
+    parser, and must have been accepted or misfiled by the reference."""
+    fixed, kept = [], []
+    for pair in numbered:
+        messages = _fix_messages(pair[1])
+        new = _alone(core_io.parse_records, pair, strict) if messages else None
+        ref = _alone(parse_records, pair, strict) if messages else None
+        if new == ref:
+            kept.append(pair)
+            continue
+        line = pair[0]
+        if strict:
+            assert new in [
+                f"ValueError: line {line}: malformed ticket record: {message}"
+                for _, _, message in messages
+            ], new
+            assert not isinstance(ref, str) or ref != new  # accepted or misfiled
+        else:
+            new_skips, new_repairs, new_columns = new
+            ref_skips, ref_repairs, _ = ref
+            assert [skip[1:] for skip in new_skips] in [[m] for m in messages], new_skips
+            assert new_skips[0][0] == line and new_columns == _columns(FOTDataset())
+            assert ref_repairs[:len(new_repairs)] == new_repairs
+            # the reference loaded the record or filed it under another class
+            assert not ref_skips or ref_skips[0][1] != new_skips[0][1], ref_skips
+        fixed.append(pair)
+    return fixed, kept
+
+
+def expected_parse_records(numbered, *, strict=True, source="<records>", report=None):
+    """The reference :func:`parse_records`, except for the records the
+    two fixes change: those get the new parser's outcome, each checked
+    on its own by :func:`_split_fixed`, in line order with the rest."""
+    numbered = list(numbered)
+    fixed, kept = _split_fixed(numbered, strict)
+    if strict:
+        if fixed:
+            # a defect before the first fixed record still raises first
+            parse_records([pair for pair in kept if pair[0] < fixed[0][0]], strict=True)
+            core_io.parse_records(fixed[:1], strict=True)
+        return parse_records(kept, strict=True)
+    if report is None:
+        report = QuarantineReport(source)
+    result = parse_records(kept, strict=False, source=source, report=report)
+    for pair in fixed:
+        core_io.parse_records([pair], strict=False, report=report)
+    report.skips.sort(key=lambda skip: skip.line)
+    report.repairs.sort(key=lambda repair: repair.line)
+    return result
+
+
 def assert_same_parse(records: List[object]) -> None:
     """The new parser, over a list (one pass) and over an iterator (in
     chunks), against the reference."""
     numbered = list(enumerate(records, start=1))
-    ref, ref_report = parse_records(numbered, strict=False, source="s")
-    ref_strict = _strict(parse_records, numbered)
+    ref, ref_report = expected_parse_records(numbered, strict=False, source="s")
+    ref_strict = _strict(expected_parse_records, numbered)
     for pairs in (lambda: numbered, lambda: iter(numbered)):
         new, new_report = core_io.parse_records(pairs(), strict=False, source="s")
         assert_same_dataset(new, ref)
@@ -586,7 +693,7 @@ def assert_same_parse(records: List[object]) -> None:
 
 def assert_same_validation(records: List[object]) -> None:
     new = validate_batch(records)
-    with mock.patch.object(batch_module, "parse_records", parse_records):
+    with mock.patch.object(batch_module, "parse_records", expected_parse_records):
         ref = validate_batch(records)
     assert (new.verdict, new.reason) == (ref.verdict, ref.reason)
     assert_same_dataset(new.dataset, ref.dataset)
@@ -713,10 +820,13 @@ class TestParseOracle:
         path = tmp_path_factory.mktemp("csv") / "t.csv"
         core_io.write_csv_records(records, path)
         new, new_report = core_io.load_csv(path, strict=False)
-        ref, ref_report = load_csv(path, strict=False)
+        ref, ref_report = load_csv(path, strict=False, parse=expected_parse_records)
         assert_same_dataset(new, ref)
         assert_same_report(new_report, ref_report)
-        assert_same_strict(_strict(core_io.load_csv, path), _strict(load_csv, path))
+        assert_same_strict(
+            _strict(core_io.load_csv, path),
+            _strict(partial(load_csv, parse=expected_parse_records), path),
+        )
 
     @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
     def test_chaos_corruptors(self, tiny_dataset, kind):
@@ -969,3 +1079,74 @@ class TestNonObjectRecords:
         ]
         with pytest.raises(ValueError, match=r"^line 2: record is not a JSON object$"):
             core_io.parse_records(list(enumerate(records, 1)))
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf, "nan", "inf", "-Infinity"]
+
+
+class TestNonFiniteTimestamps:
+    @pytest.mark.parametrize("value", _NON_FINITE)
+    @pytest.mark.parametrize("field", _TIMESTAMP_FIELDS)
+    def test_quarantined_as_bad_timestamp(self, field, value):
+        numbered = list(enumerate([_clean(), dict(_clean(), **{field: value}), _clean()], 1))
+        ref, ref_report = parse_records(numbered, strict=False)
+        if field == "error_time" and float(value) < 0:
+            assert [(s.line, s.error_class) for s in ref_report.skips] == [(2, q.NEGATIVE_TIME)]
+        else:  # the reference loads it
+            assert len(ref) == 3 and not ref_report.skips
+        message = f"{field}: {value!r} is not a timestamp"
+        dataset, report = core_io.parse_records(numbered, strict=False)
+        assert len(dataset) == report.n_loaded == 2
+        assert [(s.line, s.error_class, s.field, s.message) for s in report.skips] == [
+            (2, q.BAD_TIMESTAMP, field, message)
+        ]
+        with pytest.raises(ValueError) as info:
+            core_io.parse_records(numbered, strict=True)
+        assert str(info.value) == f"line 2: malformed ticket record: {message}"
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    def test_text_dumps(self, tmp_path, suffix):
+        path = tmp_path / f"t{suffix}"
+        core_io.write_records(
+            [dict(_clean(), error_time=math.nan), dict(_clean(), deployed_at=math.inf),
+             dict(_clean(), op_time=-math.inf), _clean()],
+            path,
+        )
+        assert ("NaN" if suffix == ".jsonl" else "nan") in path.read_text()
+        dataset, report = core_io.load(path, strict=False)
+        assert len(dataset) == 1
+        assert [(s.error_class, s.field) for s in report.skips] == [
+            (q.BAD_TIMESTAMP, field) for field in _TIMESTAMP_FIELDS
+        ]
+        with pytest.raises(ValueError, match="malformed ticket record: error_time: "):
+            core_io.load(path)
+
+
+_NON_OBJECT_DETAILS = ["x", 5, 2.5, True, [1, 2], ["ab"], [[1, 2]], [["a", 1]]]
+
+
+class TestNonObjectDetail:
+    @pytest.mark.parametrize("detail", _NON_OBJECT_DETAILS)
+    def test_quarantined_as_bad_json(self, detail):
+        numbered = list(enumerate([_clean(), dict(_clean(), detail=detail), _clean()], 1))
+        ref, ref_report = parse_records(numbered, strict=False)
+        # the reference misfiles it as a bad number or loads it as a dict
+        assert [s.error_class for s in ref_report.skips] in ([q.BAD_NUMBER], [])
+        assert len(ref) == 3 - len(ref_report.skips)
+        message = f"detail: {detail!r} is not a JSON object"
+        dataset, report = core_io.parse_records(numbered, strict=False)
+        assert len(dataset) == report.n_loaded == 2
+        assert [(s.line, s.error_class, s.field, s.message) for s in report.skips] == [
+            (2, q.BAD_JSON, "detail", message)
+        ]
+        with pytest.raises(ValueError) as info:
+            core_io.parse_records(numbered, strict=True)
+        assert str(info.value) == f"line 2: malformed ticket record: {message}"
+
+    @pytest.mark.parametrize("detail", [None, "", 0, False, [], {}])
+    def test_falsy_detail_is_a_fresh_empty_dict(self, detail):
+        numbered = list(enumerate([dict(_clean(), detail=detail)] * 2, 1))
+        dataset, report = core_io.parse_records(numbered, strict=False)
+        assert report.clean
+        first, second = dataset.store.column("details").tolist()
+        assert first == second == {} and first is not second

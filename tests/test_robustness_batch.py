@@ -1,5 +1,8 @@
 """Batch-granular quarantine verdicts (``repro.robustness.batch``)."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.robustness.batch import (
@@ -60,6 +63,28 @@ class TestVerdicts:
         v = validate_batch(records)
         assert v.verdict == ACCEPTED_WITH_QUARANTINE
         assert v.n_accepted == 20 and v.n_quarantined == 2
+
+    def test_skips_come_in_line_order(self):
+        records = [dict(make_records(1)[0], host_id="xx"), 5, *make_records(3, start=1)]
+        v = validate_batch(records)
+        assert v.verdict == ACCEPTED_WITH_QUARANTINE
+        assert [(s.line, s.error_class) for s in v.quarantine.skips] == [
+            (1, "bad_number"), (2, "bad_json")
+        ]
+        assert v.quarantine.skips[1].message == "record is not a JSON object"
+        assert v.n_accepted == 3 and v.n_quarantined == 2
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_error_time_is_quarantined(self, value):
+        records = make_records(3000)
+        records[1234] = dict(records[1234], error_time=value)
+        v = validate_batch(records)
+        assert v.verdict == ACCEPTED_WITH_QUARANTINE
+        assert [(s.line, s.error_class, s.message) for s in v.quarantine.skips] == [
+            (1235, "bad_timestamp", f"error_time: {value!r} is not a timestamp")
+        ]
+        assert v.n_accepted == 2999
+        assert np.isfinite(v.dataset.error_times).all()
 
     def test_empty_batch_accepted(self):
         v = validate_batch([])

@@ -61,8 +61,9 @@ def test_all_columns_frozen_from_tickets():
 
 
 def test_all_columns_frozen_on_trace_build_path(tiny_dataset):
-    # generate_trace goes through ColumnBuilder.build(); the loader path
-    # above goes through from_tickets' lazy builds.  Both must freeze.
+    # generate_trace goes through ColumnBuilder.build() in its shards and
+    # concatenate() when it merges them; FOTDataset(tickets) above goes
+    # through the builder alone.  Both must freeze.
     for name in COLUMN_NAMES:
         column = tiny_dataset.store.column(name)
         assert not column.flags.writeable, name

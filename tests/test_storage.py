@@ -11,6 +11,7 @@ recompute (the runtime sanitizer's invariant).
 """
 
 import dataclasses
+import hashlib
 import json
 from unittest import mock
 
@@ -33,6 +34,8 @@ from repro.core.storage import (
     StorageIntegrityError,
     StorageVersionError,
 )
+from repro.core.ticket import FOT
+from repro.core.types import ComponentClass, DetectionSource, FOTCategory, OperatorAction
 from repro.robustness.quality import DataQuality
 
 
@@ -203,6 +206,47 @@ class TestAppend:
         assert len(storage.load_columnar(path)) == 200
 
 
+def _pinned_dataset() -> FOTDataset:
+    row = dict(hostname="dc00-r001-s05", host_idc="dc00", error_type="SMARTFail",
+               error_position=5, product_line="pl000", deployed_at=-100.0)
+    return FOTDataset([
+        FOT(fot_id=0, host_id=7, error_device=ComponentClass.HDD, error_time=1000.0,
+            error_detail="sda1", category=FOTCategory.FIXING, source=DetectionSource.SYSLOG,
+            device_slot=2, action=OperatorAction.REPAIR_ORDER, operator_id="op01",
+            op_time=2000.0, detail={"tag": "repeat"}, **row),
+        FOT(fot_id=1, host_id=9, hostname="dc01-r002-s01", host_idc="dc01",
+            error_device=ComponentClass.MEMORY, error_type="UncorrectableECC",
+            error_time=1500.5, error_position=1, error_detail="", category=FOTCategory.ERROR,
+            source=DetectionSource.POLLING, product_line="pl001", deployed_at=0.0),
+        FOT(fot_id=2, host_id=7, error_device=ComponentClass.FAN, error_time=3000.0,
+            error_detail="fan3", category=FOTCategory.FALSE_ALARM,
+            source=DetectionSource.MANUAL, device_slot=3,
+            action=OperatorAction.MARK_FALSE_ALARM, operator_id="op02", op_time=3600.0,
+            detail={"chain": 4}, **{**row, "error_type": "FanStall"}),
+    ])
+
+
+class TestPinnedLayout:
+    """Saved bytes depend on the column layout, dtypes, encodings and
+    enum orders; these pins move only with a deliberate format change."""
+
+    def test_schema_fingerprint(self):
+        assert storage.schema_fingerprint() == (
+            "fc47d5851c7eb451e33d301c2777a772261d15ad3db2f15466dcf769f2171d9c"
+        )
+
+    def test_manifest_and_blob_digests(self, tmp_path):
+        path = tmp_path / "pinned.fourcol"
+        storage.save_columnar(_pinned_dataset(), path)
+        raw = (path / "manifest.json").read_bytes()
+        assert json.loads(raw)["fingerprint"] == (
+            "fef52a5c2420f3732ebbc9e1f6165eae114792b2cdc4cbe126d35741f9102396"
+        )
+        assert hashlib.sha256(raw).hexdigest() == (
+            "03ed741901a1890f9bd7f980b38e34bb5959756b33c0af332280f6d94e1811bf"
+        )
+
+
 class TestTypedErrors:
     def test_missing_path_is_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -238,6 +282,34 @@ class TestTypedErrors:
         manifest["schema"] = "0" * 64
         (path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(StorageVersionError):
+            storage.load_columnar(path)
+
+    def test_column_encoding_must_match_schema(self, tmp_path, tiny_dataset):
+        # hostnames pointed at the error_times numeric blob, error_times
+        # given a jsonl entry: each is a version error naming the column
+        path = tmp_path / "e.fourcol"
+        storage.save_columnar(tiny_dataset[:20], path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        columns = manifest["shards"][0]["columns"]
+        times = dict(columns["error_times"])
+        columns["hostnames"] = times
+        columns["error_times"] = {"encoding": "jsonl", "blob": times["blob"],
+                                  "nbytes": times["nbytes"]}
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StorageVersionError, match="column 'error_times'"):
+            storage.load_columnar(path)
+        columns["error_times"] = times
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StorageVersionError, match="column 'hostnames'"):
+            core_io.load(path, strict=False)
+
+    def test_column_dtype_must_match_schema(self, tmp_path, tiny_dataset):
+        path = tmp_path / "d.fourcol"
+        storage.save_columnar(tiny_dataset[:20], path)
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["shards"][0]["columns"]["op_times"]["dtype"] = "<i8"
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StorageVersionError, match="column 'op_times'"):
             storage.load_columnar(path)
 
     def test_missing_blob(self, tmp_path, tiny_dataset):
