@@ -238,7 +238,7 @@ def _parse_int(value: object, field: Field, repairs: Optional[_Repairs]) -> int:
             pass
     except OverflowError:  # int() of an infinite float
         raise _OutOfRange(field.name, value) from None
-    if number is None:
+    if number is None or isinstance(value, bool):  # JSON true/false is no number
         raise RowError(q.BAD_NUMBER, f"{field.name}: {value!r} is not an integer", field.name)
     low, high = _bounds(field)
     if not low <= number <= high:
@@ -269,7 +269,8 @@ def _parse_timestamp(value: object, field: Field, repairs: Optional[_Repairs]) -
         seconds = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError, OverflowError):  # overflow: an int past 1e308
         seconds = math.nan
-    if math.isfinite(seconds):  # NaN and +-Infinity are no point in time
+    # NaN, +-Infinity and JSON true/false are no point in time
+    if math.isfinite(seconds) and not isinstance(value, bool):
         return seconds
     if repairs is not None and isinstance(value, str):
         text = value.strip().replace("T", " ")
@@ -288,6 +289,12 @@ def _parse_timestamp(value: object, field: Field, repairs: Optional[_Repairs]) -
     )
 
 
+def _parse_str(value: object, field: Field, repairs: Optional[_Repairs]) -> str:
+    if isinstance(value, (list, dict)):
+        raise RowError(q.BAD_JSON, f"{field.name}: {value!r} is not a string", field.name)
+    return str(value)
+
+
 def _parse_object(value: object, field: Field, repairs: Optional[_Repairs]) -> dict:
     if not isinstance(value, dict):
         raise RowError(q.BAD_JSON, f"{field.name}: {value!r} is not a JSON object", field.name)
@@ -297,11 +304,12 @@ def _parse_object(value: object, field: Field, repairs: Optional[_Repairs]) -> d
 #: Per text kind (:attr:`Field.text`): the conversion its row parser
 #: tries first, made for a field, and the row parser.  The conversion
 #: fails wherever the row parser would repair or reject a value (an
-#: enum lookup misses a non-string), so only those rows need the parser.
+#: enum lookup misses a non-string), so only those rows need the parser;
+#: the values it takes that the parser rejects are :data:`_REJECTED`.
 _KINDS: Dict[str, Tuple[Callable[[Field], Callable[[Any], Any]], Callable[..., Any]]] = {
     "int": (lambda field: int, _parse_int),
     "time": (lambda field: float, _parse_timestamp),
-    "str": (lambda field: str, lambda value, field, repairs: str(value)),
+    "str": (lambda field: str, _parse_str),
     "enum": (
         lambda field: {member.value: member for member in field.order}.__getitem__,
         _parse_enum,
@@ -408,6 +416,24 @@ def _whole_column(field: Field) -> _Column:
 
 _WHOLE_COLUMNS = [(field, _whole_column(field)) for field in SCHEMA]
 
+#: Per text kind, the JSON value types its first conversion takes but its
+#: row parser rejects: true/false as a number, an array or object as a
+#: string.
+_REJECTED: Dict[str, Set[type]] = {"int": {bool}, "time": {bool}, "str": {list, dict}}
+
+
+def _rejected_rows(field: Field, given: Sequence[Any]) -> List[int]:
+    """The rows of ``field``'s raw column holding a value of a type in
+    :data:`_REJECTED`, by one set of the column's types; a falsy value in
+    a ``FALSY`` field is absent, whatever its type."""
+    types = _REJECTED[field.text]
+    if types.isdisjoint(map(type, given)):
+        return []
+    return [
+        i for i, value in enumerate(given)
+        if type(value) in types and (value or field.absent != FALSY)
+    ]
+
 
 def _convert(values: Sequence[object], convert: _Column, bad: Set[int]) -> List[object]:
     """``convert`` over one column.  The positions of the values it
@@ -442,21 +468,36 @@ def _column_pass(records: List[object]) -> Tuple[Dict[str, List[object]], List[i
         field.name: _convert(raw[field.name], convert, bad)
         for field, convert in _WHOLE_COLUMNS
     }
-    error_times = np.asarray(columns["error_time"], dtype=np.float64)
-    op_times = np.asarray(columns["op_time"], dtype=np.float64)  # None -> nan
+    stamps = {
+        field.name: np.asarray(columns[field.name], dtype=np.float64)  # None -> nan
+        for field in SCHEMA
+        if field.text == "time"
+    }
+    error_times, op_times = stamps["error_time"], stamps["op_time"]
     flagged = (error_times < 0) | (op_times < error_times)
     for field in SCHEMA:
+        given = raw.get(field.name, ())
         if field.text == "time":
             times = cast(List[Optional[float]], columns[field.name])
             # a sum is finite unless a value is nan or infinite (or it overflows)
             if not math.isfinite(sum(filter(None, times))):
                 present = np.not_equal(times, None)  # an absent op_time is no defect
-                flagged |= ~np.isfinite(np.asarray(times, dtype=np.float64)) & present
+                flagged |= ~np.isfinite(stamps[field.name]) & present
+            if ((stamps[field.name] == 0) | (stamps[field.name] == 1)).any():
+                bad.update(_rejected_rows(field, given))  # a bool converts to 0 or 1
         elif field.text == "int":
             ints = cast(List[int], columns[field.name])
             low, high = _bounds(field)
-            if min(ints) < low or max(ints) > high:
+            lowest = min(ints)
+            if lowest < low or max(ints) > high:
                 flagged |= np.asarray([not low <= v <= high for v in ints])
+            if lowest <= 1:  # a bool converts to 0 or 1
+                bad.update(_rejected_rows(field, given))
+        elif field.text == "str":
+            try:
+                "".join(given)  # a column of strings holds no array or object
+            except TypeError:
+                bad.update(_rejected_rows(field, given))
     bad.update(np.flatnonzero(flagged).tolist())
     return columns, sorted(bad)
 

@@ -23,7 +23,7 @@ times and operator ids.
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from repro.core.timeutil import DAY
 from repro.core.types import ComponentClass
 from repro.fleet.fleet import Fleet
 from repro.simulation import calibration
+
+_MISC, _SSD = ComponentClass.MISC, ComponentClass.SSD
 
 
 class OperatorModel:
@@ -42,6 +44,7 @@ class OperatorModel:
         self._line_phase: Dict[str, float] = {}
         self._line_ft: Dict[str, float] = {}
         self._line_ops: Dict[str, Tuple[str, ...]] = {}
+        self._fixing_terms: Dict[Tuple[ComponentClass, str], Tuple[float, Optional[float]]] = {}
 
         lines = list(fleet.product_lines.values())
         # The "top 1 %" lines by size get long fixed review cycles.
@@ -78,6 +81,7 @@ class OperatorModel:
         clone._line_phase = self._line_phase
         clone._line_ft = self._line_ft
         clone._line_ops = self._line_ops
+        clone._fixing_terms = self._fixing_terms
         return clone
 
     # ------------------------------------------------------------------
@@ -128,24 +132,30 @@ class OperatorModel:
             rt = self._lognormal(calibration.LEMON_RT_MEDIAN_DAYS * DAY, 0.8)
             return error_time + rt, operator
 
-        if (
-            component is ComponentClass.MISC
-            and server_age_seconds < calibration.DEPLOYMENT_PHASE_DAYS * DAY
-        ):
+        if component is _MISC and server_age_seconds < calibration.DEPLOYMENT_PHASE_DAYS * DAY:
             rt = self._lognormal(calibration.DEPLOYMENT_RT_MEDIAN_DAYS * DAY, 0.9)
             return error_time + rt, operator
 
+        terms = self._fixing_terms.get((component, line))
+        if terms is None:
+            terms = self._fixing_terms[component, line] = self._terms(component, line)
+        log_median, batching_prob = terms
+        close_at = error_time + float(self._rng.lognormal(log_median, calibration.RT_SIGMA))
+        if batching_prob is not None and self._rng.random() < batching_prob:
+            close_at = self._next_review(line, close_at)
+        return close_at, operator
+
+    def _terms(self, component: ComponentClass, line: str) -> Tuple[float, Optional[float]]:
+        """The log median RT of a D_fixing ticket of ``component`` on
+        ``line``, and the chance it waits for the pool review (``None``:
+        never).  Fixed per model, so :meth:`close_fixing` caches them."""
         ft = self._line_ft.get(line, 0.5)
         line_mult = calibration.RT_FT_BASE + calibration.RT_FT_GAIN * ft * ft
         median = calibration.RT_CLASS_MEDIAN_DAYS[component] * DAY * line_mult
-        rt = self._lognormal(median, calibration.RT_SIGMA)
-        close_at = error_time + rt
-
-        if component is ComponentClass.SSD:
+        if component is _SSD:
             # Only crucial user-facing services afford SSDs, and their
             # operation guidelines are strict: no pool batching.
-            return error_time + rt, operator
-
+            return np.log(median), None
         batching_prob = min(
             0.9, calibration.RT_BATCHING_BASE + calibration.RT_BATCHING_FT_GAIN * ft
         )
@@ -153,9 +163,7 @@ class OperatorModel:
         # always wait for the periodic pool review.
         if self._line_review.get(line, 0.0) > 60 * DAY:
             batching_prob = max(batching_prob, 0.8)
-        if self._rng.random() < batching_prob:
-            close_at = self._next_review(line, close_at)
-        return close_at, operator
+        return np.log(median), batching_prob
 
     def review_interval_seconds(self, line: str) -> float:
         """Exposed for tests and the operator-behaviour example."""

@@ -13,13 +13,10 @@ proprietary dataset:
   storm, SAS batch, PDU outage and misoperation cases of Section V-A).
 * :mod:`repro.simulation.correlated` — correlated component pairs,
   flapping (BBU-style) servers and synchronous repeat groups.
-* :mod:`repro.simulation.engine` — the discrete-event core the FMS
-  pipeline runs on.
 * :mod:`repro.simulation.trace` — the top-level generator.
 """
 
 from repro.simulation.trace import generate_paper_trace, generate_trace
 from repro.simulation.events import RawFailure
-from repro.simulation.engine import EventQueue
 
-__all__ = ["generate_paper_trace", "generate_trace", "RawFailure", "EventQueue"]
+__all__ = ["generate_paper_trace", "generate_trace", "RawFailure"]

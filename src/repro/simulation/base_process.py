@@ -30,16 +30,17 @@ top of the shard-aware core.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.core.columns import COMPONENT_CODE
 from repro.core.timeutil import DAY, MONTH, day_of_week
 from repro.core.types import ComponentClass
 from repro.fleet.fleet import Fleet
 from repro.fms.detectors import DetectionModel
 from repro.simulation import calibration
-from repro.simulation.events import RawFailure
+from repro.simulation.events import EventColumns
 from repro.simulation.hazards import MAX_MONTH, build_shapes
 
 #: Days per simulation month (see :data:`repro.core.timeutil.MONTH`).
@@ -175,10 +176,10 @@ def sample_shard_failures(
     day_effects: Mapping[ComponentClass, np.ndarray],
     detection: DetectionModel,
     rng: np.random.Generator,
-) -> List[RawFailure]:
+) -> EventColumns:
     """Sample the smooth (non-injected) failures of one server subset.
 
-    ``server_row`` in the returned events indexes the *local* arrays
+    ``rows`` in the returned events index the *local* arrays
     (``deployed`` etc.); the whole-fleet wrapper passes full-length
     arrays so local == global there.
 
@@ -194,14 +195,19 @@ def sample_shard_failures(
         rng: The shard's random stream.
 
     Returns:
-        Unordered list of raw failures (callers sort or heapify).
+        The events in draw order (class by class, then month by month),
+        not time-sorted.
     """
     n_servers = int(deployed.size)
     n_days = int(horizon_seconds // DAY)
     n_months = horizon_months(horizon_seconds)
-    events: List[RawFailure] = []
+    # (times, rows, class codes, slots) per sampled (class, month), in
+    # draw order, after an empty chunk so there is always one.
+    chunks: List[Tuple[np.ndarray, ...]] = [
+        (np.empty(0), np.empty(0, np.int64), np.empty(0, np.int8), np.empty(0, np.int64))
+    ]
     if n_servers == 0:
-        return events
+        return EventColumns.sampled(*chunks[0])
     shapes = build_shapes()
 
     day_indices = np.arange(n_days)
@@ -273,11 +279,9 @@ def sample_shard_failures(
             max_slots = counts[rows].astype(int)
             slots = (rng.random(n_month) * max_slots).astype(int)
 
-            events.extend(
-                RawFailure(time=t, server_row=r, component=cls, slot=s)
-                for t, r, s in zip(times.tolist(), rows.tolist(), slots.tolist())
-            )
-    return events
+            codes = np.full(n_month, COMPONENT_CODE[cls], dtype=np.int8)
+            chunks.append((times, rows, codes, slots))
+    return EventColumns.sampled(*map(np.concatenate, zip(*chunks)))
 
 
 def sample_base_failures(
@@ -288,7 +292,7 @@ def sample_base_failures(
     detection: DetectionModel,
     rng: np.random.Generator,
     frailty_by_class: Optional[Dict[ComponentClass, np.ndarray]] = None,
-) -> List[RawFailure]:
+) -> EventColumns:
     """Sample the smooth (non-injected) part of the failure trace for a
     whole fleet — the original single-process entry point, now a thin
     wrapper over the shard-aware core.
@@ -304,7 +308,7 @@ def sample_base_failures(
             from ``rng`` via :func:`permute_frailty` when omitted).
 
     Returns:
-        Unordered list of raw failures (callers sort or heapify).
+        The events in draw order, not time-sorted.
     """
     if frailty.shape != (len(fleet),):
         raise ValueError("frailty must have one entry per server")

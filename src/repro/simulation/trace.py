@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.config import ScenarioConfig, paper_scenario
-from repro.core.columns import COLUMN_NAMES, TABLE_NAMES, ColumnBuilder, ColumnStore
+from repro.core.columns import COLUMN_NAMES, COMPONENT_CODE, TABLE_NAMES, ColumnBuilder, ColumnStore
 from repro.core.dataset import FOTDataset
 from repro.core.timeutil import YEAR
 from repro.core.types import ComponentClass
@@ -62,7 +62,7 @@ from repro.simulation.correlated import (
     inject_flapping_server,
     inject_synchronous_groups,
 )
-from repro.simulation.events import RawFailure
+from repro.simulation.events import EventColumns, RawFailure
 
 if TYPE_CHECKING:
     from repro.engine.policy import ExecutionPolicy
@@ -119,31 +119,18 @@ def _class_budgets(config: ScenarioConfig) -> Dict[ComponentClass, float]:
     }
 
 
-def apply_monitoring_rollout(
-    events: List[RawFailure],
-    fleet: Fleet,
-    config: ScenarioConfig,
-    rng: np.random.Generator,
-) -> List[RawFailure]:
-    """Drop automatic detections on servers the FMS does not watch yet.
-
-    Models the paper's Section VII-C limitation: agent coverage ramps
-    from ``monitoring_initial_coverage`` to 1.0 linearly over
-    ``monitoring_rollout_years``.  Each server gets a monitored-since
-    time consistent with that ramp; automatic-class failures before it
-    are lost (nobody saw them), manual miscellaneous reports survive
-    (humans do not need agents).
-    """
-    monitored_since = _monitored_since(len(fleet), config, rng)
-    if monitored_since is None:
-        return events
-    return _filter_monitored(events, monitored_since)
-
-
 def _monitored_since(
     n_servers: int, config: ScenarioConfig, rng: np.random.Generator
 ) -> Optional[np.ndarray]:
-    """Per-server monitored-since times, or ``None`` without a rollout."""
+    """Per-server monitored-since times, or ``None`` without a rollout.
+
+    Models the paper's Section VII-C limitation: agent coverage ramps
+    from ``monitoring_initial_coverage`` to 1.0 linearly over
+    ``monitoring_rollout_years``, and each server gets a monitored-since
+    time consistent with that ramp.  :func:`run_shard` drops automatic
+    detections before it (nobody saw them); manual miscellaneous reports
+    survive (humans do not need agents).
+    """
     if config.monitoring_rollout_years <= 0:
         return None
     c0 = config.monitoring_initial_coverage
@@ -154,17 +141,6 @@ def _monitored_since(
         0.0,
         ramp_seconds * (u - c0) / max(1.0 - c0, 1e-12),
     )
-
-
-def _filter_monitored(
-    events: List[RawFailure], monitored_since: np.ndarray
-) -> List[RawFailure]:
-    return [
-        e
-        for e in events
-        if e.component is ComponentClass.MISC
-        or e.time >= monitored_since[e.server_row]
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -376,9 +352,12 @@ def run_shard(task: ShardTask, shared: ShardShared) -> ShardResult:
         detection=shared.detection,
         rng=rng,
     )
-    events.extend(task.injected)
+    events = EventColumns.concatenate([events, EventColumns.from_raw(task.injected)])
     if task.monitored_since is not None:
-        events = _filter_monitored(events, task.monitored_since)
+        events = events.take(
+            (events.components == COMPONENT_CODE[ComponentClass.MISC])
+            | (events.times >= task.monitored_since[events.rows])
+        )
 
     pipeline = FMSPipeline(
         fleet,
@@ -583,5 +562,4 @@ __all__ = [
     "finish_trace",
     "generate_trace",
     "generate_paper_trace",
-    "apply_monitoring_rollout",
 ]

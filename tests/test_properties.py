@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.dataset import FOTDataset
 from repro.core.timeutil import DAY, day_index, day_of_week, hour_of_day
-from repro.simulation.engine import EventQueue
 from repro.stats.chisquare import chi_square_counts
 from repro.stats.empirical import ecdf, gini
+from tests.test_fms_oracles import EventQueue
 from tests.test_ticket import make_ticket
 
 

@@ -17,8 +17,10 @@ lists), every table, every quarantine entry in order, ``n_loaded``, the
 the save side must write the reference's bytes.  Four defect classes
 the reference crashes on, misfiles or accepts (out-of-range integers,
 non-object JSON lines, non-finite timestamps, a ``detail`` that is not
-a JSON object) are asserted against their new outcome instead; where
-Hypothesis draws one of the last two, :func:`expected_parse_records`
+a JSON object) are asserted against their new outcome instead, and so
+are two silent coercions it made (a JSON boolean in an integer or
+timestamp field, an array or object in a string field); where
+Hypothesis draws one of the last four, :func:`expected_parse_records`
 checks that record's new outcome and the reference's, and compares the
 rest of the batch with the reference.
 """
@@ -46,6 +48,8 @@ from repro.core.columns import (
     CATEGORY_CODE,
     COLUMN_NAMES,
     COMPONENT_CODE,
+    FALSY,
+    SCHEMA,
     SOURCE_CODE,
     TABLE_NAMES,
     ColumnStore,
@@ -577,7 +581,8 @@ def assert_same_strict(new, ref) -> None:
 
 
 # ----------------------------------------------------------------------
-# the cells two fixes change: non-finite timestamps, non-object details
+# the cells four fixes change: non-finite timestamps, non-object details,
+# booleans as numbers, arrays and objects as strings
 # ----------------------------------------------------------------------
 _TIMESTAMP_FIELDS = ("error_time", "deployed_at", "op_time")
 
@@ -589,10 +594,19 @@ def _non_finite(value: object) -> bool:
         return False
 
 
+#: Per text kind, the JSON types the last two fixes reject, and the skip.
+_TYPE_FIXES = {
+    "int": ((bool,), q.BAD_NUMBER, "is not an integer"),
+    "time": ((bool,), q.BAD_TIMESTAMP, "is not a timestamp"),
+    "str": ((list, dict), q.BAD_JSON, "is not a string"),
+}
+
+
 def _fix_messages(record: object) -> List[Tuple[str, str, str]]:
-    """The ``(error class, field, message)`` skips the two fixes may file
-    for ``record``: one per non-finite timestamp and one for a truthy
-    ``detail`` that is not a dict."""
+    """The ``(error class, field, message)`` skips the four fixes may
+    file for ``record``: one per non-finite timestamp, one for a truthy
+    ``detail`` that is not a dict, and one per present boolean number or
+    array/object string (a falsy value in a ``FALSY`` field is absent)."""
     if not isinstance(record, dict):
         return []
     out = [
@@ -603,6 +617,11 @@ def _fix_messages(record: object) -> List[Tuple[str, str, str]]:
     detail = record.get("detail")
     if detail and not isinstance(detail, dict):
         out.append((q.BAD_JSON, "detail", f"detail: {detail!r} is not a JSON object"))
+    for field in SCHEMA:
+        types, error_class, text = _TYPE_FIXES.get(field.text, ((), "", ""))
+        value = record.get(field.name)
+        if type(value) in types and (value or field.absent != FALSY):
+            out.append((error_class, field.name, f"{field.name}: {value!r} {text}"))
     return out
 
 
@@ -626,9 +645,12 @@ def _alone(parse, pair: Tuple[int, object], strict: bool):
 
 
 def _split_fixed(numbered, strict: bool):
-    """The records whose outcome alone the two fixes change, and the
+    """The records whose outcome alone the four fixes change, and the
     rest.  Each of the former must get the fix's outcome from the new
-    parser, and must have been accepted or misfiled by the reference."""
+    parser, and must have been accepted or misfiled by the reference.
+    In quarantining mode a record whose one change is a repaired true
+    ``device_slot`` stays with the rest, as the ``"True"`` slot the
+    reference repairs the same way."""
     fixed, kept = [], []
     for pair in numbered:
         messages = _fix_messages(pair[1])
@@ -644,14 +666,23 @@ def _split_fixed(numbered, strict: bool):
                 for _, _, message in messages
             ], new
             assert not isinstance(ref, str) or ref != new  # accepted or misfiled
-        else:
-            new_skips, new_repairs, new_columns = new
-            ref_skips, ref_repairs, _ = ref
-            assert [skip[1:] for skip in new_skips] in [[m] for m in messages], new_skips
-            assert new_skips[0][0] == line and new_columns == _columns(FOTDataset())
-            assert ref_repairs[:len(new_repairs)] == new_repairs
-            # the reference loaded the record or filed it under another class
-            assert not ref_skips or ref_skips[0][1] != new_skips[0][1], ref_skips
+            fixed.append(pair)
+            continue
+        if pair[1].get("device_slot") is True:
+            # a true slot is repaired like any other non-integer slot,
+            # which the reference repairs with the same original text
+            as_text = (line, dict(pair[1], device_slot="True"))
+            ref = _alone(parse_records, as_text, strict)
+            if new == ref:
+                kept.append(as_text)
+                continue
+        new_skips, new_repairs, new_columns = new
+        ref_skips, ref_repairs, _ = ref
+        assert [skip[1:] for skip in new_skips] in [[m] for m in messages], new_skips
+        assert new_skips[0][0] == line and new_columns == _columns(FOTDataset())
+        assert ref_repairs[:len(new_repairs)] == new_repairs
+        # the reference loaded the record or filed it elsewhere
+        assert not ref_skips or ref_skips[0][1:] != new_skips[0][1:], ref_skips
         fixed.append(pair)
     return fixed, kept
 
@@ -772,7 +803,7 @@ def perturbed_records(draw, fot_id: int) -> Dict[str, object]:
             new = value + 0.5
         elif choice == "upper" and isinstance(value, str):
             new = value.upper().replace("_", " ")
-        elif choice == "iso_of" and isinstance(value, float):
+        elif choice == "iso_of" and isinstance(value, float) and math.isfinite(value):
             new = datetime.fromtimestamp(value, tz=timezone.utc).isoformat()
         elif choice == "before_error" and isinstance(record.get("error_time"), float):
             new = record["error_time"] - 10.0  # type: ignore[operator]
@@ -1150,3 +1181,66 @@ class TestNonObjectDetail:
         assert report.clean
         first, second = dataset.store.column("details").tolist()
         assert first == second == {} and first is not second
+
+
+class TestTypedValues:
+    """A JSON boolean is no integer or timestamp, and an array or object
+    is no string: each is a skip, where the reference loaded 0/1 or the
+    value's Python repr."""
+
+    @pytest.mark.parametrize(
+        "field,value,error_class,text",
+        [
+            ("fot_id", True, q.BAD_NUMBER, "is not an integer"),
+            ("error_position", False, q.BAD_NUMBER, "is not an integer"),
+            ("error_time", True, q.BAD_TIMESTAMP, "is not a timestamp"),
+            ("op_time", False, q.BAD_TIMESTAMP, "is not a timestamp"),
+            ("deployed_at", True, q.BAD_TIMESTAMP, "is not a timestamp"),
+            ("hostname", [1, 2], q.BAD_JSON, "is not a string"),
+            ("host_idc", [], q.BAD_JSON, "is not a string"),
+            ("error_detail", {"a": 1}, q.BAD_JSON, "is not a string"),
+            ("operator_id", ["op"], q.BAD_JSON, "is not a string"),
+        ],
+    )
+    def test_skipped(self, field, value, error_class, text):
+        numbered = list(enumerate([_clean(), dict(_clean(), **{field: value}), _clean()], 1))
+        ref, _ = parse_records(numbered, strict=False)
+        assert len(ref) == 3  # the reference coerced it
+        message = f"{field}: {value!r} {text}"
+        dataset, report = core_io.parse_records(numbered, strict=False)
+        assert len(dataset) == report.n_loaded == 2
+        assert [(s.line, s.error_class, s.field, s.message) for s in report.skips] == [
+            (2, error_class, field, message)
+        ]
+        with pytest.raises(ValueError) as info:
+            core_io.parse_records(numbered, strict=True)
+        assert str(info.value) == f"line 2: malformed ticket record: {message}"
+
+    def test_error_time_true_with_blank_op_time(self):
+        record = dict(_clean(), error_time=True, op_time="")
+        _, report = core_io.parse_records([(1, record)], strict=False)
+        assert [s.message for s in report.skips] == ["error_time: True is not a timestamp"]
+
+    @pytest.mark.parametrize("field,value", [
+        ("device_slot", False), ("error_detail", []), ("operator_id", {}), ("action", False),
+    ])
+    def test_falsy_value_in_falsy_field_is_absent(self, field, value):
+        dataset, report = core_io.parse_records(
+            [(1, dict(_clean(), **{field: value}))], strict=False
+        )
+        assert report.clean and len(dataset) == 1
+
+    def test_true_slot_is_defaulted(self):
+        record = dict(_clean(), device_slot=True)
+        dataset, report = core_io.parse_records([(1, record)], strict=False)
+        assert dataset.store.column("device_slots").tolist() == [0]
+        assert [(r.repair, r.field, r.original) for r in report.repairs] == [
+            (q.SLOT_DEFAULTED, "device_slot", "True")
+        ]
+        with pytest.raises(ValueError, match="^line 1: malformed ticket record: "
+                           "device_slot: True is not an integer$"):
+            core_io.parse_records([(1, record)], strict=True)
+
+    def test_number_in_string_field_still_loads(self):
+        dataset, report = core_io.parse_records([(1, dict(_clean(), hostname=123))], strict=False)
+        assert report.clean and dataset.store.column("hostnames").tolist() == ["123"]
