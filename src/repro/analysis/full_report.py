@@ -34,7 +34,7 @@ from repro.analysis import (
 from repro.analysis.report import format_percent, format_profile, format_table
 from repro.core.dataset import FOTDataset
 from repro.core.types import ComponentClass, FOTCategory
-from repro.robustness.quality import DataQuality, InsufficientDataError, clean_response_times
+from repro.robustness.quality import InsufficientDataError, audit_dataset
 
 
 @dataclass(frozen=True)
@@ -162,13 +162,7 @@ def fig9(dataset: FOTDataset) -> str:
 
 def quality_notes(dataset: FOTDataset) -> str:
     """Data-quality assessment; empty string when the data is clean."""
-    quality = DataQuality.assess(dataset)
-    # Note the tickets the response-time analyses drop for lack of an
-    # op_time, as rt_distribution does for each closed category.
-    for category in (FOTCategory.FIXING, FOTCategory.FALSE_ALARM):
-        subset = dataset.of_category(category)
-        if len(subset):
-            clean_response_times(subset, "response", quality)
+    quality = audit_dataset(dataset)
     if quality.grade == "ok" and not quality.exclusions:
         return ""
     return quality.format()

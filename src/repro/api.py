@@ -76,7 +76,7 @@ from repro.engine.telemetry import (
     RunTelemetry,
     StageTiming,
 )
-from repro.robustness.quality import DataQuality, clean_response_times
+from repro.robustness.quality import DataQuality, audit_dataset
 from repro.robustness.quarantine import QuarantineReport
 from repro.simulation.trace import generate_trace
 
@@ -179,14 +179,7 @@ def audit(path: Union[str, Path]) -> AuditResult:
     format, missing required CSV columns).
     """
     dataset, quarantine = _io.load(path, strict=False)
-    quality = DataQuality.assess(dataset)
-    # Note the tickets the response-time analyses drop for lack of an
-    # op_time, as rt_distribution does for each closed category.
-    for category in (FOTCategory.FIXING, FOTCategory.FALSE_ALARM):
-        subset = dataset.of_category(category)
-        if len(subset):
-            clean_response_times(subset, "response", quality)
-    return AuditResult(dataset=dataset, quarantine=quarantine, quality=quality)
+    return AuditResult(dataset=dataset, quarantine=quarantine, quality=audit_dataset(dataset))
 
 
 def simulate(

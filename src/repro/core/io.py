@@ -238,7 +238,8 @@ def _parse_int(value: object, field: Field, repairs: Optional[_Repairs]) -> int:
             pass
     except OverflowError:  # int() of an infinite float
         raise _OutOfRange(field.name, value) from None
-    if number is None or isinstance(value, bool):  # JSON true/false is no number
+    # JSON true/false is no number, and int() truncates a fractional float
+    if number is None or isinstance(value, bool) or (isinstance(value, float) and value != number):
         raise RowError(q.BAD_NUMBER, f"{field.name}: {value!r} is not an integer", field.name)
     low, high = _bounds(field)
     if not low <= number <= high:
@@ -416,22 +417,31 @@ def _whole_column(field: Field) -> _Column:
 
 _WHOLE_COLUMNS = [(field, _whole_column(field)) for field in SCHEMA]
 
+def _always(value: object) -> bool:
+    return True
+
+
 #: Per text kind, the JSON value types its first conversion takes but its
-#: row parser rejects: true/false as a number, an array or object as a
-#: string.
-_REJECTED: Dict[str, Set[type]] = {"int": {bool}, "time": {bool}, "str": {list, dict}}
+#: row parser may reject, each with a test for the values it rejects:
+#: true/false as a number, a fractional number as an integer (``int()``
+#: truncates it), an array or object as a string.
+_REJECTED: Dict[str, Dict[type, Callable[[Any], bool]]] = {
+    "int": {bool: _always, float: lambda value: not value.is_integer()},
+    "time": {bool: _always},
+    "str": {list: _always, dict: _always},
+}
 
 
 def _rejected_rows(field: Field, given: Sequence[Any]) -> List[int]:
-    """The rows of ``field``'s raw column holding a value of a type in
-    :data:`_REJECTED`, by one set of the column's types; a falsy value in
-    a ``FALSY`` field is absent, whatever its type."""
-    types = _REJECTED[field.text]
-    if types.isdisjoint(map(type, given)):
+    """The rows of ``field``'s raw column holding a value
+    :data:`_REJECTED` rejects, by one set of the column's types; a falsy
+    value in a ``FALSY`` field is absent, whatever its type."""
+    tests = _REJECTED[field.text]
+    if set(map(type, given)).isdisjoint(tests):
         return []
     return [
         i for i, value in enumerate(given)
-        if type(value) in types and (value or field.absent != FALSY)
+        if type(value) in tests and tests[type(value)](value) and (value or field.absent != FALSY)
     ]
 
 
@@ -491,7 +501,8 @@ def _column_pass(records: List[object]) -> Tuple[Dict[str, List[object]], List[i
             lowest = min(ints)
             if lowest < low or max(ints) > high:
                 flagged |= np.asarray([not low <= v <= high for v in ints])
-            if lowest <= 1:  # a bool converts to 0 or 1
+            # a bool converts to 0 or 1; a fractional float to an int it is not equal to
+            if lowest <= 1 or ints != list(given):
                 bad.update(_rejected_rows(field, given))
         elif field.text == "str":
             try:

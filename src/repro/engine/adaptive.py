@@ -145,7 +145,7 @@ def estimate_shard_costs(tasks: Sequence["ShardTask"]) -> Tuple[float, ...]:
     to serial long before a bad estimate could make parallel a loss.
     """
     return tuple(
-        float(len(task.rows)) + INJECTED_EVENT_WEIGHT * float(len(task.injected))
+        float(len(task.rows)) + INJECTED_EVENT_WEIGHT * float(task.injected.times.size)
         for task in tasks
     )
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -33,16 +33,13 @@ from repro.fms.detectors import DetectionModel
 from repro.fms.operators import OperatorModel
 from repro.fms.repair import RepairModel
 from repro.simulation import calibration
-from repro.simulation.events import EventColumns, RawFailure
+from repro.simulation.events import EventColumns
 
 #: Linux block-device letters for drive detail strings.
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 _FIXING, _ERROR, _FALSE_ALARM = FOTCategory.FIXING, FOTCategory.ERROR, FOTCategory.FALSE_ALARM
 _REPAIR_ORDER, _MARK_FALSE_ALARM = OperatorAction.REPAIR_ORDER, OperatorAction.MARK_FALSE_ALARM
-
-#: What :meth:`FMSPipeline.run_store` takes: columns, or a list of events.
-_Events = Union[EventColumns, Sequence[RawFailure]]
 
 #: The pipeline's counters, in the order :meth:`FMSPipeline.run_store` adds to them.
 _STATS = (
@@ -123,12 +120,12 @@ class FMSPipeline:
         self.stats: Dict[str, int] = dict.fromkeys(_STATS, 0)
 
     # ------------------------------------------------------------------
-    def run(self, raw_events: _Events, warranty_seconds: float) -> FOTDataset:
-        """Process every raw failure (plus the repeats they spawn) into
-        a time-ordered FOT dataset."""
-        return FOTDataset.from_store(self.run_store(raw_events, warranty_seconds))
+    def run(self, events: EventColumns, warranty_seconds: float) -> FOTDataset:
+        """Process every failure (plus the repeats they spawn) into a
+        time-ordered FOT dataset."""
+        return FOTDataset.from_store(self.run_store(events, warranty_seconds))
 
-    def run_store(self, raw_events: _Events, warranty_seconds: float) -> ColumnStore:
+    def run_store(self, events: EventColumns, warranty_seconds: float) -> ColumnStore:
         """Like :meth:`run` but return the raw
         :class:`~repro.core.columns.ColumnStore` — the sharded engine
         ships these arrays between processes and concatenates once.
@@ -140,9 +137,6 @@ class FMSPipeline:
         in a fixed order: the type (unless forced), the false alarm
         (unless repeats are suppressed), the operator's, the repair's,
         and last the escalation."""
-        events = raw_events
-        if not isinstance(events, EventColumns):
-            events = EventColumns.from_raw(events)
         order = np.argsort(events.times, kind="stable").tolist()
         times, rows, codes, slots, forced_types, tags, chain_ids, suppress = (
             column.tolist() for column in events

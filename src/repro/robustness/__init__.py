@@ -33,6 +33,7 @@ from repro.robustness.quality import (
     Exclusion,
     FieldCoverage,
     InsufficientDataError,
+    audit_dataset,
     clean_response_times,
 )
 from repro.robustness.quarantine import (
@@ -85,6 +86,7 @@ __all__ = [
     "InsufficientDataError",
     "DEFAULT_MAX_POSITION",
     "clean_response_times",
+    "audit_dataset",
     "BatchValidation",
     "validate_batch",
     "CorruptionSpec",

@@ -286,6 +286,19 @@ def clean_response_times(
     return usable
 
 
+def audit_dataset(dataset: FOTDataset) -> DataQuality:
+    """:meth:`DataQuality.assess` of ``dataset``, noting the tickets the
+    response-time analyses drop for lack of an ``op_time``, as
+    ``rt_distribution`` does for each closed category — what a report's
+    quality section and :func:`repro.api.audit` state."""
+    quality = DataQuality.assess(dataset)
+    for category in (FOTCategory.FIXING, FOTCategory.FALSE_ALARM):
+        subset = dataset.of_category(category)
+        if len(subset):
+            clean_response_times(subset, "response", quality)
+    return quality
+
+
 __all__ = [
     "DEFAULT_MAX_POSITION",
     "InsufficientDataError",
@@ -293,4 +306,5 @@ __all__ = [
     "Exclusion",
     "DataQuality",
     "clean_response_times",
+    "audit_dataset",
 ]

@@ -13,10 +13,12 @@ proprietary dataset:
   storm, SAS batch, PDU outage and misoperation cases of Section V-A).
 * :mod:`repro.simulation.correlated` — correlated component pairs,
   flapping (BBU-style) servers and synchronous repeat groups.
+* :mod:`repro.simulation.events` — :class:`EventColumns`, the one event
+  format every generator emits and the FMS pipeline takes.
 * :mod:`repro.simulation.trace` — the top-level generator.
 """
 
 from repro.simulation.trace import generate_paper_trace, generate_trace
-from repro.simulation.events import RawFailure
+from repro.simulation.events import EventColumns
 
-__all__ = ["generate_paper_trace", "generate_trace", "RawFailure"]
+__all__ = ["generate_paper_trace", "generate_trace", "EventColumns"]

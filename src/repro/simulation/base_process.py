@@ -41,7 +41,7 @@ from repro.fleet.fleet import Fleet
 from repro.fms.detectors import DetectionModel
 from repro.simulation import calibration
 from repro.simulation.events import EventColumns
-from repro.simulation.hazards import MAX_MONTH, build_shapes
+from repro.simulation.hazards import MAX_MONTH, LifecycleShape, build_shapes
 
 #: Days per simulation month (see :data:`repro.core.timeutil.MONTH`).
 _DAYS_PER_MONTH = int(MONTH // DAY)
@@ -107,20 +107,26 @@ def day_effect_series(
     return out
 
 
-def _month_terms(
-    m: int, deployed: np.ndarray
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """What every class shares in month ``m``, per server: whether it is
-    not yet deployed at mid-month, its lifecycle-table index (service
-    age in whole months, see :meth:`LifecycleShape.at`) and the
-    in-service fraction of the month.  The deploy month is prorated,
+def _month_terms(m: int, deployed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """What every class shares in month ``m``, per server: its
+    lifecycle-table index (service age in whole months at mid-month,
+    clipped to ``0..MAX_MONTH``) and its exposure, the in-service
+    fraction of the month — zero for a server not yet deployed at
+    mid-month (negative service age).  The deploy month is prorated,
     otherwise mid-month deployments concentrate a full month of hazard
     into half a month of exposure and fake an infant-mortality spike."""
     month_mid = (m + 0.5) * MONTH
     age_months = np.floor((month_mid - deployed) / MONTH)
     in_service = np.clip(((m + 1) * MONTH - deployed) / MONTH, 0.0, 1.0)
     idx = np.clip(age_months, 0, MAX_MONTH).astype(int)
-    return age_months < 0, idx, in_service
+    return idx, np.where(age_months < 0, 0.0, in_service)
+
+
+def _intensity(static_weight: np.ndarray, shape: LifecycleShape, terms) -> np.ndarray:
+    """One class's unnormalized per-server intensity in one month:
+    static weight × hazard × exposure (``terms`` from :func:`_month_terms`)."""
+    idx, exposure = terms
+    return static_weight * shape.table[idx] * exposure
 
 
 def class_budget_scales(
@@ -154,10 +160,9 @@ def class_budget_scales(
             static[cls] = weight
     totals = {cls: 0.0 for cls in static}
     for m in range(n_months):
-        unborn, idx, in_service = _month_terms(m, deployed)
+        terms = _month_terms(m, deployed)
         for cls, weight in static.items():
-            lam = weight * shapes[cls].at(unborn, idx) * in_service
-            totals[cls] += float(lam.sum())
+            totals[cls] += float(_intensity(weight, shapes[cls], terms).sum())
     return {
         cls: budgets[cls] / total
         for cls, total in totals.items()
@@ -207,7 +212,7 @@ def sample_shard_failures(
         (np.empty(0), np.empty(0, np.int64), np.empty(0, np.int8), np.empty(0, np.int64))
     ]
     if n_servers == 0:
-        return EventColumns.sampled(*chunks[0])
+        return EventColumns.of(*chunks[0])
     shapes = build_shapes()
 
     day_indices = np.arange(n_days)
@@ -222,12 +227,8 @@ def sample_shard_failures(
             continue
 
         # Month-resolved per-server intensities (unnormalized).
-        lam_by_month = []
-        month_totals = np.zeros(n_months)
-        for m, (unborn, idx, in_service) in enumerate(months):
-            lam = static_weight * shape.at(unborn, idx) * in_service
-            lam_by_month.append(lam)
-            month_totals[m] = lam.sum()
+        lam_by_month = [_intensity(static_weight, shape, terms) for terms in months]
+        month_totals = np.array([lam.sum() for lam in lam_by_month])
         if month_totals.sum() == 0.0:
             continue
 
@@ -281,7 +282,7 @@ def sample_shard_failures(
 
             codes = np.full(n_month, COMPONENT_CODE[cls], dtype=np.int8)
             chunks.append((times, rows, codes, slots))
-    return EventColumns.sampled(*map(np.concatenate, zip(*chunks)))
+    return EventColumns.of(*map(np.concatenate, zip(*chunks)))
 
 
 def sample_base_failures(

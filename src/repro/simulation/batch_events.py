@@ -16,7 +16,8 @@ Four mechanisms, one per observed cause:
   of servers at once (the August 2016 anecdote).
 
 Every injected failure carries a ``tag`` naming its storm, so validation
-tests and the case-study benchmark can recover ground truth.
+tests and the case-study benchmark can recover ground truth.  Each
+injector returns its failures as one :class:`EventColumns`.
 """
 
 from __future__ import annotations
@@ -26,12 +27,15 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.core.columns import COMPONENT_CODE
 from repro.core.timeutil import DAY, HOUR, YEAR
 from repro.core.types import ComponentClass
 from repro.fleet.component import generation
 from repro.fleet.fleet import Fleet
 from repro.simulation import calibration
-from repro.simulation.events import RawFailure
+from repro.simulation.events import NO_EVENTS, EventColumns
+
+_POWER = COMPONENT_CODE[ComponentClass.POWER]
 
 
 @dataclass(frozen=True)
@@ -78,17 +82,17 @@ def _sample_cohort_failures(
     forced_type: str,
     tag: str,
     rng: np.random.Generator,
-) -> List[RawFailure]:
+) -> EventColumns:
     """Draw ``n`` failures from a cohort inside [start, start+window),
     component-count weighted, at most one failure per (server, slot).
     Servers not yet deployed at the window start cannot fail."""
     rows = rows[fleet.deployed_ats[rows] <= start]
     if rows.size == 0:
-        return []
+        return NO_EVENTS
     counts = fleet.counts_for(component)[rows].astype(float)
     total_slots = int(counts.sum())
     if total_slots == 0:
-        return []
+        return NO_EVENTS
     n = min(n, total_slots)
     # Enumerate (row, slot) pairs implicitly and sample without
     # replacement so a slot fails at most once per storm.
@@ -97,18 +101,10 @@ def _sample_cohort_failures(
     row_idx = np.searchsorted(cum, chosen, side="right")
     slot_idx = chosen - np.concatenate(([0], cum[:-1]))[row_idx]
     times = start + rng.uniform(0.0, window, size=n)
-    return [
-        RawFailure(
-            time=float(t),
-            server_row=int(rows[r]),
-            component=component,
-            slot=int(s),
-            forced_type=forced_type,
-            tag=tag,
-            suppress_repeat=True,
-        )
-        for t, r, s in zip(times, row_idx, slot_idx)
-    ]
+    return EventColumns.of(
+        times, rows[row_idx], COMPONENT_CODE[component], slot_idx, forced_type, tag,
+        suppress=True,
+    )
 
 
 def inject_batch_events(
@@ -116,7 +112,7 @@ def inject_batch_events(
     horizon_seconds: float,
     scale: float,
     rng: np.random.Generator,
-) -> Tuple[List[RawFailure], List[StormRecord]]:
+) -> Tuple[EventColumns, List[StormRecord]]:
     """Generate every storm for one trace.
 
     Storm *counts* stay fixed (they are rare operational events), storm
@@ -124,18 +120,18 @@ def inject_batch_events(
     out by paper-sized storms.
     """
     years = horizon_seconds / YEAR
-    events: List[RawFailure] = []
+    batches: List[EventColumns] = [NO_EVENTS]
     records: List[StormRecord] = []
     cohorts = storm_prone_cohorts(fleet)
     if not cohorts:
-        return events, records
+        return NO_EVENTS, records
     storm_id = 0
 
     def record(kind, component, start, window, batch, description):
         nonlocal storm_id
         tag = f"{kind}:{storm_id}"
         storm_id += 1
-        events.extend(batch)
+        batches.append(batch)
         records.append(
             StormRecord(
                 tag=tag,
@@ -143,7 +139,7 @@ def inject_batch_events(
                 component=component,
                 start=start,
                 end=start + window,
-                n_events=len(batch),
+                n_events=batch.times.size,
                 description=description,
             )
         )
@@ -222,14 +218,13 @@ def inject_batch_events(
         day_start = float(rng.integers(0, max(1, int(horizon_seconds / DAY) - 1))) * DAY
         tag = f"sas_batch:{storm_id}"
         half = size // 2
-        batch = _sample_cohort_failures(
-            fleet, rows, ComponentClass.MOTHERBOARD, half,
-            day_start + 5 * HOUR, HOUR, "SASCardErr", tag, rng,
-        )
-        batch += _sample_cohort_failures(
-            fleet, rows, ComponentClass.MOTHERBOARD, size - half,
-            day_start + 16 * HOUR, HOUR, "SASCardErr", tag, rng,
-        )
+        batch = EventColumns.concatenate([
+            _sample_cohort_failures(
+                fleet, rows, ComponentClass.MOTHERBOARD, n, day_start + hour * HOUR, HOUR,
+                "SASCardErr", tag, rng,
+            )
+            for n, hour in ((half, 5), (size - half, 16))
+        ])
         record("sas_batch", ComponentClass.MOTHERBOARD, day_start + 5 * HOUR,
                12 * HOUR, batch, "Case 2: faulty SAS cards, two 1-hour windows")
 
@@ -255,19 +250,10 @@ def inject_batch_events(
         if rows.size == 0:
             continue
         tag = f"pdu_outage:{storm_id}"
-        times = start + rng.uniform(0.0, window, size=rows.size)
-        batch = [
-            RawFailure(
-                time=float(t),
-                server_row=int(r),
-                component=ComponentClass.POWER,
-                slot=0,
-                forced_type="PSUInputLost",
-                tag=tag,
-                suppress_repeat=True,
-            )
-            for t, r in zip(times, rows)
-        ]
+        batch = EventColumns.of(
+            start + rng.uniform(0.0, window, size=rows.size), rows, _POWER, 0, "PSUInputLost",
+            tag, suppress=True,
+        )
         record("pdu_outage", ComponentClass.POWER, start, window, batch,
                f"Case 3: single power distribution unit {pdu} outage")
 
@@ -287,23 +273,14 @@ def inject_batch_events(
         size = min(size, idc_rows.size)
         chosen = rng.choice(idc_rows, size=size, replace=False)
         tag = f"misoperation:{storm_id}"
-        times = start + rng.uniform(0.0, window, size=size)
-        batch = [
-            RawFailure(
-                time=float(t),
-                server_row=int(r),
-                component=ComponentClass.POWER,
-                slot=0,
-                forced_type="PSUInputLost",
-                tag=tag,
-                suppress_repeat=True,
-            )
-            for t, r in zip(times, chosen)
-        ]
+        batch = EventColumns.of(
+            start + rng.uniform(0.0, window, size=size), chosen, _POWER, 0, "PSUInputLost",
+            tag, suppress=True,
+        )
         record("misoperation", ComponentClass.POWER, start, window, batch,
                "electricity-provider misoperation on a PDU")
 
-    return events, records
+    return EventColumns.concatenate(batches), records
 
 
 __all__ = ["StormRecord", "inject_batch_events", "storm_prone_cohorts"]

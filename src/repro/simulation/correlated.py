@@ -12,6 +12,8 @@
   later, for about a year.
 * :func:`inject_synchronous_groups` — near-identical neighbours whose
   repeating failures line up to the second (Table VIII).
+
+Each injector returns its failures as one :class:`EventColumns`.
 """
 
 from __future__ import annotations
@@ -21,11 +23,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.columns import COMPONENT_CODE
 from repro.core.timeutil import DAY, HOUR, MINUTE, YEAR
 from repro.core.types import ComponentClass
 from repro.fleet.fleet import Fleet
 from repro.simulation import calibration
-from repro.simulation.events import RawFailure
+from repro.simulation.events import NO_EVENTS, EventColumns
+
+_HDD, _RAID_CARD = COMPONENT_CODE[ComponentClass.HDD], COMPONENT_CODE[ComponentClass.RAID_CARD]
 
 
 @dataclass(frozen=True)
@@ -44,9 +49,10 @@ def inject_correlated_pairs(
     horizon_seconds: float,
     scale: float,
     rng: np.random.Generator,
-) -> Tuple[List[RawFailure], List[InjectionRecord]]:
+) -> Tuple[EventColumns, List[InjectionRecord]]:
     """Materialize the Table VI pair matrix (scaled)."""
-    events: List[RawFailure] = []
+    # (time, row, class code, slot, tag) of each event, in draw order.
+    events: List[Tuple[float, int, int, int, str]] = []
     records: List[InjectionRecord] = []
     pair_id = 0
     for (cause, effect), paper_count in calibration.CORRELATED_PAIR_COUNTS.items():
@@ -78,16 +84,7 @@ def inject_correlated_pairs(
                 gap = float(rng.uniform(30.0, 30 * MINUTE))
             for cls, t in ((first_cls, t0), (second_cls, t0 + gap)):
                 max_slot = max(1, int(fleet.counts_for(cls)[row]))
-                events.append(
-                    RawFailure(
-                        time=t,
-                        server_row=int(row),
-                        component=cls,
-                        slot=int(rng.integers(max_slot)),
-                        tag=tag,
-                        suppress_repeat=True,
-                    )
-                )
+                events.append((t, row, COMPONENT_CODE[cls], int(rng.integers(max_slot)), tag))
             records.append(
                 InjectionRecord(
                     tag=tag,
@@ -97,7 +94,8 @@ def inject_correlated_pairs(
                     description=f"{cause.value} -> {effect.value} on one server",
                 )
             )
-    return events, records
+    times, rows, codes, slots, tags = zip(*events) if events else ((),) * 5
+    return EventColumns.of(times, rows, codes, slots, None, tags, suppress=True), records
 
 
 def inject_flapping_server(
@@ -105,7 +103,7 @@ def inject_flapping_server(
     horizon_seconds: float,
     scale: float,
     rng: np.random.Generator,
-) -> Tuple[List[RawFailure], Optional[InjectionRecord]]:
+) -> Tuple[EventColumns, Optional[InjectionRecord]]:
     """The BBU up-and-down server: >400 RAID/HDD failures in ~a year.
 
     The chain length scales down with the scenario so tiny test fleets
@@ -119,7 +117,7 @@ def inject_flapping_server(
         & (fleet.deployed_ats < horizon_seconds * 0.35)
     )
     if eligible.size == 0:
-        return [], None
+        return NO_EVENTS, None
     # Prefer an online (web service) line, matching the anecdote.
     online = np.array(
         [fleet.product_lines[name].workload == "online" for name in fleet.line_names]
@@ -141,39 +139,22 @@ def inject_flapping_server(
     times = start + np.cumsum(gaps) * (span / gaps.sum())
     hdd_slots = max(1, int(fleet.counts_for(ComponentClass.HDD)[row]))
 
-    tag = "bbu_flap"
-    events: List[RawFailure] = []
-    for i, t in enumerate(times):
-        # Alternate in blocks (not per event) so the RAID and HDD tickets
-        # of the flap rarely share a calendar day — the paper reports the
-        # server under *repeating* failures, not correlated-component ones.
-        if (i // 6) % 3 == 0:
-            cls, ftype, slot = ComponentClass.RAID_CARD, "BBUFail", 0
-        else:
-            # The same two drives behind the flapping controller go up
-            # and down, over and over.
-            cls, ftype, slot = (
-                ComponentClass.HDD,
-                "NotReady" if i % 2 else "Missing",
-                int(i % min(2, hdd_slots)),
-            )
-        events.append(
-            RawFailure(
-                time=float(t),
-                server_row=row,
-                component=cls,
-                slot=slot,
-                forced_type=ftype,
-                tag=tag,
-                chain_id=-1,
-                suppress_repeat=True,
-            )
-        )
+    # Alternate in blocks (not per event) so the RAID and HDD tickets of
+    # the flap rarely share a calendar day — the paper reports the server
+    # under *repeating* failures, not correlated-component ones.  The same
+    # two drives behind the flapping controller go up and down, over and over.
+    i = np.arange(chain)
+    raid = (i // 6) % 3 == 0
+    events = EventColumns.of(
+        times, row, np.where(raid, _RAID_CARD, _HDD), np.where(raid, 0, i % min(2, hdd_slots)),
+        np.array(["Missing", "NotReady", "BBUFail"], dtype=object)[np.where(raid, 2, i % 2)],
+        "bbu_flap", -1, True,
+    )
     record = InjectionRecord(
-        tag=tag,
+        tag="bbu_flap",
         kind="bbu_flapping",
         server_rows=(row,),
-        n_events=len(events),
+        n_events=events.times.size,
         description="BBU root cause; RAID card up-and-down for ~a year",
     )
     return events, record
@@ -184,7 +165,7 @@ def inject_synchronous_groups(
     horizon_seconds: float,
     scale: float,
     rng: np.random.Generator,
-) -> Tuple[List[RawFailure], List[InjectionRecord]]:
+) -> Tuple[EventColumns, List[InjectionRecord]]:
     """Groups of near-identical servers repeating failures in lockstep
     (Table VIII: same product line, same model, same deployment time,
     adjacent racks, same distributed storage system)."""
@@ -195,8 +176,8 @@ def inject_synchronous_groups(
         if rows.size >= calibration.SYNC_GROUP_SIZE
     ]
     if not cohorts:
-        return [], []
-    events: List[RawFailure] = []
+        return NO_EVENTS, []
+    steps: List[EventColumns] = [NO_EVENTS]
     records: List[InjectionRecord] = []
     # The Table VIII sequence: two SMART warnings, four rounds of a
     # repeatedly "fixed" system drive, one late PendingLBA.
@@ -221,30 +202,20 @@ def inject_synchronous_groups(
                 break
             ftype = type_sequence[step]
             slot = 0 if ftype == "SixthFixing" else int(rng.integers(1, 9))
-            for member in members:
-                jitter = float(rng.uniform(0.0, calibration.SYNC_JITTER_SECONDS))
-                events.append(
-                    RawFailure(
-                        time=float(step_times[step]) + jitter,
-                        server_row=int(member),
-                        component=ComponentClass.HDD,
-                        slot=slot,
-                        forced_type=ftype,
-                        tag=tag,
-                        chain_id=g,
-                        suppress_repeat=True,
-                    )
-                )
+            jitters = rng.uniform(0.0, calibration.SYNC_JITTER_SECONDS, size=members.size)
+            steps.append(EventColumns.of(
+                step_times[step] + jitters, members, _HDD, slot, ftype, tag, g, True
+            ))
         records.append(
             InjectionRecord(
                 tag=tag,
                 kind="synchronous_group",
                 server_rows=tuple(int(m) for m in members),
-                n_events=n_steps * len(members),
+                n_events=n_steps * members.size,
                 description="near-identical servers repeating in lockstep",
             )
         )
-    return events, records
+    return EventColumns.concatenate(steps), records
 
 
 __all__ = [

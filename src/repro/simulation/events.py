@@ -1,104 +1,80 @@
-"""Raw failure events — the simulator's intermediate representation.
+"""Failure events — the simulator's intermediate representation.
 
-The injectors emit :class:`RawFailure` records; the base process emits
-its far more numerous failures as :class:`EventColumns`, one array per
-field, and a shard hands the FMS pipeline one :class:`EventColumns`
-holding both.  The pipeline turns events into tickets (assigning
-detection source, category, operator response) and may grow more events
-of its own when a repair proves ineffective.
+Every generator (the base process and each injector) emits its failures
+as :class:`EventColumns`, one array per field, and a shard hands the FMS
+pipeline one :class:`EventColumns` holding them all.  The pipeline turns
+events into tickets (assigning detection source, category, operator
+response) and may grow more events of its own when a repair proves
+ineffective.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.columns import COMPONENT_CODE
-from repro.core.types import ComponentClass
-
-
-@dataclass(frozen=True, order=True)
-class RawFailure:
-    """One component failure before FMS processing.
-
-    Ordering is by time so event lists can be heapified/sorted directly.
-
-    Attributes:
-        time: Detection timestamp (seconds since trace epoch).
-        server_row: Row index of the server in the fleet (NOT host_id).
-        component: Failing component class.
-        slot: Component slot index on the server.
-        forced_type: Failure type forced by an injector (e.g. a SMART
-            storm emits only ``SMARTFail``); ``None`` means "draw from
-            the class's type mix".
-        tag: Ground-truth label of the generating mechanism ("base",
-            "smart_storm:3", "pdu_outage:1", "flapping", ...).  Analyses
-            never read it; validation tests do.
-        chain_id: Repeat-chain identifier when this failure is part of a
-            pre-materialized repeat sequence, else ``None``.
-        suppress_repeat: True when the FMS must not grow a repeat chain
-            from this failure (it already belongs to an injected chain).
-    """
-
-    time: float
-    server_row: int = field(compare=False)
-    component: ComponentClass = field(compare=False)
-    slot: int = field(compare=False, default=0)
-    forced_type: Optional[str] = field(compare=False, default=None)
-    tag: str = field(compare=False, default="base")
-    chain_id: Optional[int] = field(compare=False, default=None)
-    suppress_repeat: bool = field(compare=False, default=False)
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"event time must be >= 0, got {self.time}")
-        if self.server_row < 0:
-            raise ValueError(f"server_row must be >= 0, got {self.server_row}")
-
 
 class EventColumns(NamedTuple):
-    """Failure events as columns, one entry per event in event order
-    (the order the FMS breaks time ties in).  Each column holds what the
-    :class:`RawFailure` attribute of its place does; ``components`` holds
-    the store's int8 codes (:data:`~repro.core.columns.COMPONENT_CODE`)."""
+    """Component failures before FMS processing, as columns: one entry
+    per event, in event order (the order the FMS breaks time ties in).
+
+    Count events with ``times.size``: ``len()`` of the tuple is the
+    number of columns.
+
+    Attributes:
+        times: Detection timestamps (seconds since trace epoch).
+        rows: Row index of each server in the fleet (NOT host_id).
+        components: Failing component class, as the store's int8 code
+            (:data:`~repro.core.columns.COMPONENT_CODE`).
+        slots: Component slot index on the server.
+        forced_types: Failure type forced by an injector (e.g. a SMART
+            storm emits only ``SMARTFail``); ``None`` means "draw from
+            the class's type mix".
+        tags: Ground-truth label of the generating mechanism ("base",
+            "smart_storm:3", "pdu_outage:1", "bbu_flap", ...).  Analyses
+            never read it; validation tests do.
+        chain_ids: Repeat-chain identifier (a Python ``int``) when the
+            event is part of a pre-materialized repeat sequence, else
+            ``None``.
+        suppress: True when the FMS must not grow a repeat chain from
+            the event (it already belongs to an injected chain).
+    """
 
     times: np.ndarray  # float64
     rows: np.ndarray  # int64 server rows
     components: np.ndarray  # int8
     slots: np.ndarray  # int64
-    forced_types: np.ndarray  # object: None or a failure type name
-    tags: np.ndarray  # object
+    forced_types: np.ndarray  # object: None or a str
+    tags: np.ndarray  # object: str
     chain_ids: np.ndarray  # object: None or an int
     suppress: np.ndarray  # bool
 
     @classmethod
-    def sampled(cls, times, rows, components, slots) -> "EventColumns":
-        """Base-process events: no forced type, tag ``"base"``, no chain,
-        repeats allowed.  Checks the columns as :class:`RawFailure` checks
-        one event, raising its ``ValueError`` for the first bad one."""
-        bad = np.flatnonzero((times < 0) | (rows < 0))
+    def of(
+        cls, times, rows, components, slots, forced_types=None, tags="base",
+        chain_ids=None, suppress=False,
+    ) -> "EventColumns":
+        """Events from one value per field each; a scalar stands for
+        every event, and ``times`` sets the count.  Object fields take
+        Python ``str``/``int``/``None`` values (they reach the tickets'
+        JSON ``detail``).  Raises ``ValueError`` for the first event
+        with a negative time or server row."""
+        times = np.asarray(times, dtype=np.float64)
+        n = times.size
+        columns = [times] + [
+            np.full(n, value, dtype=dtype) if np.ndim(value) == 0
+            else np.asarray(value, dtype=dtype)
+            for value, dtype in zip(
+                (rows, components, slots, forced_types, tags, chain_ids, suppress), _DTYPES[1:]
+            )
+        ]
+        bad = np.flatnonzero((times < 0) | (columns[1] < 0))
         if bad.size and times[bad[0]] < 0:
             raise ValueError(f"event time must be >= 0, got {float(times[bad[0]])}")
         if bad.size:
-            raise ValueError(f"server_row must be >= 0, got {int(rows[bad[0]])}")
-        n = len(times)
-        return cls(
-            *(np.asarray(c, dtype=d) for c, d in zip((times, rows, components, slots), _DTYPES)),
-            np.full(n, None), np.full(n, "base", dtype=object), np.full(n, None),
-            np.zeros(n, dtype=bool),
-        )
-
-    @classmethod
-    def from_raw(cls, events: Sequence[RawFailure]) -> "EventColumns":
-        """The columns of ``events``, in their order."""
-        rows = [
-            (e.time, e.server_row, COMPONENT_CODE[e.component], e.slot, e.forced_type,
-             e.tag, e.chain_id, e.suppress_repeat)
-            for e in events
-        ]
-        return cls(*(np.array([r[i] for r in rows], dtype=d) for i, d in enumerate(_DTYPES)))
+            raise ValueError(f"server_row must be >= 0, got {int(columns[1][bad[0]])}")
+        return cls(*columns)
 
     @classmethod
     def concatenate(cls, parts: Sequence["EventColumns"]) -> "EventColumns":
@@ -113,5 +89,8 @@ class EventColumns(NamedTuple):
 #: The dtype of each :class:`EventColumns` column.
 _DTYPES = (np.float64, np.int64, np.int8, np.int64, object, object, object, bool)
 
+#: No events: what an injector that finds no victims returns.
+NO_EVENTS = EventColumns.of([], [], 0, 0)
 
-__all__ = ["RawFailure", "EventColumns"]
+
+__all__ = ["EventColumns", "NO_EVENTS"]

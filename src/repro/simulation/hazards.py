@@ -43,7 +43,8 @@ class LifecycleShape:
             raise ValueError("hazard values must be non-negative")
         self.breakpoints = tuple((float(m), float(v)) for m, v in breakpoints)
         grid = np.arange(max_month + 1, dtype=float)
-        self._table = np.interp(grid, months, values)
+        #: Hazard at each whole service month ``0..max_month``.
+        self.table = np.interp(grid, months, values)
         self._max_month = max_month
 
     def __call__(self, month) -> np.ndarray:
@@ -53,13 +54,8 @@ class LifecycleShape:
         the final value.
         """
         month = np.asarray(month, dtype=float)
-        return self.at(month < 0, np.clip(month, 0, self._max_month).astype(int))
-
-    def at(self, unborn: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Hazard at table index ``idx`` (service months clipped to
-        ``0..max_month``), zero where ``unborn`` (negative months).
-        Callers that evaluate many shapes at the same months clip once."""
-        return np.where(unborn, 0.0, self._table[idx])
+        idx = np.clip(month, 0, self._max_month).astype(int)
+        return np.where(month < 0, 0.0, self.table[idx])
 
     def share_before(self, month: float, horizon_month: float) -> float:
         """Fraction of lifetime hazard mass that falls before ``month``,

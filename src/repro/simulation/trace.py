@@ -28,7 +28,6 @@ once and cloned per shard with :meth:`OperatorModel.with_rng`.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
@@ -62,7 +61,7 @@ from repro.simulation.correlated import (
     inject_flapping_server,
     inject_synchronous_groups,
 )
-from repro.simulation.events import EventColumns, RawFailure
+from repro.simulation.events import EventColumns
 
 if TYPE_CHECKING:
     from repro.engine.policy import ExecutionPolicy
@@ -170,7 +169,7 @@ class ShardTask:
     frailty_by_class: Dict[ComponentClass, np.ndarray]
     lemon_local: Tuple[int, ...]
     monitored_since: Optional[np.ndarray]
-    injected: Tuple[RawFailure, ...]  # server_row already shard-local
+    injected: EventColumns  # rows already shard-local
     seed: np.random.SeedSequence
 
 
@@ -229,31 +228,22 @@ def plan_trace(config: ScenarioConfig) -> TracePlan:
     frailty_by_class = permute_frailty(frailty, budgets, grng)
     day_effects = day_effect_series(budgets, config.horizon_seconds, grng)
 
-    injected: List[RawFailure] = []
     storm_events, storms = inject_batch_events(
         fleet, config.horizon_seconds, config.scale, grng
     )
-    injected.extend(storm_events)
-
-    injections: List[InjectionRecord] = []
-    pair_events, pair_records = inject_correlated_pairs(
+    pair_events, injections = inject_correlated_pairs(
         fleet, config.horizon_seconds, config.scale, grng
     )
-    injected.extend(pair_events)
-    injections.extend(pair_records)
-
     flap_events, flap_record = inject_flapping_server(
         fleet, config.horizon_seconds, config.scale, grng
     )
-    injected.extend(flap_events)
     if flap_record is not None:
         injections.append(flap_record)
-
     sync_events, sync_records = inject_synchronous_groups(
         fleet, config.horizon_seconds, config.scale, grng
     )
-    injected.extend(sync_events)
     injections.extend(sync_records)
+    injected = EventColumns.concatenate([storm_events, pair_events, flap_events, sync_events])
 
     monitored_since = _monitored_since(len(fleet), config, grng)
 
@@ -288,12 +278,10 @@ def plan_trace(config: ScenarioConfig) -> TracePlan:
         local_pos[rows] = np.arange(rows.size)
         rows_by_dc.append(rows)
 
-    injected_by_dc: List[List[RawFailure]] = [[] for _ in range(n_dcs)]
-    for event in injected:
-        dc = int(idc_codes[event.server_row])
-        injected_by_dc[dc].append(
-            dataclasses.replace(event, server_row=int(local_pos[event.server_row]))
-        )
+    # Each shard's injected events keep plan order (storms, then pairs,
+    # flap and sync groups): the FMS breaks time ties by it.
+    injected_dcs = idc_codes[injected.rows]
+    injected = injected._replace(rows=local_pos[injected.rows])
 
     lemon_dcs = idc_codes[lemon_rows]
     shard_seeds = root.spawn(n_dcs)
@@ -313,7 +301,7 @@ def plan_trace(config: ScenarioConfig) -> TracePlan:
                 monitored_since=(
                     None if monitored_since is None else monitored_since[rows]
                 ),
-                injected=tuple(injected_by_dc[i]),
+                injected=injected.take(injected_dcs == i),
                 seed=shard_seeds[i],
             )
         )
@@ -352,7 +340,7 @@ def run_shard(task: ShardTask, shared: ShardShared) -> ShardResult:
         detection=shared.detection,
         rng=rng,
     )
-    events = EventColumns.concatenate([events, EventColumns.from_raw(task.injected)])
+    events = EventColumns.concatenate([events, task.injected])
     if task.monitored_since is not None:
         events = events.take(
             (events.components == COMPONENT_CODE[ComponentClass.MISC])

@@ -12,6 +12,7 @@ from repro.simulation.batch_events import (
     inject_batch_events,
     storm_prone_cohorts,
 )
+from tests.event_util import records
 
 
 def cohort_keys(fleet, rows):
@@ -34,8 +35,10 @@ def fleet():
 
 @pytest.fixture(scope="module")
 def injected(fleet):
+    """The storms' events, one record each, and their ground truth."""
     rng = np.random.default_rng(9)
-    return inject_batch_events(fleet, PAPER_TRACE_SECONDS, 0.3, rng)
+    events, storms = inject_batch_events(fleet, PAPER_TRACE_SECONDS, 0.3, rng)
+    return records(events), storms
 
 
 class TestStormProneCohorts:
@@ -123,4 +126,4 @@ class TestInjection:
         rng_b = np.random.default_rng(5)
         events_small, _ = inject_batch_events(fleet, PAPER_TRACE_SECONDS, 0.05, rng_a)
         events_big, _ = inject_batch_events(fleet, PAPER_TRACE_SECONDS, 0.5, rng_b)
-        assert len(events_big) > 2 * len(events_small)
+        assert events_big.times.size > 2 * events_small.times.size

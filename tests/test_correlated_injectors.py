@@ -13,6 +13,7 @@ from repro.simulation.correlated import (
     inject_flapping_server,
     inject_synchronous_groups,
 )
+from tests.event_util import records
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +28,8 @@ class TestCorrelatedPairs:
     @pytest.fixture(scope="class")
     def pairs(self, fleet):
         rng = np.random.default_rng(17)
-        return inject_correlated_pairs(fleet, PAPER_TRACE_SECONDS, 0.3, rng)
+        events, injections = inject_correlated_pairs(fleet, PAPER_TRACE_SECONDS, 0.3, rng)
+        return records(events), injections
 
     def test_pairs_share_server_and_day(self, pairs):
         events, records = pairs
@@ -71,7 +73,8 @@ class TestFlappingServer:
     @pytest.fixture(scope="class")
     def flap(self, fleet):
         rng = np.random.default_rng(17)
-        return inject_flapping_server(fleet, PAPER_TRACE_SECONDS, 1.0, rng)
+        events, injection = inject_flapping_server(fleet, PAPER_TRACE_SECONDS, 1.0, rng)
+        return records(events), injection
 
     def test_single_server(self, flap):
         events, record = flap
@@ -97,14 +100,15 @@ class TestFlappingServer:
         events, record = inject_flapping_server(
             fleet, PAPER_TRACE_SECONDS, 0.01, rng
         )
-        assert len(events) >= 30
+        assert events.times.size >= 30
 
 
 class TestSynchronousGroups:
     @pytest.fixture(scope="class")
     def sync(self, fleet):
         rng = np.random.default_rng(17)
-        return inject_synchronous_groups(fleet, PAPER_TRACE_SECONDS, 1.0, rng)
+        events, injections = inject_synchronous_groups(fleet, PAPER_TRACE_SECONDS, 1.0, rng)
+        return records(events), injections
 
     def test_groups_created(self, sync):
         events, records = sync

@@ -80,10 +80,10 @@ class TestPlanAndShards:
         # global group indices) that may appear in any shard; only the
         # FMS-grown repeat chains must obey the per-shard stride.
         injected = {
-            event.chain_id
+            chain_id
             for task in plan.tasks
-            for event in task.injected
-            if event.chain_id is not None
+            for chain_id in task.injected.chain_ids.tolist()
+            if chain_id is not None
         }
         results = run_shards(plan.tasks, plan.shared, jobs=1)
         seen_any = False

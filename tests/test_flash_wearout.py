@@ -9,6 +9,7 @@ from repro.core.timeutil import PAPER_TRACE_SECONDS
 from repro.core.types import ComponentClass
 from repro.fleet.builder import build_fleet
 from repro.simulation.batch_events import inject_batch_events
+from tests.event_util import records
 
 
 @pytest.fixture(scope="module")
@@ -18,8 +19,8 @@ def injected():
         np.random.default_rng(41),
     )
     rng = np.random.default_rng(41)
-    events, records = inject_batch_events(fleet, PAPER_TRACE_SECONDS, 0.3, rng)
-    return fleet, events, records
+    events, storms = inject_batch_events(fleet, PAPER_TRACE_SECONDS, 0.3, rng)
+    return fleet, records(events), storms
 
 
 class TestFlashWearout:

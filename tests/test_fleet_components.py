@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import SpatialProfile
+from repro.core.columns import COMPONENT_CODE
 from repro.core.types import ComponentClass, FOTCategory
 from repro.fleet.component import GENERATIONS, ServerGeneration, generation
 from repro.fleet.datacenter import DataCenter
@@ -11,7 +12,7 @@ from repro.fleet.fleet import Fleet
 from repro.fleet.product_line import ProductLine
 from repro.fleet.rack import slot_occupancy_weights, slot_risk_multipliers
 from repro.fms.pipeline import FMSPipeline
-from repro.simulation.events import RawFailure
+from repro.simulation.events import EventColumns
 
 
 class TestGenerations:
@@ -81,21 +82,22 @@ def _tickets(fleet, events, warranty_seconds, operators=None):
     return pipeline.run(events, warranty_seconds=warranty_seconds)
 
 
-def _event(row, time):
-    return RawFailure(time=time, server_row=row, component=ComponentClass.HDD,
-                      suppress_repeat=True)
+def _events(*row_times):
+    """HDD failures at each ``(row, time)``, repeats suppressed."""
+    rows, times = zip(*row_times)
+    return EventColumns.of(times, rows, COMPONENT_CODE[ComponentClass.HDD], 0, suppress=True)
 
 
 class TestServer:
     def test_age(self):
         # Server 0 was deployed at -100 s, server 1 only at 500 s.
         operators = _AgeRecorder()
-        _tickets(_fleet(), [_event(0, 0.0), _event(1, 200.0)], 1e9, operators)
+        _tickets(_fleet(), _events((0, 0.0), (1, 200.0)), 1e9, operators)
         assert operators.ages == [100.0, 0.0]
 
     def test_warranty(self):
         fleet = _fleet()
-        ds = _tickets(fleet, [_event(1, 600.0), _event(1, 601.0)], warranty_seconds=100.0)
+        ds = _tickets(fleet, _events((1, 600.0), (1, 601.0)), warranty_seconds=100.0)
         assert [t.category for t in ds] == [FOTCategory.FIXING, FOTCategory.ERROR]
 
     def test_component_count_delegates(self):

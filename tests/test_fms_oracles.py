@@ -3,8 +3,10 @@
 ``simulate`` samples a shard's failures as columns and walks them
 through one FMS loop that merges the repeats it grows.  This module
 keeps the per-event code that loop replaced, verbatim, as references:
-the discrete-event queue, the ``RawFailure``-returning sampler, the
-monitoring filter, the queue-driven ``FMSPipeline`` and ``run_shard``.
+the discrete-event queue, the ``RawFailure``-returning sampler (with the
+month terms and lifecycle lookup it called), the monitoring filter, the
+queue-driven ``FMSPipeline`` and ``run_shard``.  ``RawFailure`` itself
+lives in ``tests/event_util.py``.
 The tests check that the column path returns the same bytes in every
 column, the same string tables and counters, and leaves the random
 stream in the same state — the same draws, in the same order.
@@ -36,10 +38,12 @@ from repro.fms.operators import OperatorModel
 from repro.fms.pipeline import device_detail
 from repro.fms.repair import RepairModel
 from repro.simulation import base_process, calibration, trace
-from repro.simulation.base_process import _DAYS_PER_MONTH, _month_terms, horizon_months
-from repro.simulation.events import EventColumns, RawFailure
-from repro.simulation.hazards import build_shapes
+from repro.core.timeutil import MONTH
+from repro.simulation.base_process import _DAYS_PER_MONTH, horizon_months
+from repro.simulation.events import EventColumns
+from repro.simulation.hazards import MAX_MONTH, build_shapes
 from repro.simulation.trace import CHAIN_ID_STRIDE, ShardResult, ShardShared, ShardTask
+from tests.event_util import RawFailure, assert_same_columns, from_raw, records
 
 
 # ----------------------------------------------------------------------
@@ -109,6 +113,28 @@ class EventQueue:
             yield self.pop()
 
 
+def _month_terms(
+    m: int, deployed: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """What every class shares in month ``m``, per server: whether it is
+    not yet deployed at mid-month, its lifecycle-table index (service
+    age in whole months, see :meth:`LifecycleShape.at`) and the
+    in-service fraction of the month.  The deploy month is prorated,
+    otherwise mid-month deployments concentrate a full month of hazard
+    into half a month of exposure and fake an infant-mortality spike."""
+    month_mid = (m + 0.5) * MONTH
+    age_months = np.floor((month_mid - deployed) / MONTH)
+    in_service = np.clip(((m + 1) * MONTH - deployed) / MONTH, 0.0, 1.0)
+    idx = np.clip(age_months, 0, MAX_MONTH).astype(int)
+    return age_months < 0, idx, in_service
+
+
+def _shape_at(shape, unborn: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``LifecycleShape.at``: hazard at table index ``idx`` (service
+    months clipped to ``0..max_month``), zero where ``unborn`` (negative
+    months).  Callers that evaluate many shapes at the same months clip
+    once."""
+    return np.where(unborn, 0.0, shape.table[idx])
 
 
 def sample_shard_failures(
@@ -166,7 +192,7 @@ def sample_shard_failures(
         lam_by_month = []
         month_totals = np.zeros(n_months)
         for m, (unborn, idx, in_service) in enumerate(months):
-            lam = static_weight * shape.at(unborn, idx) * in_service
+            lam = static_weight * _shape_at(shape, unborn, idx) * in_service
             lam_by_month.append(lam)
             month_totals[m] = lam.sum()
         if month_totals.sum() == 0.0:
@@ -474,7 +500,7 @@ def run_shard(task: ShardTask, shared: ShardShared) -> ShardResult:
         detection=shared.detection,
         rng=rng,
     )
-    events.extend(task.injected)
+    events.extend(records(task.injected))
     if task.monitored_since is not None:
         events = _filter_monitored(events, task.monitored_since)
 
@@ -503,19 +529,6 @@ def run_shard(task: ShardTask, shared: ShardShared) -> ShardResult:
 # ----------------------------------------------------------------------
 # comparison helpers
 # ----------------------------------------------------------------------
-def assert_same_columns(new: Mapping[str, np.ndarray], ref: Mapping[str, np.ndarray]) -> None:
-    """Every column equal in dtype and bytes; object columns equal by
-    the repr of their values, which also tells int from np.int64."""
-    assert set(new) == set(ref)
-    for name in ref:
-        a, b = new[name], ref[name]
-        assert a.dtype == b.dtype, name
-        if a.dtype == object:
-            assert repr(a.tolist()) == repr(b.tolist()), name
-        else:
-            assert a.tobytes() == b.tobytes(), name
-
-
 def assert_same_result(new: ShardResult, ref: ShardResult) -> None:
     assert (new.index, new.n) == (ref.index, ref.n)
     assert_same_columns(new.arrays, ref.arrays)
@@ -528,17 +541,17 @@ def store_columns(store) -> Dict[str, np.ndarray]:
 
 
 def run_both(fleet, events, *, seed=1, horizon=1000 * DAY, warranty=3.6 * YEAR, **kwargs):
-    """Run the column loop and the reference on the same ``RawFailure``
-    list, each with its own generator from ``seed`` and its own models
-    from the ``kwargs`` factories; assert equal columns, tables,
-    counters and final generator state, and return the new tickets and
-    counters."""
+    """Run the column loop on the columns of a ``RawFailure`` list and
+    the reference on the list, each with its own generator from ``seed``
+    and its own models from the ``kwargs`` factories; assert equal
+    columns, tables, counters and final generator state, and return the
+    new tickets and counters."""
     stores, stats, states = [], [], []
-    for cls in (new_pipeline.FMSPipeline, FMSPipeline):
+    for cls, given in ((new_pipeline.FMSPipeline, from_raw(events)), (FMSPipeline, list(events))):
         rng = np.random.default_rng(seed)
         made = {name: make(rng) for name, make in kwargs.items()}
         pipeline = cls(fleet, horizon, rng, **made)
-        stores.append(pipeline.run_store(list(events), warranty))
+        stores.append(pipeline.run_store(given, warranty))
         stats.append(pipeline.stats)
         states.append(rng.bit_generator.state)
     new, ref = stores
@@ -631,7 +644,7 @@ class TestShards:
         )
         new_rng, ref_rng = (np.random.default_rng(task.seed) for _ in range(2))
         new = base_process.sample_shard_failures(rng=new_rng, **kwargs)
-        ref = EventColumns.from_raw(sample_shard_failures(rng=ref_rng, **kwargs))
+        ref = from_raw(sample_shard_failures(rng=ref_rng, **kwargs))
         assert_same_columns(new._asdict(), ref._asdict())
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -706,7 +719,7 @@ class TestOrder:
             fleet, 1000 * DAY, rng, operators=_CloseAt(60.0), repair=_RepeatOnce(0.0)
         )
         before = rng.bit_generator.state
-        ds = pipeline.run(events, warranty_seconds=3.6 * YEAR)
+        ds = pipeline.run(from_raw(events), warranty_seconds=3.6 * YEAR)
         # Forced type and suppressed repeats: no draw at all.
         assert rng.bit_generator.state == before
         assert {x.category for x in ds} == {FOTCategory.FIXING}
@@ -750,7 +763,7 @@ class TestEventKinds:
         rng = np.random.default_rng(2)
         pipeline = new_pipeline.FMSPipeline(fleet, 400 * DAY, rng, operators=_CloseAt())
         before = rng.bit_generator.state
-        assert pipeline.run_store(events, 3.6 * YEAR).n == 0
+        assert pipeline.run_store(from_raw(events), 3.6 * YEAR).n == 0
         assert pipeline.stats["dropped_beyond_horizon"] == pipeline.stats["events_in"] == 5
         assert rng.bit_generator.state == before
 
@@ -760,10 +773,11 @@ class TestEventKinds:
                              tag="pair", chain_id=i if i % 3 else None)
                   for i, row in enumerate(rows)]
         stores = []
-        for given_events in (events, EventColumns.from_raw(events)):
+        for pipeline_cls, given_events in (
+            (FMSPipeline, events), (new_pipeline.FMSPipeline, from_raw(events))
+        ):
             rng = np.random.default_rng(6)
-            stores.append(new_pipeline.FMSPipeline(fleet, 500 * DAY, rng).run_store(
-                given_events, 3.6 * YEAR))
+            stores.append(pipeline_cls(fleet, 500 * DAY, rng).run_store(given_events, 3.6 * YEAR))
         assert_same_columns(store_columns(stores[0]), store_columns(stores[1]))
 
 
@@ -784,13 +798,13 @@ class TestChecks:
         assert expected is not None
         n = len(times)
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-            EventColumns.sampled(
+            EventColumns.of(
                 np.asarray(times), np.asarray(rows, dtype=np.int64),
                 np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int64),
             )
 
     def test_sampled_defaults(self):
-        events = EventColumns.sampled(
+        events = EventColumns.of(
             np.array([2.0, 1.0]), np.array([0, 1]), np.array([0, 4], dtype=np.int8),
             np.array([3, 0]),
         )
@@ -798,3 +812,9 @@ class TestChecks:
         assert events.tags.tolist() == ["base", "base"]
         assert events.chain_ids.tolist() == [None, None]
         assert events.suppress.tolist() == [False, False]
+
+    def test_scalars_stand_for_every_event(self):
+        events = EventColumns.of([2.0, 1.0], 7, 4, [3, 0], "SMARTFail", "sync_group:2", 2, True)
+        expected = [RawFailure(t, 7, ComponentClass.MEMORY, s, "SMARTFail", "sync_group:2", 2, True)
+                    for t, s in ((2.0, 3), (1.0, 0))]
+        assert_same_columns(events._asdict(), from_raw(expected)._asdict())

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from repro.config import FleetConfig
+from repro.core.columns import COMPONENT_CODE
 from repro.core.timeutil import DAY, YEAR
 from repro.core.types import ComponentClass, DetectionSource, FOTCategory
 from repro.fleet.builder import build_fleet
 from repro.fms.pipeline import FMSPipeline, device_detail
-from repro.simulation.events import RawFailure
+from repro.simulation.events import EventColumns
+
+HDD, RAID_CARD = COMPONENT_CODE[ComponentClass.HDD], COMPONENT_CODE[ComponentClass.RAID_CARD]
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +36,7 @@ def young_row(fleet) -> int:
 class TestTicketCreation:
     def test_basic_fields(self, fleet):
         row = young_row(fleet)
-        raw = RawFailure(time=5 * DAY + max(0, fleet.deployed_ats[row]),
-                         server_row=row, component=ComponentClass.HDD, slot=3)
-        events = [raw]
+        events = EventColumns.of([5 * DAY + max(0, fleet.deployed_ats[row])], row, HDD, 3)
         _, ds = run_pipeline(fleet, events)
         assert len(ds) == 1
         ticket = ds[0]
@@ -51,33 +52,22 @@ class TestTicketCreation:
     def test_forced_type_respected(self, fleet):
         row = young_row(fleet)
         t = 5 * DAY + max(0.0, fleet.deployed_ats[row])
-        events = [
-            RawFailure(time=t, server_row=row,
-                       component=ComponentClass.HDD, slot=0,
-                       forced_type="SMARTFail", tag="storm",
-                       suppress_repeat=True)
-        ]
+        events = EventColumns.of([t], row, HDD, 0, "SMARTFail", "storm", suppress=True)
         _, ds = run_pipeline(fleet, events)
         assert ds[0].error_type == "SMARTFail"
         assert ds[0].detail["tag"] == "storm"
 
     def test_beyond_horizon_dropped(self, fleet):
-        events = [
-            RawFailure(time=2000 * DAY, server_row=0,
-                       component=ComponentClass.HDD, slot=0)
-        ]
+        events = EventColumns.of([2000 * DAY], 0, HDD, 0)
         pipeline, ds = run_pipeline(fleet, events)
         assert len(ds) == 0
         assert pipeline.stats["dropped_beyond_horizon"] == 1
 
     def test_output_time_ordered(self, fleet, rng):
         rows = np.flatnonzero(fleet.deployed_ats < 0)[:50]
-        events = [
-            RawFailure(time=float(rng.uniform(0, 900 * DAY)),
-                       server_row=int(r), component=ComponentClass.HDD,
-                       slot=0, suppress_repeat=True)
-            for r in rows
-        ]
+        events = EventColumns.of(
+            rng.uniform(0, 900 * DAY, size=rows.size), rows, HDD, 0, suppress=True
+        )
         _, ds = run_pipeline(fleet, events)
         times = ds.error_times
         assert np.all(np.diff(times) >= 0)
@@ -89,9 +79,7 @@ class TestCategories:
         old_row = int(np.argmin(fleet.deployed_ats))
         t = fleet.deployed_ats[old_row] + 3.7 * YEAR
         assert t < 1000 * DAY
-        events = [RawFailure(time=max(t, 0.0), server_row=old_row,
-                             component=ComponentClass.HDD, slot=0,
-                             suppress_repeat=True)]
+        events = EventColumns.of([max(t, 0.0)], old_row, HDD, 0, suppress=True)
         _, ds = run_pipeline(fleet, events)
         ticket = ds[0]
         assert ticket.category is FOTCategory.ERROR
@@ -103,10 +91,7 @@ class TestCategories:
         row = young_row(fleet)
         t = max(fleet.deployed_ats[row], 0.0) + 30 * DAY
         # Run several times: false alarms are possible (1.7 %).
-        events = [RawFailure(time=t + i, server_row=row,
-                             component=ComponentClass.HDD, slot=0,
-                             suppress_repeat=True)
-                  for i in range(100)]
+        events = EventColumns.of(t + np.arange(100), row, HDD, 0, suppress=True)
         _, ds = run_pipeline(fleet, events)
         fixing = ds.of_category(FOTCategory.FIXING)
         assert len(fixing) >= 90
@@ -117,9 +102,7 @@ class TestCategories:
     def test_false_alarm_rate(self, fleet):
         row = young_row(fleet)
         t0 = max(fleet.deployed_ats[row], 0.0) + 10 * DAY
-        events = [RawFailure(time=t0 + i * 60.0, server_row=row,
-                             component=ComponentClass.HDD, slot=0)
-                  for i in range(6000)]
+        events = EventColumns.of(t0 + np.arange(6000) * 60.0, row, HDD, 0)
         pipeline, ds = run_pipeline(fleet, events)
         rate = len(ds.of_category(FOTCategory.FALSE_ALARM)) / len(ds)
         assert 0.008 <= rate <= 0.03
@@ -129,8 +112,7 @@ class TestRepeats:
     def test_lemon_grows_chain(self, fleet):
         row = young_row(fleet)
         t = max(fleet.deployed_ats[row], 0.0) + 10 * DAY
-        events = [RawFailure(time=t, server_row=row,
-                             component=ComponentClass.RAID_CARD, slot=0)]
+        events = EventColumns.of([t], row, RAID_CARD, 0)
         pipeline, ds = run_pipeline(fleet, events, lemons={row})
         # A lemon's first repair almost certainly spawns repeats.
         assert pipeline.stats["repeats_scheduled"] >= 1
@@ -151,19 +133,13 @@ class TestRepeats:
     def test_suppressed_events_never_repeat(self, fleet):
         row = young_row(fleet)
         t = max(fleet.deployed_ats[row], 0.0) + 10 * DAY
-        events = [RawFailure(time=t, server_row=row,
-                             component=ComponentClass.RAID_CARD, slot=0,
-                             suppress_repeat=True)]
+        events = EventColumns.of([t], row, RAID_CARD, 0, suppress=True)
         pipeline, _ = run_pipeline(fleet, events, lemons={row})
         assert pipeline.stats["repeats_scheduled"] == 0
 
     def test_stats_accounting(self, fleet, rng):
         rows = np.flatnonzero(fleet.deployed_ats < 0)[:100]
-        events = [
-            RawFailure(time=float(rng.uniform(0, 500 * DAY)),
-                       server_row=int(r), component=ComponentClass.HDD, slot=0)
-            for r in rows
-        ]
+        events = EventColumns.of(rng.uniform(0, 500 * DAY, size=rows.size), rows, HDD, 0)
         pipeline, ds = run_pipeline(fleet, events)
         s = pipeline.stats
         assert s["events_in"] == len(ds) + s["dropped_beyond_horizon"]

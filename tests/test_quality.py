@@ -136,6 +136,27 @@ class TestGracefulDegradation:
         (exclusion,) = quality.exclusions
         assert exclusion.n_excluded == 10 and exclusion.n_used == 40
 
+    def test_audit_notes_response_exclusions_per_closed_category(self, tmp_path):
+        from repro import api
+        from repro.analysis.full_report import quality_notes
+        from repro.core import io as core_io
+        from repro.robustness import audit_dataset
+
+        tickets = list(self._mixed())
+        tickets += [_closed_ticket(i, category=FOTCategory.FALSE_ALARM,
+                                   action=OperatorAction.MARK_FALSE_ALARM, op_time=None)
+                    for i in range(50, 53)]
+        tickets += [_open_ticket(i) for i in range(53, 60)]
+        ds = FOTDataset(tickets)
+        quality = audit_dataset(ds)
+        assert [(e.analysis, e.n_excluded, e.n_used) for e in quality.exclusions] == [
+            ("response", 10, 40), ("response", 3, 0)
+        ]
+        path = tmp_path / "dump.jsonl"
+        core_io.save(ds, path)
+        assert api.audit(path).quality.format() == quality.format()
+        assert quality_notes(ds) == quality.format()
+
     def test_rt_distribution_survives_missing_op_time(self):
         ds = self._mixed()
         quality = DataQuality.assess(ds)

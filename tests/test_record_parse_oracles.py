@@ -18,11 +18,12 @@ the save side must write the reference's bytes.  Four defect classes
 the reference crashes on, misfiles or accepts (out-of-range integers,
 non-object JSON lines, non-finite timestamps, a ``detail`` that is not
 a JSON object) are asserted against their new outcome instead, and so
-are two silent coercions it made (a JSON boolean in an integer or
-timestamp field, an array or object in a string field); where
-Hypothesis draws one of the last four, :func:`expected_parse_records`
-checks that record's new outcome and the reference's, and compares the
-rest of the batch with the reference.
+are three silent coercions it made (a JSON boolean in an integer or
+timestamp field, a fractional JSON number in an integer field, an array
+or object in a string field); where Hypothesis draws one of the last
+five, :func:`expected_parse_records` checks that record's new outcome
+and the reference's, and compares the rest of the batch with the
+reference.
 """
 
 from __future__ import annotations
@@ -581,8 +582,9 @@ def assert_same_strict(new, ref) -> None:
 
 
 # ----------------------------------------------------------------------
-# the cells four fixes change: non-finite timestamps, non-object details,
-# booleans as numbers, arrays and objects as strings
+# the cells five fixes change: non-finite timestamps, non-object details,
+# booleans as numbers, fractional numbers as integers, arrays and objects
+# as strings
 # ----------------------------------------------------------------------
 _TIMESTAMP_FIELDS = ("error_time", "deployed_at", "op_time")
 
@@ -594,19 +596,27 @@ def _non_finite(value: object) -> bool:
         return False
 
 
-#: Per text kind, the JSON types the last two fixes reject, and the skip.
+#: Per text kind, the JSON types the last three fixes reject, and the
+#: skip.  Of a float they reject only a finite fractional one: ``int()``
+#: truncated it.
 _TYPE_FIXES = {
-    "int": ((bool,), q.BAD_NUMBER, "is not an integer"),
+    "int": ((bool, float), q.BAD_NUMBER, "is not an integer"),
     "time": ((bool,), q.BAD_TIMESTAMP, "is not a timestamp"),
     "str": ((list, dict), q.BAD_JSON, "is not a string"),
 }
 
 
+def _truncated(value: object) -> bool:
+    """Whether ``int()`` truncates ``value``: a finite fractional float."""
+    return type(value) is float and math.isfinite(value) and not value.is_integer()
+
+
 def _fix_messages(record: object) -> List[Tuple[str, str, str]]:
-    """The ``(error class, field, message)`` skips the four fixes may
+    """The ``(error class, field, message)`` skips the five fixes may
     file for ``record``: one per non-finite timestamp, one for a truthy
-    ``detail`` that is not a dict, and one per present boolean number or
-    array/object string (a falsy value in a ``FALSY`` field is absent)."""
+    ``detail`` that is not a dict, and one per present boolean number,
+    fractional integer or array/object string (a falsy value in a
+    ``FALSY`` field is absent)."""
     if not isinstance(record, dict):
         return []
     out = [
@@ -620,7 +630,8 @@ def _fix_messages(record: object) -> List[Tuple[str, str, str]]:
     for field in SCHEMA:
         types, error_class, text = _TYPE_FIXES.get(field.text, ((), "", ""))
         value = record.get(field.name)
-        if type(value) in types and (value or field.absent != FALSY):
+        rejected = type(value) in types and (type(value) is not float or _truncated(value))
+        if rejected and (value or field.absent != FALSY):
             out.append((error_class, field.name, f"{field.name}: {value!r} {text}"))
     return out
 
@@ -645,12 +656,12 @@ def _alone(parse, pair: Tuple[int, object], strict: bool):
 
 
 def _split_fixed(numbered, strict: bool):
-    """The records whose outcome alone the four fixes change, and the
+    """The records whose outcome alone the five fixes change, and the
     rest.  Each of the former must get the fix's outcome from the new
     parser, and must have been accepted or misfiled by the reference.
-    In quarantining mode a record whose one change is a repaired true
-    ``device_slot`` stays with the rest, as the ``"True"`` slot the
-    reference repairs the same way."""
+    In quarantining mode a record whose one change is a repaired true or
+    fractional ``device_slot`` stays with the rest, as the text slot
+    (``"True"``, ``"2.5"``) the reference repairs the same way."""
     fixed, kept = [], []
     for pair in numbered:
         messages = _fix_messages(pair[1])
@@ -668,10 +679,12 @@ def _split_fixed(numbered, strict: bool):
             assert not isinstance(ref, str) or ref != new  # accepted or misfiled
             fixed.append(pair)
             continue
-        if pair[1].get("device_slot") is True:
-            # a true slot is repaired like any other non-integer slot,
-            # which the reference repairs with the same original text
-            as_text = (line, dict(pair[1], device_slot="True"))
+        slot = pair[1].get("device_slot")
+        if slot is True or _truncated(slot):
+            # a true or fractional slot is repaired like any other
+            # non-integer slot, which the reference repairs with the same
+            # original text
+            as_text = (line, dict(pair[1], device_slot=str(slot)))
             ref = _alone(parse_records, as_text, strict)
             if new == ref:
                 kept.append(as_text)
@@ -689,7 +702,7 @@ def _split_fixed(numbered, strict: bool):
 
 def expected_parse_records(numbered, *, strict=True, source="<records>", report=None):
     """The reference :func:`parse_records`, except for the records the
-    two fixes change: those get the new parser's outcome, each checked
+    fixes change: those get the new parser's outcome, each checked
     on its own by :func:`_split_fixed`, in line order with the rest."""
     numbered = list(numbered)
     fixed, kept = _split_fixed(numbered, strict)
@@ -1184,9 +1197,10 @@ class TestNonObjectDetail:
 
 
 class TestTypedValues:
-    """A JSON boolean is no integer or timestamp, and an array or object
-    is no string: each is a skip, where the reference loaded 0/1 or the
-    value's Python repr."""
+    """A JSON boolean is no integer or timestamp, a fractional number is
+    no integer, and an array or object is no string: each is a skip,
+    where the reference loaded 0/1, the truncated number or the value's
+    Python repr."""
 
     @pytest.mark.parametrize(
         "field,value,error_class,text",
@@ -1200,6 +1214,9 @@ class TestTypedValues:
             ("host_idc", [], q.BAD_JSON, "is not a string"),
             ("error_detail", {"a": 1}, q.BAD_JSON, "is not a string"),
             ("operator_id", ["op"], q.BAD_JSON, "is not a string"),
+            ("fot_id", 2.5, q.BAD_NUMBER, "is not an integer"),
+            ("host_id", 7.9, q.BAD_NUMBER, "is not an integer"),
+            ("error_position", 3.25, q.BAD_NUMBER, "is not an integer"),
         ],
     )
     def test_skipped(self, field, value, error_class, text):
@@ -1240,6 +1257,39 @@ class TestTypedValues:
         with pytest.raises(ValueError, match="^line 1: malformed ticket record: "
                            "device_slot: True is not an integer$"):
             core_io.parse_records([(1, record)], strict=True)
+
+    def test_fractional_slot_is_defaulted(self):
+        record = dict(_clean(), device_slot=1.5)
+        ref, _ = parse_records([(1, record)], strict=False)
+        assert ref.store.column("device_slots").tolist() == [1]  # the reference truncated it
+        dataset, report = core_io.parse_records([(1, record)], strict=False)
+        assert dataset.store.column("device_slots").tolist() == [0]
+        assert [(r.repair, r.field, r.original) for r in report.repairs] == [
+            (q.SLOT_DEFAULTED, "device_slot", "1.5")
+        ]
+        with pytest.raises(ValueError, match="^line 1: malformed ticket record: "
+                           "device_slot: 1.5 is not an integer$"):
+            core_io.parse_records([(1, record)], strict=True)
+
+    @pytest.mark.parametrize("field", ["fot_id", "host_id", "error_position", "device_slot"])
+    def test_fractional_number_among_clean_rows(self, field):
+        """The column pass finds the one fractional number of a column
+        whose values are all above 1."""
+        records = [dict(_clean(), fot_id=100 + i, host_id=50 + i, error_position=3 + i % 5,
+                        device_slot=2 + i % 3) for i in range(40)]
+        records[17][field] = records[17][field] + 0.5
+        dataset, report = core_io.parse_records(list(enumerate(records, 1)), strict=False)
+        value = records[17][field]
+        if field == "device_slot":
+            assert [(r.line, r.repair, r.original) for r in report.repairs] == [
+                (18, q.SLOT_DEFAULTED, str(value))
+            ]
+            assert len(dataset) == 40
+        else:
+            assert [(s.line, s.message) for s in report.skips] == [
+                (18, f"{field}: {value!r} is not an integer")
+            ]
+            assert len(dataset) == 39
 
     def test_number_in_string_field_still_loads(self):
         dataset, report = core_io.parse_records([(1, dict(_clean(), hostname=123))], strict=False)

@@ -1,6 +1,7 @@
 """End-to-end trace generation: integration invariants."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -98,6 +99,38 @@ class TestGoldenOutput:
         path = tmp_path / "inventory.csv"
         trace.inventory.save_csv(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == inventory_sha256
+
+    @pytest.mark.parametrize("fixture, storms, injections", [
+        (
+            "tiny_trace",
+            (53, 282, "44c283df6512b3bedef61c5ba0afe2d6fe2627fc587191adce75fc2eaa80b696"),
+            (21, 82, "2a9b871e1cdc7c20c6e6ffe723bcd1662cf1a651f93493c998863230b2814ae8"),
+        ),
+        (
+            "small_trace",
+            (58, 767, "33e9f44be3b4c72d20cd639032d97613b0fddc4d687578a62b7a7ea53f0e73b6"),
+            (34, 108, "04bcb11034aa3777bd0d4e43311d0fe40fdaee34af8f4a6cd611abc3023b9114"),
+        ),
+    ])
+    def test_ground_truth_pinned(self, request, fixture, storms, injections):
+        """The injected ground truth, which the fingerprint does not
+        cover: (records, events, sha256 of the rows as compact JSON) for
+        the storms and for the correlated/repeat injections."""
+        trace = request.getfixturevalue(fixture)
+        assert ground_truth_digest([
+            [r.tag, r.kind, r.component.value, repr(r.start), repr(r.end), r.n_events]
+            for r in trace.storms
+        ]) == storms
+        assert ground_truth_digest([
+            [r.tag, r.kind, list(r.server_rows), r.n_events] for r in trace.injections
+        ]) == injections
+
+
+def ground_truth_digest(rows):
+    """Record count, event count (each row's last cell) and the sha256
+    of ``rows`` as compact JSON."""
+    text = json.dumps(rows, separators=(",", ":"))
+    return len(rows), sum(row[-1] for row in rows), hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
