@@ -83,7 +83,7 @@ def main(argv=None) -> int:
             "budget_seconds": args.budget,
             "targets": timings,
         }
-        PERF_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True)
+        PERF_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True)
                              + "\n", encoding="utf-8")
         print(f"recorded reprolint timings in {PERF_PATH.name}")
 

@@ -73,6 +73,14 @@ def fatal_types() -> Set[str]:
     return {name for name, entry in REGISTRY.items() if entry.fatal}
 
 
+def _of_types(view: FOTDataset, names: Set[str]) -> FOTDataset:
+    """The rows of ``view`` whose failure type is in ``names``, in order."""
+    codes = np.flatnonzero(
+        np.array([name in names for name in view.error_type_table], dtype=bool)
+    )
+    return view.where(np.isin(view.error_type_codes, codes))
+
+
 def issue_warnings(
     dataset: FOTDataset,
     *,
@@ -88,29 +96,30 @@ def issue_warnings(
     """
     if min_warnings < 1:
         raise ValueError("min_warnings must be >= 1")
-    warn_set = warning_types()
-    counts: Dict[Tuple[int, str], int] = defaultdict(int)
-    last_issued: Dict[Tuple[int, str], float] = {}
+    rows = _of_types(dataset.failures().sorted_by_time(), warning_types())
+    counts: Dict[Tuple[int, int], int] = defaultdict(int)
+    last_issued: Dict[Tuple[int, int], float] = {}
     out: List[Warning_] = []
     # Each emission depends on counts/last_issued updated by every
     # prior row, so the walk is inherently sequential.
-    for ticket in dataset.failures().sorted_by_time():  # reprolint: disable=RPL301 -- stateful dedup scan
-        if ticket.error_type not in warn_set:
-            continue
-        key = (ticket.host_id, ticket.error_device.value)
+    for host, code, at, fot_id in zip(
+        rows.host_ids.tolist(), rows.component_codes.tolist(),
+        rows.error_times.tolist(), rows.fot_ids.tolist(),
+    ):
+        key = (host, code)
         counts[key] += 1
         if counts[key] < min_warnings:
             continue
         prev = last_issued.get(key)
-        if prev is not None and ticket.error_time - prev < dedup_days * DAY:
+        if prev is not None and at - prev < dedup_days * DAY:
             continue
-        last_issued[key] = ticket.error_time
+        last_issued[key] = at
         out.append(
             Warning_(
-                host_id=ticket.host_id,
-                component=ticket.error_device.value,
-                issued_at=ticket.error_time,
-                trigger_fot_id=ticket.fot_id,
+                host_id=host,
+                component=COMPONENT_ORDER[code].value,
+                issued_at=at,
+                trigger_fot_id=fot_id,
             )
         )
     return out
@@ -126,16 +135,7 @@ def evaluate(
     if horizon_days <= 0:
         raise ValueError("horizon must be positive")
     horizon = horizon_days * DAY
-    fatal = fatal_types()
-    failures = dataset.failures()
-    fatal_codes = np.flatnonzero(
-        np.array(
-            [name in fatal for name in failures.error_type_table], dtype=bool
-        )
-    )
-    sub = failures.where(
-        np.isin(failures.error_type_codes, fatal_codes)
-    ).sorted_by_time()
+    sub = _of_types(dataset.failures(), fatal_types()).sorted_by_time()
     # Stable grouping over the time-sorted view keeps each group's
     # times ascending, so no per-group sort is needed.
     order, starts, stops = group_slices(

@@ -716,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run reprolint, the repo-specific invariant checker, with "
-        "its whole rule catalogue (RPL000-305; see 'fouryears lint -- "
+        "its whole rule catalogue (RPL000-213; see 'fouryears lint -- "
         "--help' for its own flags)",
     )
     lint.add_argument(

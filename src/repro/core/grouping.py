@@ -1,10 +1,11 @@
 """The group-by primitive every hot path in ``core`` and ``analysis`` uses.
 
-The perf lint rules (RPL301/RPL304) forbid Python-level row loops in
-the hot packages; the idiom that replaces ``for ticket in failures:
-bucket[key(ticket)].append(...)`` is one stable argsort over an integer
-key column plus boundary detection — O(n log n) in numpy instead of n
-interpreter round-trips.  Dataset group-bys (``FOTDataset.by_*``),
+The group-by oracles (``tests/test_groupby_oracles.py``) and the product
+benchmark's per-layer timings hold the hot paths to this idiom: what
+replaces ``for ticket in failures: bucket[key(ticket)].append(...)`` is
+one stable argsort over an integer key column plus boundary detection —
+O(n log n) in numpy instead of n interpreter round-trips, and no ticket
+objects.  Dataset group-bys (``FOTDataset.by_*``),
 repeat chains, incident links and correlated-pair counts all group this
 way:
 

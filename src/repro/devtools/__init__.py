@@ -16,8 +16,6 @@ complement.
 * :mod:`repro.devtools.effects` / :mod:`~repro.devtools.effect_rules` —
   effect summaries and the RPL201–213 concurrency & resource-safety
   rules.
-* :mod:`repro.devtools.perf_rules` — the RPL301–305 scale-hazard rules,
-  read off the dataflow pass's per-statement environments.
 * :mod:`repro.devtools.fixer` — applies the fixes rules attach
   (``--fix``).
 * :mod:`repro.devtools.sarif` — SARIF 2.1.0 reporter for code-scanning

@@ -4,10 +4,8 @@ Every function (and each module body) is lowered to a CFG
 (:mod:`repro.devtools.cfg`) and interpreted over the fact lattice in
 :mod:`repro.devtools.lattice` with a classic worklist fixpoint; rules
 query the stable per-block environments instead of doing ad-hoc taint
-walks.  The reporting pass also records the environment at every
-statement, which the RPL3xx checks in :mod:`repro.devtools.perf_rules`
-read instead of running a second fixpoint.  The interpreter powers four
-semantic rules on top of the syntactic RPL001–005 set:
+walks.  The interpreter powers four semantic rules on top of the
+syntactic RPL001–005 set:
 
 * **RPL101 — time-unit safety.** Facts are seeded from
   :mod:`repro.core.timeutil` (``HOUR``/``DAY``/... are *conversion
@@ -49,13 +47,12 @@ import re
 from collections import deque
 from pathlib import Path
 from typing import (
-    Callable, Dict, Iterator, List, Optional, Set, Tuple,
+    Callable, Dict, List, Optional, Set, Tuple,
 )
 
 from repro.devtools.cfg import CFG, build_cfg
 from repro.devtools.lattice import (
     BOTTOM,
-    DATASET_SCALE,
     DIMENSIONLESS,
     Env,
     Fact,
@@ -63,7 +60,6 @@ from repro.devtools.lattice import (
     TIME_UNITS,
     TOP,
     conversion,
-    dataset_scale,
     dimensionless,
     is_time_unit,
     join_envs,
@@ -180,46 +176,6 @@ ACCUMULATORS = frozenset({"sum", "cumsum", "nansum", "prod", "cumprod"})
 #: Methods returning filesystem-listing-ordered iterables (RPL104).
 FS_LISTING_METHODS = frozenset({"iterdir", "glob", "rglob", "scandir"})
 
-# ---------------------------------------------------------------------------
-# dataset-scale taint (the RPL3xx rules' "n is actually large" seed)
-# ---------------------------------------------------------------------------
-#: Plain-name callables whose result is a whole dataset/trace.
-DATASET_PRODUCERS = frozenset(
-    {"load", "load_csv", "load_jsonl", "load_columnar", "generate_trace"}
-)
-
-#: FOTDataset methods that return another row-count-scale view.  The
-#: ``by_*`` group-bys are deliberately absent: their result is a dict
-#: with one entry per *group* (a handful of IDCs / components), so a
-#: loop over it is small even though each value is dataset-scale.
-DATASET_VIEW_METHODS = frozenset(
-    {
-        "failures", "sorted_by_time", "where", "take", "filter",
-        "of_category", "of_component", "of_idc", "of_product_line",
-        "of_source", "between", "with_op_time", "concat",
-    }
-)
-
-#: Parameter/variable names conventionally bound to a whole dataset.
-DATASET_NAME_SEEDS = frozenset({"dataset", "ds"})
-
-#: Attributes that materialize the per-row object surface.
-ROW_SURFACE_PROPERTIES = frozenset({"tickets"})
-
-#: Annotations marking a value as dataset-scale.
-DATASET_ANNOTATIONS = frozenset(
-    {"FOTDataset", "ColumnStore", "LiveDataset"}
-)
-
-#: numpy callables / ndarray methods that reduce away the length axis —
-#: their result is a scalar (or per-group aggregate), not n rows.
-SCALE_REDUCERS = frozenset(
-    {
-        "sum", "nansum", "mean", "nanmean", "median", "nanmedian", "std",
-        "min", "max", "quantile", "percentile", "item", "prod", "unique",
-    }
-)
-
 
 def unit_from_name(name: str) -> Optional[str]:
     """Unit implied by a canonical identifier name, or None."""
@@ -248,17 +204,6 @@ def _annotation_unit(node: Optional[ast.AST]) -> Optional[str]:
     if isinstance(node, ast.Attribute):
         return ANNOTATION_UNITS.get(node.attr)
     return None
-
-
-def _annotation_dataset(node: Optional[ast.AST]) -> bool:
-    """True when an annotation names a dataset-scale container."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value.strip("'\"") in DATASET_ANNOTATIONS
-    if isinstance(node, ast.Name):
-        return node.id in DATASET_ANNOTATIONS
-    if isinstance(node, ast.Attribute):
-        return node.attr in DATASET_ANNOTATIONS
-    return False
 
 
 def _decorator_unit(fn: ast.AST) -> Optional[str]:
@@ -371,7 +316,6 @@ class FunctionSummary:
     declared_unit: Optional[str]
     returns_unit: Optional[str] = None
     returns_unordered: bool = False
-    returns_dataset_scale: bool = False
     #: parameter name -> 0-based index, for parameters the body mutates.
     mutated_params: Dict[str, int] = dataclasses.field(default_factory=dict)
     nondet_direct: bool = False
@@ -528,14 +472,10 @@ class DataflowProject(Project):
                 inferred_unit = summary.declared_unit
                 if inferred_unit is None and is_time_unit(returned.unit):
                     inferred_unit = returned.unit
-                returns_scale = returned.scale == DATASET_SCALE \
-                    or _annotation_dataset(summary.node.returns)
                 if (inferred_unit != summary.returns_unit
-                        or returned.unordered != summary.returns_unordered
-                        or returns_scale != summary.returns_dataset_scale):
+                        or returned.unordered != summary.returns_unordered):
                     summary.returns_unit = inferred_unit
                     summary.returns_unordered = returned.unordered
-                    summary.returns_dataset_scale = returns_scale
                     changed = True
             if not changed:
                 break
@@ -627,14 +567,7 @@ class _Analyzer:
             )
         self._emitting = False
         self._return_fact = BOTTOM
-        self._comp_scale: Optional[str] = None
         self.exit_env: Env = {}
-        #: stable environment in force at each CFG item (keyed by node
-        #: id), recorded by the reporting pass of the scopes
-        #: :func:`analyze_module` runs (the project's summary passes
-        #: have no path and record nothing); the RPL3xx checks read
-        #: value sizes from it.
-        self.stmt_envs: Dict[int, Env] = {}
 
     # -- driver ---------------------------------------------------------
     def run(self) -> Fact:
@@ -671,12 +604,8 @@ class _Analyzer:
             for arg in args.posonlyargs + args.args + args.kwonlyargs:
                 unit = _annotation_unit(arg.annotation) \
                     or unit_from_name(arg.arg)
-                fact = unit_fact(unit) if unit else BOTTOM
-                if _annotation_dataset(arg.annotation) \
-                        or arg.arg in DATASET_NAME_SEEDS:
-                    fact = dataclasses.replace(fact, scale=DATASET_SCALE)
-                if fact != BOTTOM:
-                    env[arg.arg] = fact
+                if unit:
+                    env[arg.arg] = unit_fact(unit)
         return env
 
     # -- reporting ------------------------------------------------------
@@ -691,8 +620,6 @@ class _Analyzer:
     # -- block transfer --------------------------------------------------
     def _transfer_block(self, idx: int, env: Env) -> Env:
         for item in self.cfg.blocks[idx].items:
-            if self._emitting and self.path:
-                self.stmt_envs[id(item)] = dict(env)
             self._transfer_item(item, env)
         return env
 
@@ -876,8 +803,6 @@ class _Analyzer:
             return self.ctx.global_facts[node.id]
         if node.id in self.ctx.module_env:
             return self.ctx.module_env[node.id]
-        if node.id in DATASET_NAME_SEEDS:
-            return dataset_scale()
         unit = unit_from_name(node.id)
         return unit_fact(unit) if unit else BOTTOM
 
@@ -894,10 +819,7 @@ class _Analyzer:
         base_fact = self.eval(base, env)
         if node.attr in COLUMN_PROPERTIES:
             unit = "seconds" if node.attr in TIME_COLUMN_PROPERTIES else None
-            return Fact(unit=unit, column=f"column property '.{node.attr}'",
-                        scale=DATASET_SCALE)
-        if node.attr in ROW_SURFACE_PROPERTIES and base_fact.is_dataset_scale:
-            return dataset_scale()
+            return Fact(unit=unit, column=f"column property '.{node.attr}'")
         unit = unit_from_name(node.attr)
         if unit:
             return unit_fact(unit)
@@ -912,11 +834,7 @@ class _Analyzer:
         column = base.column
         if column and not column.startswith("view of"):
             column = f"view of {column}"
-        # A constant index picks one row; masks/fancy indexing keep the
-        # result row-count-scale.
-        scalar_index = isinstance(node.slice, ast.Constant)
-        return Fact(unit=base.unit, width=base.width, column=column,
-                    scale=None if scalar_index else base.scale)
+        return Fact(unit=base.unit, width=base.width, column=column)
 
     def _eval_Starred(self, node: ast.Starred, env: Env,
                       order_ok: bool) -> Fact:
@@ -1008,11 +926,8 @@ class _Analyzer:
                             order_ok: bool) -> Tuple[Env, bool]:
         inner = dict(env)
         source_unordered = False
-        self._comp_scale = None
         for gen in node.generators:
             iter_fact = self.eval(gen.iter, inner)
-            if iter_fact.is_dataset_scale:
-                self._comp_scale = DATASET_SCALE
             if iter_fact.unordered:
                 if isinstance(node, (ast.SetComp, ast.DictComp)) or order_ok:
                     source_unordered = True
@@ -1032,10 +947,8 @@ class _Analyzer:
     def _eval_ListComp(self, node: ast.ListComp, env: Env,
                        order_ok: bool) -> Fact:
         inner, unordered = self._eval_comprehension(node, env, order_ok)
-        comp_scale = self._comp_scale
         fact = self.eval(node.elt, inner)
-        return dataclasses.replace(fact, unordered=unordered, column=None,
-                                   scale=comp_scale)
+        return dataclasses.replace(fact, unordered=unordered, column=None)
 
     _eval_GeneratorExp = _eval_ListComp
 
@@ -1257,8 +1170,6 @@ class _Analyzer:
         if func_name is not None:
             if func_name in ANNOTATION_UNITS:
                 return unit_fact(ANNOTATION_UNITS[func_name])
-            if func_name in DATASET_PRODUCERS:
-                return dataset_scale()
             if func_name in {"float", "int", "abs", "round"}:
                 return dataclasses.replace(first, column=None)
             if func_name in {"min", "max", "sum"}:
@@ -1345,7 +1256,6 @@ class _Analyzer:
             unit=summary.returns_unit if is_time_unit(summary.returns_unit)
             else None,
             unordered=summary.returns_unordered,
-            scale=DATASET_SCALE if summary.returns_dataset_scale else None,
         )
 
     def _dtype_width(self, node: ast.AST) -> Optional[str]:
@@ -1398,10 +1308,8 @@ class _Analyzer:
             if attr == "where" and len(arg_facts) == 3:
                 joined = arg_facts[1].join(arg_facts[2])
                 unit = joined.unit if is_time_unit(joined.unit) else None
-            scale = None if attr in SCALE_REDUCERS else first.scale
             return Fact(unit=unit, width=width or first.width,
-                        unordered=False if ordered else first.unordered,
-                        scale=scale)
+                        unordered=False if ordered else first.unordered)
         return BOTTOM
 
     def _eval_method_call(self, node: ast.Call, attr: str, receiver: Fact,
@@ -1418,16 +1326,13 @@ class _Analyzer:
             return unit_fact("seconds")
         if attr in FS_LISTING_METHODS:
             return Fact(unordered=True)
-        if attr in DATASET_VIEW_METHODS and receiver.is_dataset_scale:
-            return dataset_scale()
         if attr in {"keys", "values", "items"}:
             return Fact(unordered=receiver.unordered)
         if attr in METHOD_UNIT_PRESERVING:
-            scale = None if attr in SCALE_REDUCERS else receiver.scale
             return Fact(unit=receiver.unit
                         if receiver.is_time or receiver.unit == DIMENSIONLESS
                         else None,
-                        width=receiver.width, scale=scale)
+                        width=receiver.width)
         unit = unit_from_name(attr)
         if unit:
             return unit_fact(unit)
@@ -1455,16 +1360,14 @@ def _flags_for(parts: Tuple[str, ...]) -> _RuleFlags:
 
 
 def analyze_module(path: Path, tree: ast.Module,
-                   project: DataflowProject) -> Iterator[_Analyzer]:
+                   project: DataflowProject) -> List[Finding]:
     """The reporting pass over one file: its module body, then every
-    function, each run to fixpoint and yielded with its ``findings``
-    and the ``stmt_envs`` the RPL3xx checks read (one scope at a time,
-    so the recorded environments never pile up)."""
+    function, each run to fixpoint; their findings in that order."""
     parts = module_parts(path)
     flags = _flags_for(parts)
     if not (flags.units or flags.order or flags.inter_determinism
             or flags.inter_immutability):
-        return
+        return []
     module = module_name(path)
     ctx = project.contexts.get(module) or ModuleContext(module, tree)
     rel = path.as_posix()
@@ -1472,12 +1375,13 @@ def analyze_module(path: Path, tree: ast.Module,
     module_scope = _Analyzer(rel, ctx, project, flags, fn=tree)
     module_scope.run()
     ctx.module_env = module_scope.exit_env
-    yield module_scope
+    findings = module_scope.findings
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             analyzer = _Analyzer(rel, ctx, project, flags, fn=node)
             analyzer.run()
-            yield analyzer
+            findings += analyzer.findings
+    return findings
 
 
 __all__ = [

@@ -21,12 +21,6 @@ product of four independent little lattices:
 * **column** — a human-readable origin description when the value is a
   view of a ``ColumnStore``/``FOTDataset`` column (the immutability
   taint used by the interprocedural RPL002 check).
-* **scale** — :data:`DATASET_SCALE` when the value's length is the
-  ticket count (a dataset view, a column, a loader result): the taint
-  the scale-hazard checks (:mod:`repro.devtools.perf_rules`) use so RPL3xx
-  rules only fire where *n* is actually large.  Group-by dicts, scalar
-  reductions and per-row elements drop the taint — a loop over the
-  handful of IDCs is not a loop over 290k tickets.
 
 Joins are pointwise; each component has finite height (``None`` →
 concrete → :data:`TOP`), so the worklist fixpoint in
@@ -44,10 +38,6 @@ TOP = "<mixed>"
 
 #: Unit name for plain numbers (counts, ratios, codes).
 DIMENSIONLESS = "dimensionless"
-
-#: Scale-component value for anything whose length tracks the ticket
-#: count (dataset views, columns, loader results).
-DATASET_SCALE = "dataset"
 
 #: Concrete time units the analysis reasons about, smallest first.
 TIME_UNITS = (
@@ -92,7 +82,6 @@ class Fact:
     width: Optional[str] = None
     unordered: bool = False
     column: Optional[str] = None
-    scale: Optional[str] = None
 
     def join(self, other: "Fact") -> "Fact":
         if self == other:
@@ -103,7 +92,6 @@ class Fact:
             width=join_component(self.width, other.width),
             unordered=self.unordered or other.unordered,
             column=join_component(self.column, other.column),
-            scale=join_component(self.scale, other.scale),
         )
 
     # convenience predicates -------------------------------------------
@@ -118,10 +106,6 @@ class Fact:
     @property
     def is_narrow(self) -> bool:
         return self.width in NARROW_WIDTHS
-
-    @property
-    def is_dataset_scale(self) -> bool:
-        return self.scale == DATASET_SCALE
 
     def with_unit(self, unit: Optional[str]) -> "Fact":
         return dataclasses.replace(self, unit=unit, conv=None)
@@ -152,12 +136,6 @@ def dimensionless() -> Fact:
     return Fact(unit=DIMENSIONLESS)
 
 
-def dataset_scale(unit: Optional[str] = None,
-                  column: Optional[str] = None) -> Fact:
-    """A value whose length is the ticket count (rows or a column)."""
-    return Fact(unit=unit, column=column, scale=DATASET_SCALE)
-
-
 # ---------------------------------------------------------------------------
 # environments
 # ---------------------------------------------------------------------------
@@ -178,7 +156,6 @@ def join_envs(a: Optional[Env], b: Env) -> Env:
 
 __all__ = [
     "TOP",
-    "DATASET_SCALE",
     "DIMENSIONLESS",
     "TIME_UNITS",
     "NARROW_WIDTHS",
@@ -192,5 +169,4 @@ __all__ = [
     "unit_fact",
     "conversion",
     "dimensionless",
-    "dataset_scale",
 ]

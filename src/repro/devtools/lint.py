@@ -8,11 +8,8 @@ Run it over the default tree::
 Every run checks the whole rule catalogue in one pass: the syntactic
 RPL000–005 rules (:mod:`repro.devtools.rules`), the abstract
 interpretation behind RPL101–104 and interprocedural RPL001/002
-(:mod:`repro.devtools.dataflow`), the concurrency & resource-safety
-rules RPL201–213 (:mod:`repro.devtools.effect_rules`), and the
-scale-hazard rules RPL301–305 over the hot packages
-(:mod:`repro.devtools.perf_rules`), which read the environments the
-dataflow pass recorded.
+(:mod:`repro.devtools.dataflow`), and the concurrency &
+resource-safety rules RPL201–213 (:mod:`repro.devtools.effect_rules`).
 
 Exit status is 0 when every finding is either inline-suppressed or
 recorded in the baseline file, 1 otherwise, and 2 for usage errors: a
@@ -321,7 +318,6 @@ def run_lint(paths: Sequence[str],
     from repro.devtools.dataflow import DataflowProject, analyze_module
     from repro.devtools.effect_rules import check_module as check_effects
     from repro.devtools.effects import EffectsProject
-    from repro.devtools.perf_rules import check_scope as check_perf
 
     files = collect_files(paths)
     trees: Dict[Path, ast.Module] = {}
@@ -350,9 +346,7 @@ def run_lint(paths: Sequence[str],
         rel = path.as_posix()
         tree = trees[path]
         raw_findings = check_file(path, tree, project)
-        for scope in analyze_module(path, tree, project):
-            raw_findings += scope.findings
-            raw_findings += check_perf(path, raw_sources[path], scope)
+        raw_findings += analyze_module(path, tree, project)
         raw_findings += check_effects(path, tree, effects_project)
         raw_findings.sort(key=lambda f: (f.line, f.col, f.rule, f.message))
         suppressions, meta = _parse_suppressions(raw_sources[path], rel)
@@ -431,8 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Invariant checker for the repro codebase: every run "
                     "checks the whole rule catalogue (determinism, "
                     "immutability, cache purity, schema and API hygiene, "
-                    "time units, concurrency and resource safety, scale "
-                    "hazards)",
+                    "time units, concurrency and resource safety)",
     )
     parser.add_argument(
         "paths", nargs="*", default=list(DEFAULT_PATHS),

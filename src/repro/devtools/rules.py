@@ -64,13 +64,6 @@ RULES: Dict[str, str] = {
     "RPL211": "pool captures: process-pool work must not capture mutable/unpicklable/unseeded-RNG state",
     "RPL212": "resource lifetime: files/mmaps need a context manager, close, or finalizer; buffers must not outlive their backing store",
     "RPL213": "atomic writes: durable files are written via write-then-rename, never in place",
-    # Scale-hazard rules over the dataflow environments
-    # (repro.devtools.perf_rules).
-    "RPL301": "perf: no Python-level iteration over dataset rows/columns where a vectorized op exists",
-    "RPL302": "perf: no array growth inside loops (np.append/concatenate accumulation, append-then-np.array)",
-    "RPL303": "perf: no redundant materialization (np.asarray of an array, .tolist() on hot paths)",
-    "RPL304": "perf: no quadratic patterns (list membership in loops, nested dataset-scale loops, per-iteration sorts)",
-    "RPL305": "perf: no loop-invariant recomputation of expensive calls (fingerprints, group-bys, ppf/gamma math)",
 }
 
 

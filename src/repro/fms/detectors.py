@@ -41,9 +41,17 @@ class DetectionModel:
 
     def __init__(self) -> None:
         self._hour_weights: Dict[ComponentClass, np.ndarray] = {}
+        self._hour_cdfs: Dict[ComponentClass, np.ndarray] = {}
         self._dow_weights: Dict[ComponentClass, np.ndarray] = {}
         for cls in ComponentClass:
-            self._hour_weights[cls] = self._build_hour_profile(cls)
+            weights = self._build_hour_profile(cls)
+            self._hour_weights[cls] = weights
+            # Generator.choice's own table, built once: drawing from it
+            # gives the same hours and generator state as
+            # ``rng.choice(24, size, p=weights)``.
+            cdf = weights.cumsum()
+            cdf /= cdf[-1]
+            self._hour_cdfs[cls] = cdf
             self._dow_weights[cls] = self._build_dow_profile(cls)
 
     # ------------------------------------------------------------------
@@ -98,7 +106,9 @@ class DetectionModel:
         self, component: ComponentClass, size: int, rng: np.random.Generator
     ) -> np.ndarray:
         """Seconds-within-day offsets following the class's hour profile."""
-        hours = rng.choice(24, size=size, p=self._hour_weights[component])
+        hours = self._hour_cdfs[component].searchsorted(
+            rng.random(size), side="right"
+        )
         return hours * HOUR + rng.uniform(0.0, HOUR, size=size)
 
 

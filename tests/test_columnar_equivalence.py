@@ -13,7 +13,8 @@ converge.
 
 Also verifies the zero-materialization guarantee: subsetting and
 grouping a builder-built dataset, or rendering the full report over a
-columnar-loaded trace, allocates no ``FOT`` objects.
+columnar-loaded trace, allocates no ``FOT`` objects, and each analysis
+outside the report allocates only the tickets its result holds.
 """
 
 import dataclasses
@@ -21,10 +22,24 @@ import math
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.analysis import (
+    batch,
+    compare,
+    correlated,
+    lifecycle,
+    mining,
+    prediction,
+    repeating,
+    survival,
+    tbf,
+    temporal,
+    trends,
+)
 from repro.core import io
 from repro.core.columns import (
     ACTION_CODE,
@@ -419,6 +434,62 @@ class TestSchema:
         assert math.isnan(ticket.deployed_at) and math.isnan(reference.deployed_at)
 
 
+def _context_of_busiest_host(ds: FOTDataset) -> mining.TicketContext:
+    """``component_context`` of the last failure of the host with the
+    most failures, so the result holds history tickets."""
+    failures = ds.failures()
+    hosts, counts = np.unique(failures.host_ids, return_counts=True)
+    rows = np.flatnonzero(failures.host_ids == hosts[np.argmax(counts)])
+    ticket = failures[int(rows[np.argmax(failures.error_times[rows])])]
+    return mining.component_context(ds, ticket)
+
+
+#: Analyses outside ``full_report``: name -> call on (dataset, inventory).
+_ANALYSES = {
+    "predict_and_evaluate": lambda ds, inv: prediction.predict_and_evaluate(ds),
+    "issue_warnings": lambda ds, inv: prediction.issue_warnings(ds),
+    "kaplan_meier": lambda ds, inv: survival.kaplan_meier(
+        ds, inv, ComponentClass.HDD),
+    "annualized_failure_rates": lambda ds, inv: survival.annualized_failure_rates(
+        ds, inv, ComponentClass.HDD),
+    "lifecycle_summary": lambda ds, inv: lifecycle.lifecycle_summary(ds, inv),
+    "synchronous_groups": lambda ds, inv: repeating.synchronous_groups(ds),
+    "repeat_chains": lambda ds, inv: repeating.repeat_chains(ds),
+    "find_pair_examples": lambda ds, inv: correlated.find_pair_examples(
+        ds, ComponentClass.FAN, ComponentClass.POWER),
+    "detect_batches": lambda ds, inv: batch.detect_batches(ds, ComponentClass.HDD),
+    "tbf_per_component": lambda ds, inv: tbf.tbf_per_component(ds),
+    "mtbf_by_idc": lambda ds, inv: tbf.mtbf_by_idc(ds),
+    "hour_of_day_summary": lambda ds, inv: temporal.hour_of_day_summary(ds),
+    "weekday_robustness_test": lambda ds, inv: temporal.weekday_robustness_test(ds),
+    "quarterly_trends": lambda ds, inv: trends.quarterly_trends(ds),
+    "class_share_drift": lambda ds, inv: trends.class_share_drift(
+        ds, ComponentClass.HDD),
+    "compare_datasets": lambda ds, inv: compare.compare_datasets(
+        ds, ds.failures()),
+    # The ticket it is asked about is built before the call, from the
+    # same store, and counts as held.
+    "component_context": lambda ds, inv: _context_of_busiest_host(ds),
+}
+
+
+def _held_tickets(obj: Any, seen: set) -> set:
+    """Ids of the distinct ``FOT`` objects reachable from a result."""
+    if isinstance(obj, FOT):
+        seen.add(id(obj))
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for field in dataclasses.fields(obj):
+            _held_tickets(getattr(obj, field.name), seen)
+    elif isinstance(obj, Mapping):
+        for key, value in obj.items():
+            _held_tickets(key, seen)
+            _held_tickets(value, seen)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            _held_tickets(value, seen)
+    return seen
+
+
 class TestZeroMaterialization:
     def _columnar(self, n=60):
         builder = ColumnBuilder()
@@ -462,8 +533,8 @@ class TestZeroMaterialization:
         assert store.n_materialized == 0
 
     def test_full_report_allocates_no_tickets(self, tiny_trace, tmp_path):
-        # RPL301 exempts comprehensions by design; a row loop hidden in
-        # one shows up here as materialized tickets.
+        # A row loop, in a comprehension or not, shows up here as
+        # materialized tickets.
         path = tmp_path / "trace.fourcol"
         io.save(tiny_trace.dataset, path)
         ds = io.load(path)
@@ -471,6 +542,25 @@ class TestZeroMaterialization:
         names = [s.name for s in report if not s.skipped]
         assert {"fig7", "table_vi", "table_iv"} <= set(names)
         assert ds.store.n_materialized == 0
+
+    @pytest.fixture(scope="class")
+    def saved_tiny(self, tiny_trace, tmp_path_factory):
+        path = tmp_path_factory.mktemp("tiny") / "trace.fourcol"
+        io.save(tiny_trace.dataset, path)
+        return path
+
+    @pytest.mark.parametrize("name", sorted(_ANALYSES))
+    def test_analysis_allocates_only_the_tickets_it_returns(
+        self, name, saved_tiny, tiny_trace
+    ):
+        """The analyses no report section runs: each may build only
+        the tickets its result holds (none for all but three)."""
+        ds = io.load(saved_tiny)
+        result = _ANALYSES[name](ds, tiny_trace.inventory)
+        held = _held_tickets(result, set())
+        if name in ("repeat_chains", "component_context"):
+            assert held  # the bound is not vacuous
+        assert ds.store.n_materialized <= len(held)
 
     def test_iteration_materializes_once(self):
         ds = self._columnar(n=10)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.timeutil import HOUR
 from repro.core.types import ComponentClass, DetectionSource
 from repro.fms.detectors import DetectionModel
 from repro.simulation import calibration
@@ -76,6 +77,22 @@ class TestDowProfiles:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("cls", list(ComponentClass))
+    def test_time_of_day_matches_numpy_choice(self, model, cls):
+        """The per-class table draws what ``Generator.choice`` draws and
+        leaves the generator where it leaves it."""
+        weights = model.hour_weights(cls)
+        for seed in range(200):
+            for size in (0, 1, 2, 7, 50, 333):
+                ours = np.random.default_rng(seed)
+                numpys = np.random.default_rng(seed)
+                got = model.sample_time_of_day(cls, size, ours)
+                hours = numpys.choice(24, size=size, p=weights)
+                want = hours * HOUR + numpys.uniform(0.0, HOUR, size=size)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+                assert ours.bit_generator.state == numpys.bit_generator.state
+
     def test_sample_time_of_day_range(self, model, rng):
         samples = model.sample_time_of_day(ComponentClass.HDD, 5000, rng)
         assert samples.min() >= 0

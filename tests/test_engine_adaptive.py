@@ -280,8 +280,7 @@ class TestReprolintClean:
     family so a failure names the family."""
 
     #: rule family -> rule-id prefix
-    FAMILIES = {"ast": "RPL0", "dataflow": "RPL1", "effects": "RPL2",
-                "perf": "RPL3"}
+    FAMILIES = {"ast": "RPL0", "dataflow": "RPL1", "effects": "RPL2"}
 
     @pytest.fixture(scope="class")
     def lint_result(self):

@@ -24,27 +24,11 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 MOD = "src/repro/analysis/mod.py"
 
 #: Fixable fixture sources, each carrying one fixable defect.
-ACCUMULATOR = (
-    "import numpy as np\n"
-    "def build(dataset):\n"
-    "    acc = []\n"
-    "    for t in dataset.tickets:\n"
-    "        acc.append(t.error_time)\n"
-    "    return np.array(acc)\n"
-)
-REDUNDANT_ASARRAY = (
-    "import numpy as np\n"
-    "def f(dataset):\n"
-    "    times = dataset.error_times\n"
-    "    return np.asarray(times)\n"
-)
 MAGIC_CONSTANT = (
     "def f(span_seconds):\n"
     "    return span_seconds / 86400.0\n"
 )
 FIXABLE_SOURCES = {
-    "accumulator": ACCUMULATOR,
-    "asarray": REDUNDANT_ASARRAY,
     "magic-constant": MAGIC_CONSTANT,
 }
 
@@ -58,7 +42,7 @@ def write(tmp_path: Path, source: str, rel: str = MOD) -> Path:
 
 def synthetic(path: Path, *fixes: Fix) -> list:
     return [
-        Finding("RPL302", str(path), 1, 0, "synthetic", fix=fix)
+        Finding("RPL102", str(path), 1, 0, "synthetic", fix=fix)
         for fix in fixes
     ]
 
@@ -137,13 +121,6 @@ class TestFixDriver:
         assert rerun.applied == 0
         assert path.read_bytes() == after_first
 
-    def test_accumulator_becomes_comprehension(self, tmp_path):
-        path = write(tmp_path, ACCUMULATOR)
-        fix_paths([str(path)])
-        text = path.read_text()
-        assert "acc = [t.error_time for t in dataset.tickets]" in text
-        assert "acc.append" not in text
-
     def test_magic_constant_becomes_named_import(self, tmp_path):
         path = write(tmp_path, MAGIC_CONSTANT)
         fix_paths([str(path)])
@@ -170,7 +147,7 @@ class TestFixDriver:
 # ---------------------------------------------------------------------------
 class TestFixCli:
     def test_fix_reports_and_exits_clean(self, tmp_path, capsys):
-        path = write(tmp_path, ACCUMULATOR)
+        path = write(tmp_path, MAGIC_CONSTANT)
         code = main([str(path), "--fix", "--no-baseline"])
         out = capsys.readouterr().out
         assert code == 0

@@ -23,7 +23,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.config import FleetConfig, paper_scenario
 from repro.core.columns import COLUMN_NAMES, TABLE_NAMES, ColumnBuilder
@@ -608,7 +608,11 @@ class TestShards:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         rollout_years=st.sampled_from([0.0, 1.5]),
     )
-    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    # Whole-scenario examples: a failing run stops at the first failing
+    # scale/seed instead of shrinking scenarios for minutes.
+    @settings(max_examples=10, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate),
+              suppress_health_check=[HealthCheck.too_slow])
     def test_run_shard_matches_reference(self, scale, seed, rollout_years):
         config = dataclasses.replace(
             paper_scenario(scale=scale, seed=seed),

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.config import paper_scenario
 from repro.core.timeutil import DAY, HOUR, MINUTE, YEAR
@@ -563,7 +563,11 @@ class TestPlan:
         scale=st.floats(min_value=0.003, max_value=0.05),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    # Whole-scenario examples: a failing run stops at the first failing
+    # scale/seed instead of shrinking scenarios for minutes.
+    @settings(max_examples=20, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate),
+              suppress_health_check=[HealthCheck.too_slow])
     def test_shards_get_the_reference_events(self, scale, seed):
         config = paper_scenario(scale=scale, seed=seed)
         plan, before, after = plan_with_states(config)

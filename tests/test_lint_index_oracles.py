@@ -1,8 +1,9 @@
 """The reprolint node index against the walkers it replaced.
 
 :mod:`repro.devtools.index` is the only code that decides what a scope
-owns.  It replaced three own-subtree walkers and a parent map, kept
-below verbatim as references.  For every scope of every file under
+owns.  It replaced own-subtree walkers and a parent map; the two
+walkers whose views it still serves and the parent map are kept below
+verbatim as references.  For every scope of every file under
 ``src``, ``tests`` and ``benchmarks``, the index must give the nodes
 each reference gave, in the same order, with the same parents.
 """
@@ -64,20 +65,6 @@ def _effects_own_nodes(fn: ast.AST) -> Iterable[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _perf_own_nodes(root: ast.AST):
-    """Walk ``root`` without descending into nested function/class
-    bodies (they get their own analysis scope)."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef, ast.Lambda)):
-                continue
-            stack.append(child)
-
-
 # ---------------------------------------------------------------------------
 # the comparison
 # ---------------------------------------------------------------------------
@@ -115,12 +102,6 @@ def _check_module(path: Path) -> int:
             if isinstance(node, ast.Lambda):
                 want = list(_own_walk(node))
                 assert _same(own[i + 1:i + 1 + len(want)], want), (path, node)
-        subtrees = index.subtrees(scope)
-        for stmt in own:
-            if isinstance(stmt, ast.stmt) and not isinstance(stmt, SCOPES):
-                assert _same(subtrees.walk(stmt), _perf_own_nodes(stmt)), \
-                    (path, stmt)
-                assert subtrees.parent(stmt) is parents[id(stmt)]
     return len(scopes)
 
 

@@ -1,10 +1,18 @@
 """Failure prediction (the Section VII-A early-warning tool)."""
 
+from collections import defaultdict
+from typing import Dict, List, Tuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import prediction
+from repro.analysis.prediction import Warning_, warning_types
 from repro.core.dataset import FOTDataset
+from repro.core.failure_types import REGISTRY
 from repro.core.timeutil import DAY
+from repro.core.types import ComponentClass, FOTCategory
 from tests.test_ticket import make_ticket
 
 
@@ -66,6 +74,93 @@ class TestIssueWarnings:
     def test_validation(self):
         with pytest.raises(ValueError):
             prediction.issue_warnings(FOTDataset([make_ticket()]), min_warnings=0)
+
+
+# ---------------------------------------------------------------------------
+# reference: the ticket-walking issue_warnings, verbatim
+# ---------------------------------------------------------------------------
+def reference_issue_warnings(
+    dataset: FOTDataset,
+    *,
+    min_warnings: int = 1,
+    dedup_days: float = 14.0,
+) -> List[Warning_]:
+    if min_warnings < 1:
+        raise ValueError("min_warnings must be >= 1")
+    warn_set = warning_types()
+    counts: Dict[Tuple[int, str], int] = defaultdict(int)
+    last_issued: Dict[Tuple[int, str], float] = {}
+    out: List[Warning_] = []
+    for ticket in dataset.failures().sorted_by_time():
+        if ticket.error_type not in warn_set:
+            continue
+        key = (ticket.host_id, ticket.error_device.value)
+        counts[key] += 1
+        if counts[key] < min_warnings:
+            continue
+        prev = last_issued.get(key)
+        if prev is not None and ticket.error_time - prev < dedup_days * DAY:
+            continue
+        last_issued[key] = ticket.error_time
+        out.append(
+            Warning_(
+                host_id=ticket.host_id,
+                component=ticket.error_device.value,
+                issued_at=ticket.error_time,
+                trigger_fot_id=ticket.fot_id,
+            )
+        )
+    return out
+
+
+#: (class, type) pairs of three classes, warning and fatal types both.
+_TYPED = [
+    (entry.component, name) for name, entry in sorted(REGISTRY.items())
+    if entry.component in (ComponentClass.HDD, ComponentClass.MEMORY,
+                           ComponentClass.FAN)
+]
+
+
+@st.composite
+def _tickets(draw):
+    """Few hosts and classes on a whole-day grid, so times tie, keys
+    repeat and gaps of exactly ``dedup_days`` days occur."""
+    n = draw(st.integers(0, 40))
+    tickets = []
+    for fot_id in range(n):
+        component, error_type = draw(st.sampled_from(_TYPED))
+        day = draw(st.integers(0, 64))
+        offset = draw(st.sampled_from([0.0, 0.0, 0.5, 3600.0]))
+        tickets.append(make_ticket(
+            fot_id=fot_id,
+            host_id=draw(st.integers(1, 3)),
+            error_device=component,
+            error_type=error_type,
+            error_time=day * DAY + offset,
+            category=draw(st.sampled_from(list(FOTCategory))),
+        ))
+    return tickets
+
+
+class TestIssueWarningsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tickets=_tickets(),
+        min_warnings=st.integers(1, 3),
+        dedup_days=st.sampled_from([0.0, 14.0, 30.0]),
+    )
+    def test_matches_ticket_walk(self, tickets, min_warnings, dedup_days):
+        ds = FOTDataset(tickets)
+        got = prediction.issue_warnings(
+            ds, min_warnings=min_warnings, dedup_days=dedup_days
+        )
+        want = reference_issue_warnings(
+            ds, min_warnings=min_warnings, dedup_days=dedup_days
+        )
+        assert got == want
+        assert [tuple(map(type, (w.host_id, w.component, w.issued_at,
+                                 w.trigger_fot_id))) for w in got] \
+            == [(int, str, float, int)] * len(got)
 
 
 class TestEvaluate:

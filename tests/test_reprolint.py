@@ -95,8 +95,7 @@ def test_rule_catalog_is_complete():
     syntactic = {f"RPL00{i}" for i in range(6)}
     dataflow = {f"RPL10{i}" for i in range(1, 5)}
     effects = {"RPL201", "RPL202", "RPL203", "RPL211", "RPL212", "RPL213"}
-    perf = {f"RPL30{i}" for i in range(1, 6)}
-    assert set(RULES) == syntactic | dataflow | effects | perf
+    assert set(RULES) == syntactic | dataflow | effects
 
 
 # ---------------------------------------------------------------------------
