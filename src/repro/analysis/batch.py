@@ -20,8 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.dataset import FOTDataset
+from repro.core.grouping import distinct
 from repro.core.timeutil import HOUR, day_index
 from repro.core.types import ComponentClass
+from repro.robustness.quality import InsufficientDataError
 
 #: The thresholds Table V reports.
 TABLE_V_THRESHOLDS: Tuple[int, ...] = (100, 200, 500)
@@ -38,7 +40,7 @@ def daily_counts(
         failures = failures.of_component(component)
     if n_days is None:
         if len(dataset) == 0:
-            raise ValueError("empty dataset and no n_days given")
+            raise InsufficientDataError("empty dataset and no n_days given")
         n_days = int(day_index(dataset.error_times.max())) + 1
     if len(failures) == 0:
         return np.zeros(n_days)
@@ -65,7 +67,7 @@ def batch_failure_frequency(
     """Table V: r_N per component class for each threshold."""
     if n_days is None:
         if len(dataset) == 0:
-            raise ValueError("empty dataset")
+            raise InsufficientDataError("empty dataset")
         n_days = int(day_index(dataset.error_times.max())) + 1
     out: Dict[ComponentClass, Dict[int, float]] = {}
     for cls in ComponentClass:
@@ -160,7 +162,7 @@ def detect_batches(
                 start=float(window.error_times.min()),
                 end=float(window.error_times.max()),
                 n_failures=size,
-                n_servers=int(np.unique(window.host_ids).size),
+                n_servers=int(distinct(window.host_ids).size),
                 dominant_type=top_type,
                 dominant_type_share=int(type_counts.max()) / size,
                 dominant_line=top_line,

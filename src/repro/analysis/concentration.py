@@ -16,6 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.dataset import FOTDataset
+from repro.robustness.quality import InsufficientDataError
 from repro.stats.empirical import gini
 
 
@@ -57,9 +58,8 @@ def failure_concentration(dataset: FOTDataset) -> ConcentrationCurve:
     """Build Figure 7 from a dataset (failures only)."""
     failures = dataset.failures()
     if len(failures) == 0:
-        raise ValueError("no failures in dataset")
-    _, counts = np.unique(failures.host_ids, return_counts=True)
-    counts = np.sort(counts)[::-1].astype(float)
+        raise InsufficientDataError("no failures in dataset")
+    counts = np.sort(failures.host_counts()[1])[::-1].astype(float)
     n_servers = counts.size
     n_failures = float(counts.sum())
     cum = np.cumsum(counts) / n_failures
@@ -78,8 +78,7 @@ def ever_failed_fraction(dataset: FOTDataset, n_servers_total: int) -> float:
     """Fraction of the whole fleet that ever failed."""
     if n_servers_total <= 0:
         raise ValueError("fleet size must be positive")
-    failures = dataset.failures()
-    n_failed = int(np.unique(failures.host_ids).size)
+    n_failed = int(dataset.failures().host_counts()[0].size)
     return n_failed / n_servers_total
 
 

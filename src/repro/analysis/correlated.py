@@ -18,10 +18,11 @@ import numpy as np
 
 from repro.core.columns import COMPONENT_CODE, COMPONENT_ORDER
 from repro.core.dataset import FOTDataset
-from repro.core.grouping import composite_key, group_slices
+from repro.core.grouping import composite_key, distinct, group_slices
 from repro.core.ticket import FOT
 from repro.core.timeutil import day_index
 from repro.core.types import ComponentClass
+from repro.robustness.quality import InsufficientDataError
 
 #: An unordered class pair, stored sorted by enum value for stability.
 ClassPair = Tuple[ComponentClass, ComponentClass]
@@ -45,7 +46,7 @@ class CorrelatedStats:
     def correlated_server_fraction(self) -> float:
         """paper: 0.49 % of all servers that ever failed."""
         if self.n_failed_servers == 0:
-            raise ValueError("no failed servers")
+            raise InsufficientDataError("no failed servers")
         return self.n_correlated_servers / self.n_failed_servers
 
     def total_pairs(self) -> int:
@@ -61,7 +62,7 @@ def component_pair_counts(dataset: FOTDataset) -> CorrelatedStats:
     """
     failures = dataset.failures()
     if len(failures) == 0:
-        raise ValueError("no failures in dataset")
+        raise InsufficientDataError("no failures in dataset")
     days = day_index(failures.error_times).astype(np.int64)
     # The classes failing on each (host, day), as one bit mask per day.
     order, starts, _ = group_slices(composite_key(failures.host_ids, days))
@@ -95,11 +96,10 @@ def component_pair_counts(dataset: FOTDataset) -> CorrelatedStats:
 
     total_pairs = misc_pairs + non_misc_pairs
     correlated_hosts = failures.host_ids[order[starts[multi]]]
-    n_failed = int(np.unique(failures.host_ids).size)
     return CorrelatedStats(
         pair_counts=dict(pair_counts),
-        n_correlated_servers=int(np.unique(correlated_hosts).size),
-        n_failed_servers=n_failed,
+        n_correlated_servers=int(distinct(correlated_hosts).size),
+        n_failed_servers=int(failures.host_counts()[0].size),
         misc_share=misc_pairs / total_pairs if total_pairs else 0.0,
         hdd_share_of_non_misc=(
             non_misc_with_hdd / non_misc_pairs if non_misc_pairs else 0.0
@@ -172,7 +172,7 @@ def independence_baseline(dataset: FOTDataset, n_days: int) -> float:
     failures = dataset.failures()
     if len(failures) == 0 or n_days <= 0:
         raise ValueError("need failures and a positive day count")
-    _, counts = np.unique(failures.host_ids, return_counts=True)
+    counts = failures.host_counts()[1]
     # For a server with k failures thrown uniformly over n_days, the
     # chance two land on the same day is 1 - prod(1 - i/n_days).
     probs = []

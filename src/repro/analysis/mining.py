@@ -21,10 +21,8 @@ from operator-facing tooling.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -65,10 +63,19 @@ class Incident:
 
 
 class _UnionFind:
-    """Minimal union-find over ticket indices."""
+    """Minimal union-find over ticket positions."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
+
+    def roots(self) -> np.ndarray:
+        """Every position's root, by pointer jumping over the parents."""
+        parent = np.asarray(self.parent, dtype=np.int64)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                return parent
+            parent = grand
 
     def find(self, x: int) -> int:
         root = x
@@ -122,26 +129,20 @@ def _link_same_server_same_day(
     _union_pairs(uf, first[different], second[different])
 
 
-def _link_batches(
-    tickets: Sequence[FOT],
-    uf: _UnionFind,
-    dataset: FOTDataset,
-    min_batch: int,
-) -> List[Tuple[float, float, ComponentClass]]:
-    """Link tickets falling inside a detected fleet-level batch window."""
-    windows: List[Tuple[float, float, ComponentClass]] = []
+def _link_batches(failures: FOTDataset, uf: _UnionFind, min_batch: int) -> None:
+    """Link same-class tickets falling inside a detected fleet-level
+    batch window, each window's members found by one mask."""
+    codes = failures.component_codes
+    times = failures.error_times
     for cls in (ComponentClass.HDD, ComponentClass.POWER,
                 ComponentClass.MOTHERBOARD, ComponentClass.MEMORY):
-        for event in detect_batches(dataset, cls, min_failures=min_batch):
-            windows.append((event.start, event.end, cls))
-    for start, end, cls in windows:
-        members = [
-            i for i, t in enumerate(tickets)
-            if t.error_device is cls and start <= t.error_time <= end
-        ]
-        for a, b in zip(members, members[1:]):
-            uf.union(a, b)
-    return windows
+        for event in detect_batches(failures, cls, min_failures=min_batch):
+            members = np.flatnonzero(
+                (codes == COMPONENT_CODE[cls])
+                & (times >= event.start)
+                & (times <= event.end)
+            )
+            _union_pairs(uf, members[:-1], members[1:])
 
 
 def mine_incidents(
@@ -163,27 +164,35 @@ def mine_incidents(
     3. batches: same class inside a detected fleet-level batch window.
 
     Singleton tickets are not reported (they are the normal case — the
-    whole point is surfacing the connected minority).
+    whole point is surfacing the connected minority).  Incidents come
+    largest first, ties in order of their first ticket; only their
+    tickets are materialized.
     """
     failures = dataset.failures().sorted_by_time()
-    tickets = list(failures)
-    if not tickets:
+    n = len(failures)
+    if n == 0:
         return []
-    uf = _UnionFind(len(tickets))
+    uf = _UnionFind(n)
     _link_repeats(failures, uf, repeat_window_days * DAY)
     _link_same_server_same_day(failures, uf, same_server_window_hours * HOUR)
-    _link_batches(tickets, uf, failures, min_batch)
+    _link_batches(failures, uf, min_batch)
 
-    groups: Dict[int, List[int]] = defaultdict(list)
-    for i in range(len(tickets)):
-        groups[uf.find(i)].append(i)
+    # Each component's members in time order, the components ranked by
+    # size, then by their first member.
+    order, starts, stops = group_slices(uf.roots())
+    sizes = stops - starts
+    kept = np.flatnonzero(sizes >= min_incident_size)
+    if not kept.size:
+        return []
+    kept = kept[np.lexsort((order[starts[kept]], -sizes[kept]))]
+    tickets = list(failures.take(
+        np.concatenate([order[starts[g]:stops[g]] for g in kept])
+    ))
+    bounds = np.cumsum(sizes[kept]).tolist()
 
     incidents: List[Incident] = []
-    for members in groups.values():
-        if len(members) < min_incident_size:
-            continue
-        group = [tickets[i] for i in members]
-        group.sort(key=lambda t: t.error_time)
+    for lo, hi in zip([0, *bounds], bounds):
+        group = tickets[lo:hi]
         servers = tuple(sorted({t.host_id for t in group}))
         classes = {t.error_device for t in group}
         span = group[-1].error_time - group[0].error_time
@@ -219,19 +228,7 @@ def mine_incidents(
                 summary=summary,
             )
         )
-    incidents.sort(key=len, reverse=True)
-    # Re-number after sorting so ids are stable and ordered by size.
-    return [
-        Incident(
-            incident_id=i,
-            kind=inc.kind,
-            tickets=inc.tickets,
-            servers=inc.servers,
-            span_seconds=inc.span_seconds,
-            summary=inc.summary,
-        )
-        for i, inc in enumerate(incidents)
-    ]
+    return incidents
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,11 @@ import numpy as np
 
 from repro.core.columns import CATEGORY_CODE
 from repro.core.dataset import FOTDataset
-from repro.core.grouping import composite_key, group_slices
+from repro.core.grouping import composite_key, distinct, group_slices
 from repro.core.timeutil import DAY
 from repro.core.ticket import FOT
 from repro.core.types import FOTCategory
+from repro.robustness.quality import InsufficientDataError
 
 #: A component identity for repeat detection: host, class, slot, type.
 RepeatKey = Tuple[int, str, int, str]
@@ -50,7 +51,7 @@ class RepeatingStats:
         """Fraction of fixed components that never repeated (paper:
         over 85 %)."""
         if self.n_fixed_components == 0:
-            raise ValueError("no fixed components")
+            raise InsufficientDataError("no fixed components")
         return 1.0 - self.n_repeating_components / self.n_fixed_components
 
     @property
@@ -58,7 +59,7 @@ class RepeatingStats:
         """Fraction of ever-failed servers with repeating failures
         (paper: ~4.5 %)."""
         if self.n_failed_servers == 0:
-            raise ValueError("no failed servers")
+            raise InsufficientDataError("no failed servers")
         return self.n_repeating_servers / self.n_failed_servers
 
 
@@ -104,7 +105,7 @@ def _chain_slices(
     # A run counts when a non-final member was closed as D_fixing (an
     # unrepaired D_error component failing again is expected).
     fixed = joined & (failures.category_codes[rows[:-1]] == _FIXING)
-    runs = np.unique(run_of[:-1][fixed])
+    runs = distinct(run_of[:-1][fixed])
     lengths = run_stops[runs] - run_starts[runs]
     groups = np.searchsorted(group_starts, run_starts[runs], side="right") - 1
     # The longest run per identity; lexsort is stable, so the earliest
@@ -152,20 +153,20 @@ def repeating_stats(dataset: FOTDataset) -> RepeatingStats:
     """Compute the Section III-D headline numbers."""
     failures = dataset.failures()
     if len(failures) == 0:
-        raise ValueError("no failures in dataset")
+        raise InsufficientDataError("no failures in dataset")
     fixing = failures.category_codes == _FIXING
     rows, starts, _ = _chain_slices(
         failures, DEFAULT_REPEAT_WINDOW_DAYS * DAY
     )
-    host_ids, counts = np.unique(failures.host_ids, return_counts=True)
+    host_ids, counts = failures.host_counts()
     worst = int(np.argmax(counts))
     return RepeatingStats(
-        n_fixed_components=int(np.unique(_identity_keys(failures)[fixing]).size),
+        n_fixed_components=int(distinct(_identity_keys(failures)[fixing]).size),
         # Every chain has a D_fixing member, so every repeating
         # component is also a fixed one.
         n_repeating_components=int(starts.size),
         n_failed_servers=int(host_ids.size),
-        n_repeating_servers=int(np.unique(failures.host_ids[rows[starts]]).size),
+        n_repeating_servers=int(distinct(failures.host_ids[rows[starts]]).size),
         max_failures_single_server=int(counts[worst]),
         max_failures_host_id=int(host_ids[worst]),
     )

@@ -8,13 +8,14 @@ rejects uniformity with chi-squared tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 import numpy as np
 
 from repro.core.dataset import FOTDataset
 from repro.core.timeutil import DAY_NAMES, day_of_week, hour_of_day
 from repro.core.types import ComponentClass
+from repro.robustness.quality import InsufficientDataError
 from repro.stats.chisquare import ChiSquareResult
 from repro.stats.empirical import fraction_profile
 from repro.stats.hypotheses import (
@@ -39,6 +40,17 @@ class TemporalProfile:
         return [f"{h:02d}" for h in range(self.fractions.size)]
 
 
+def _uniformity(
+    test: Callable[[FOTDataset], ChiSquareResult], subset: FOTDataset
+) -> ChiSquareResult:
+    """``test(subset)``; too few failures to keep two chi-square bins
+    after pooling is an :class:`InsufficientDataError`."""
+    try:
+        return test(subset)
+    except ValueError as exc:
+        raise InsufficientDataError(str(exc)) from exc
+
+
 def day_of_week_profile(
     dataset: FOTDataset, component: ComponentClass
 ) -> TemporalProfile:
@@ -46,12 +58,12 @@ def day_of_week_profile(
     the week, with the Hypothesis 1 chi-squared test."""
     subset = dataset.failures().of_component(component)
     if len(subset) == 0:
-        raise ValueError(f"no failures for component {component}")
+        raise InsufficientDataError(f"no failures for component {component}")
     dows = day_of_week(subset.error_times).astype(int)
     return TemporalProfile(
         component=component,
         fractions=fraction_profile(dows, 7),
-        test=test_uniform_day_of_week(subset),
+        test=_uniformity(test_uniform_day_of_week, subset),
         n_failures=len(subset),
     )
 
@@ -63,12 +75,12 @@ def hour_of_day_profile(
     of the day, with the Hypothesis 2 chi-squared test."""
     subset = dataset.failures().of_component(component)
     if len(subset) == 0:
-        raise ValueError(f"no failures for component {component}")
+        raise InsufficientDataError(f"no failures for component {component}")
     hours = hour_of_day(subset.error_times).astype(int)
     return TemporalProfile(
         component=component,
         fractions=fraction_profile(hours, 24),
-        test=test_uniform_hour_of_day(subset),
+        test=_uniformity(test_uniform_hour_of_day, subset),
         n_failures=len(subset),
     )
 

@@ -37,6 +37,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 import numpy as np
 
+from repro.core.grouping import distinct
 from repro.core.ticket import FOT
 from repro.core.types import (
     ComponentClass,
@@ -208,7 +209,7 @@ def compute_fingerprint(store: "ColumnStore") -> str:
         digest.update(field.column.encode())
         if field.table:
             table = store.table(field.table)
-            used = sorted({table[int(code)] for code in np.unique(column) if code >= 0})
+            used = sorted({table[int(code)] for code in distinct(column) if code >= 0})
             value_rank = {value: rank for rank, value in enumerate(used)}
             lookup = np.asarray(
                 [value_rank.get(value, -1) for value in table], dtype=np.int64

@@ -47,7 +47,7 @@ from repro.core.columns import (
     ColumnBuilder,
     ColumnStore,
 )
-from repro.core.grouping import composite_key, group_slices
+from repro.core.grouping import composite_key, distinct, distinct_counts, group_slices
 from repro.core.ticket import FOT
 from repro.core.timeutil import DAY
 from repro.core.types import ComponentClass, DetectionSource, FOTCategory
@@ -89,6 +89,8 @@ class FOTDataset:
         self._gind: Optional[np.ndarray] = None
         self._tickets_memo: Optional[List[FOT]] = None
         self._fingerprint_memo: Optional[str] = None
+        self._failures_memo: Optional[FOTDataset] = None
+        self._host_counts_memo: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # view plumbing
@@ -378,9 +380,15 @@ class FOTDataset:
 
     def failures(self) -> "FOTDataset":
         """Tickets in D_fixing or D_error — the paper's failure
-        definition, excluding false alarms (Section II)."""
-        false_code = CATEGORY_CODE[FOTCategory.FALSE_ALARM]
-        return self.where(self.category_codes != false_code)
+        definition, excluding false alarms (Section II).
+
+        Built once per view and memoized (views are immutable), so the
+        analyses of one report share one failures view and the columns
+        it gathers.  Two threads racing here only build it twice."""
+        if self._failures_memo is None:
+            false_code = CATEGORY_CODE[FOTCategory.FALSE_ALARM]
+            self._failures_memo = self.where(self.category_codes != false_code)
+        return self._failures_memo
 
     def of_category(self, category: FOTCategory) -> "FOTDataset":
         return self.where(self.category_codes == CATEGORY_CODE[category])
@@ -493,17 +501,29 @@ class FOTDataset:
     # ------------------------------------------------------------------
     # summaries
     # ------------------------------------------------------------------
+    def host_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(hosts, counts)``: the distinct host ids of this view in
+        ascending order and the tickets on each, as
+        ``np.unique(host_ids, return_counts=True)`` returns them.  Built
+        by one sort, once per view (do not mutate)."""
+        if self._host_counts_memo is None:
+            hosts, counts = distinct_counts(self.host_ids)
+            hosts.setflags(write=False)
+            counts.setflags(write=False)
+            self._host_counts_memo = (hosts, counts)
+        return self._host_counts_memo
+
     @property
     def idcs(self) -> List[str]:
         """Distinct data-center names, sorted."""
         table = self.idc_table
-        return sorted(table[code] for code in np.unique(self.idc_codes))
+        return sorted(table[code] for code in distinct(self.idc_codes))
 
     @property
     def product_lines(self) -> List[str]:
         """Distinct product-line names, sorted."""
         table = self.product_line_table
-        return sorted(table[code] for code in np.unique(self.product_line_codes))
+        return sorted(table[code] for code in distinct(self.product_line_codes))
 
     @property
     def span_seconds(self) -> float:
@@ -557,7 +577,7 @@ class FOTDataset:
             "idcs": len(self.idcs),
             "product_lines": len(self.product_lines),
             "span_days": self.span_seconds / DAY,
-            "hosts": int(np.unique(self.host_ids).size) if len(self) else 0,
+            "hosts": int(self.host_counts()[0].size),
         }
 
 

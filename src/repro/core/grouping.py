@@ -15,8 +15,10 @@ way:
   boundaries; callers slice per group (the per-*group* loop is over the
   handful of groups, not over n rows), or compare neighbours inside
   ``order`` to walk each group in its original order.
+* :func:`distinct` and :func:`distinct_counts` find distinct values
+  the same way: sort, don't hash.
 
-Both are pure functions over immutable inputs — safe on frozen
+All are pure functions over immutable inputs — safe on frozen
 ``ColumnStore`` column views.
 """
 
@@ -68,21 +70,45 @@ def composite_key(*columns: np.ndarray) -> np.ndarray:
     return key
 
 
-def _stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")``, faster for wide integer keys.
+def _sorted_integers(column: np.ndarray) -> np.ndarray:
+    """``column`` flattened and sorted; integer dtypes only."""
+    column = np.asarray(column)
+    if not np.issubdtype(column.dtype, np.integer):
+        raise TypeError(f"expected an integer column, got dtype {column.dtype}")
+    return np.sort(column, axis=None)
 
-    Packing each key with its input position makes every key distinct,
-    so numpy's default sort (unstable, but about 3x faster than the
-    stable merge sort on int32/int64) gives the same order.  Keys of 16
-    bits or less keep the stable sort, which is a radix sort for them.
+
+def _run_heads(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in a
+    sorted array."""
+    heads = np.empty(ordered.size, dtype=bool)
+    heads[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=heads[1:])
+    heads.setflags(write=False)
+    return heads
+
+
+def distinct(column: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an integer column.
+
+    Equal to ``np.unique(column)``, by one ``np.sort`` and a neighbour
+    compare.  On numpy >= 2.3 a values-only ``np.unique`` takes a hash
+    table, which on 32- and 64-bit row columns costs several times a
+    sort; on 8- and 16-bit codes the hash wins, so callers keep
+    ``np.unique`` there.  Integer-only: ``np.unique`` merges NaNs, a
+    neighbour compare would not.
     """
-    n = keys.size
-    if keys.dtype.kind == "i" and keys.dtype.itemsize >= 4:
-        low = int(keys.min())
-        if int(keys.max()) - low < _INT64.max // n:
-            packed = (keys.astype(np.int64) - low) * n + np.arange(n)
-            return np.argsort(packed)
-    return np.argsort(keys, kind="stable")
+    ordered = _sorted_integers(column)
+    return ordered[_run_heads(ordered)]
+
+
+def distinct_counts(column: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(column, return_counts=True)`` of an integer column,
+    by the same sort as :func:`distinct`: the sorted distinct values and
+    how often each occurs (``intp``)."""
+    ordered = _sorted_integers(column)
+    starts = np.flatnonzero(_run_heads(ordered))
+    return ordered[starts], np.diff(starts, append=ordered.size)
 
 
 def group_slices(
@@ -97,21 +123,35 @@ def group_slices(
     order.  ``order[starts]`` is each group's first input position, so
     ``np.argsort(order[starts])`` lists the groups in first-appearance
     order.
+
+    For int32/int64 keys, each key is packed with its input position as
+    ``(key - low) * n + position``.  The packed values are distinct, so
+    numpy's default sort (unstable, but about 3x faster than the stable
+    merge sort) orders them as the stable argsort would, and the sorted
+    packed values decode into both ``order`` (``% n``) and the sorted
+    keys (``// n``) with no argsort and no gather.  Keys of 16 bits or
+    less, and keys whose packing would overflow, keep the stable sort,
+    a radix sort for the narrow ones.
     """
     keys = np.asarray(keys)
     if keys.ndim != 1:
         raise ValueError(f"expected a 1-D key array, got shape {keys.shape}")
-    if keys.size == 0:
+    n = keys.size
+    if n == 0:
         empty = np.empty(0, dtype=np.int64)
         empty.setflags(write=False)
         return empty, empty, empty
-    order = _stable_argsort(keys)
-    sorted_keys = keys[order]
-    starts = np.flatnonzero(
-        np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
-    )
-    stops = np.r_[starts[1:], sorted_keys.size]
+    wide = keys.dtype.kind == "i" and keys.dtype.itemsize >= 4
+    low = int(keys.min()) if wide else 0
+    if wide and int(keys.max()) - low < _INT64.max // n:
+        packed = np.sort((keys.astype(np.int64) - low) * n + np.arange(n))
+        sorted_keys, order = np.divmod(packed, n)
+    else:
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+    starts = np.flatnonzero(_run_heads(sorted_keys))
+    stops = np.r_[starts[1:], n]
     return order, starts, stops
 
 
-__all__ = ["composite_key", "group_slices"]
+__all__ = ["composite_key", "distinct", "distinct_counts", "group_slices"]

@@ -3,13 +3,15 @@ the row-walking implementation it replaced.
 
 The reference implementations below are the FOT-walking versions of
 ``repeat_chains`` / ``repeating_stats``, the dict-of-sets pair counter
-of ``component_pair_counts``, ``mine_incidents``' two dict-of-lists
-linkers and ``FOTDataset._grouped``'s own argsort, kept verbatim.  Each
-is obviously correct by inspection and slow; the columnar code must
-match it exactly — key order, ticket order, counts — on adversarial
-shapes: empty input, one host, time ties, gaps of exactly the repeat
-window, equally long runs, D_error-only chains, -1 codes and host ids
-beyond 2**61.
+of ``component_pair_counts``, ``mine_incidents`` with its three
+row-walking linkers, ``FOTDataset._grouped``'s own argsort and the
+argsort-then-gather ``group_slices``, kept verbatim.  Each is obviously
+correct by inspection and slow; the columnar code must match it
+exactly — key order, ticket order, counts — on adversarial shapes:
+empty input, one host, time ties, gaps of exactly the repeat window,
+equally long runs, D_error-only chains, -1 codes and host ids beyond
+2**61.  ``distinct``, ``distinct_counts`` and ``host_counts`` must
+equal ``np.unique`` in values and dtype.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 from collections import defaultdict
 from typing import Dict, List, Sequence, Tuple
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,13 +26,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import correlated, mining, repeating
+from repro.analysis.batch import detect_batches
 from repro.analysis.correlated import ClassPair, CorrelatedStats, _pair
 from repro.analysis.repeating import RepeatingStats, RepeatKey
-from repro.core.columns import CATEGORY_ORDER, COMPONENT_ORDER, ColumnBuilder
+from repro.core.columns import (
+    CATEGORY_CODE,
+    CATEGORY_ORDER,
+    COMPONENT_ORDER,
+    ColumnBuilder,
+)
 from repro.core.dataset import FOTDataset
-from repro.core.grouping import composite_key, group_slices
+from repro.core.grouping import composite_key, distinct, distinct_counts, group_slices
 from repro.core.ticket import FOT
-from repro.core.timeutil import DAY, day_index
+from repro.core.timeutil import DAY, HOUR, day_index
 from repro.core.types import ComponentClass, FOTCategory
 from tests.test_columnar_equivalence import _ticket
 from tests.test_ticket import make_ticket
@@ -199,6 +206,156 @@ def _link_same_server_same_day(
             different = tickets[a].error_device is not tickets[b].error_device
             if close and different:
                 uf.union(a, b)
+
+
+def _link_batches(
+    tickets: Sequence[FOT],
+    uf: mining._UnionFind,
+    dataset: FOTDataset,
+    min_batch: int,
+) -> List[Tuple[float, float, ComponentClass]]:
+    """Link tickets falling inside a detected fleet-level batch window."""
+    windows: List[Tuple[float, float, ComponentClass]] = []
+    for cls in (ComponentClass.HDD, ComponentClass.POWER,
+                ComponentClass.MOTHERBOARD, ComponentClass.MEMORY):
+        for event in detect_batches(dataset, cls, min_failures=min_batch):
+            windows.append((event.start, event.end, cls))
+    for start, end, cls in windows:
+        members = [
+            i for i, t in enumerate(tickets)
+            if t.error_device is cls and start <= t.error_time <= end
+        ]
+        for a, b in zip(members, members[1:]):
+            uf.union(a, b)
+    return windows
+
+
+def ref_mine_incidents(
+    dataset: FOTDataset,
+    *,
+    repeat_window_days: float = 60.0,
+    same_server_window_hours: float = 24.0,
+    min_batch: int = 25,
+    min_incident_size: int = 2,
+) -> List[mining.Incident]:
+    """``mine_incidents`` over a materialized ticket list; the three
+    linkers are the row-walking references."""
+    failures = dataset.failures().sorted_by_time()
+    tickets = list(failures)
+    if not tickets:
+        return []
+    uf = mining._UnionFind(len(tickets))
+    _link_repeats(tickets, uf, repeat_window_days * DAY)
+    _link_same_server_same_day(tickets, uf, same_server_window_hours * HOUR)
+    _link_batches(tickets, uf, failures, min_batch)
+
+    groups: Dict[int, List[int]] = defaultdict(list)
+    for i in range(len(tickets)):
+        groups[uf.find(i)].append(i)
+
+    incidents: List[mining.Incident] = []
+    for members in groups.values():
+        if len(members) < min_incident_size:
+            continue
+        group = [tickets[i] for i in members]
+        group.sort(key=lambda t: t.error_time)
+        servers = tuple(sorted({t.host_id for t in group}))
+        classes = {t.error_device for t in group}
+        span = group[-1].error_time - group[0].error_time
+
+        if len(servers) >= 5:
+            kind = "batch"
+            top = max(classes, key=lambda c: sum(t.error_device is c for t in group))
+            summary = (
+                f"batch: {len(group)} {top.value} tickets across "
+                f"{len(servers)} servers in {span / HOUR:.1f} h"
+            )
+        elif len(classes) > 1:
+            kind = "multi_component"
+            names = "+".join(sorted(c.value for c in classes))
+            summary = (
+                f"correlated {names} failures on host {servers[0]}"
+            )
+        else:
+            kind = "repeat"
+            t0 = group[0]
+            summary = (
+                f"repeating {t0.error_type} on host {t0.host_id} "
+                f"{t0.error_detail} ({len(group)} occurrences over "
+                f"{span / DAY:.1f} d)"
+            )
+        incidents.append(
+            mining.Incident(
+                incident_id=len(incidents),
+                kind=kind,
+                tickets=tuple(group),
+                servers=servers,
+                span_seconds=span,
+                summary=summary,
+            )
+        )
+    incidents.sort(key=len, reverse=True)
+    # Re-number after sorting so ids are stable and ordered by size.
+    return [
+        mining.Incident(
+            incident_id=i,
+            kind=inc.kind,
+            tickets=inc.tickets,
+            servers=inc.servers,
+            span_seconds=inc.span_seconds,
+            summary=inc.summary,
+        )
+        for i, inc in enumerate(incidents)
+    ]
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, faster for wide integer keys.
+
+    Packing each key with its input position makes every key distinct,
+    so numpy's default sort (unstable, but about 3x faster than the
+    stable merge sort on int32/int64) gives the same order.  Keys of 16
+    bits or less keep the stable sort, which is a radix sort for them.
+    """
+    n = keys.size
+    if keys.dtype.kind == "i" and keys.dtype.itemsize >= 4:
+        low = int(keys.min())
+        if int(keys.max()) - low < _INT64.max // n:
+            packed = (keys.astype(np.int64) - low) * n + np.arange(n)
+            return np.argsort(packed)
+    return np.argsort(keys, kind="stable")
+
+
+def ref_group_slices(
+    keys: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One stable sort over ``keys`` -> per-group index slices.
+
+    Returns ``(order, starts, stops)``: ``order`` is the stable argsort
+    of ``keys`` (ties keep input order, so time-sorted input stays
+    time-sorted within each group); group ``g`` occupies
+    ``order[starts[g]:stops[g]]`` and groups appear in ascending key
+    order.  ``order[starts]`` is each group's first input position, so
+    ``np.argsort(order[starts])`` lists the groups in first-appearance
+    order.
+    """
+    keys = np.asarray(keys)
+    if keys.ndim != 1:
+        raise ValueError(f"expected a 1-D key array, got shape {keys.shape}")
+    if keys.size == 0:
+        empty = np.empty(0, dtype=np.int64)
+        empty.setflags(write=False)
+        return empty, empty, empty
+    order = _stable_argsort(keys)
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(
+        np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
+    )
+    stops = np.r_[starts[1:], sorted_keys.size]
+    return order, starts, stops
 
 
 def _grouped(self: FOTDataset, values: np.ndarray) -> List[Tuple[int, FOTDataset]]:
@@ -392,14 +549,31 @@ class TestIncidentOracle:
     @given(tickets=_adversarial_tickets())
     @settings(max_examples=60, deadline=None)
     def test_mine_incidents_match(self, tickets):
+        # Mined first, so the store counts only what the miner built:
+        # the tickets its incidents hold.  The reference then reads the
+        # same memoized tickets, so equal incidents hold equal objects.
         ds = _columnar(tickets)
-        with mock.patch.object(mining, "_link_repeats", _link_repeats), \
-                mock.patch.object(
-                    mining, "_link_same_server_same_day",
-                    _link_same_server_same_day,
-                ):
-            expected = mining.mine_incidents(ds, min_batch=3)
-        assert mining.mine_incidents(ds, min_batch=3) == expected
+        actual = mining.mine_incidents(ds, min_batch=3)
+        assert ds.store.n_materialized == sum(len(i) for i in actual)
+        assert actual == ref_mine_incidents(ds, min_batch=3)
+
+    def test_batch_window_links_only_its_class(self):
+        # Five HDD failures on five hosts within minutes form a batch
+        # window; a fan failure inside it and an HDD failure after it
+        # stay out.
+        tickets = [
+            make_ticket(fot_id=i, host_id=i, error_time=DAY + 60.0 * i)
+            for i in range(5)
+        ]
+        tickets += [
+            make_ticket(fot_id=5, host_id=50, error_time=DAY + 90.0,
+                        error_device=ComponentClass.FAN),
+            make_ticket(fot_id=6, host_id=60, error_time=3 * DAY),
+        ]
+        ds = _columnar(tickets)
+        incidents = mining.mine_incidents(ds, min_batch=3)
+        assert [[t.fot_id for t in i.tickets] for i in incidents] == [[0, 1, 2, 3, 4]]
+        assert incidents == ref_mine_incidents(ds, min_batch=3)
 
 
 class TestGroupedOracle:
@@ -425,21 +599,117 @@ class TestGroupedOracle:
         assert ds.store.n_materialized == 0
 
 
+_INTEGER_DTYPES = [np.int8, np.int16, np.int32, np.int64,
+                   np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def _assert_same_arrays(actual, expected):
+    assert len(actual) == len(expected)
+    for a, e in zip(actual, expected):
+        assert a.dtype == e.dtype
+        np.testing.assert_array_equal(a, e)
+
+
+@st.composite
+def _integer_keys(draw, dtypes, max_size=300):
+    """Integer key columns: few distinct values (many ties), a narrow
+    spread, or the dtype's full range (full-range int64 overflows the
+    packed sort)."""
+    dtype = draw(st.sampled_from(dtypes))
+    info = np.iinfo(dtype)
+    shape = draw(st.sampled_from(["ties", "narrow", "full"]))
+    if shape == "full":
+        values = st.integers(int(info.min), int(info.max))
+    else:
+        pool = draw(st.lists(st.integers(int(info.min), int(info.max)),
+                             min_size=1, max_size=2 if shape == "ties" else 8))
+        spread = max(pool) - min(pool)
+        values = (st.sampled_from(pool) if shape == "ties" or spread > 2**20
+                  else st.integers(min(pool), max(pool)))
+    return np.array(draw(st.lists(values, max_size=max_size)), dtype=dtype)
+
+
 class TestGroupSlices:
-    @given(dtype=st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
-           wide=st.booleans(), data=st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_order_is_the_stable_argsort(self, dtype, wide, data):
-        # Narrow keys of any width take the packed (key, position) sort;
-        # full-range int64 keys overflow the packing and fall back.
-        info = np.iinfo(dtype)
-        low, high = (int(info.min), int(info.max)) if wide else (-3, 3)
-        keys = np.array(
-            data.draw(st.lists(st.integers(low, high), min_size=1, max_size=40)),
-            dtype=dtype,
+    @given(keys=_integer_keys([np.int8, np.int16, np.int32, np.int64]))
+    @settings(max_examples=300, deadline=None)
+    def test_order_is_the_stable_argsort(self, keys):
+        # 32/64-bit keys take the packed (key, position) sort unless,
+        # like full-range int64 keys, they overflow the packing; narrower
+        # keys and overflowing ones fall back to the stable argsort.
+        actual = group_slices(keys)
+        np.testing.assert_array_equal(actual[0], np.argsort(keys, kind="stable"))
+        _assert_same_arrays(actual, ref_group_slices(keys))
+
+    @pytest.mark.parametrize("span", [_INT64.max // 4 - 1, _INT64.max // 4])
+    def test_packing_bound(self, span):
+        # Four keys spanning just inside, then just past, what the
+        # (key, position) packing can hold.
+        keys = np.array([span, 0, span, 0], dtype=np.int64) - 2**62
+        _assert_same_arrays(group_slices(keys), ref_group_slices(keys))
+
+    def test_empty_and_bad_shape(self):
+        _assert_same_arrays(
+            group_slices(np.empty(0, np.int32)), ref_group_slices(np.empty(0, np.int32))
         )
-        order, _, _ = group_slices(keys)
-        np.testing.assert_array_equal(order, np.argsort(keys, kind="stable"))
+        with pytest.raises(ValueError, match="1-D"):
+            group_slices(np.zeros((2, 2), np.int64))
+
+
+class TestDistinct:
+    @given(keys=_integer_keys(_INTEGER_DTYPES))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_unique(self, keys):
+        _assert_same_arrays([distinct(keys)], [np.unique(keys)])
+        _assert_same_arrays(distinct_counts(keys), np.unique(keys, return_counts=True))
+
+    @pytest.mark.parametrize("dtype", _INTEGER_DTYPES)
+    def test_empty_and_full_range(self, dtype):
+        info = np.iinfo(dtype)
+        for keys in (
+            np.empty(0, dtype),
+            np.array([info.max, info.min, 0, info.max, info.min], dtype),
+        ):
+            _assert_same_arrays([distinct(keys)], [np.unique(keys)])
+            _assert_same_arrays(distinct_counts(keys), np.unique(keys, return_counts=True))
+
+    @pytest.mark.parametrize("values", [[1.0, np.nan, np.nan], [True, False]])
+    def test_rejects_non_integers(self, values):
+        for fn in (distinct, distinct_counts):
+            with pytest.raises(TypeError, match="integer column"):
+                fn(np.array(values))
+
+
+class TestDatasetMemos:
+    @given(tickets=_adversarial_tickets())
+    @settings(max_examples=100, deadline=None)
+    def test_host_counts_equal_np_unique(self, tickets):
+        ds = _columnar(tickets)
+        for view in (
+            ds,
+            ds.where(ds.error_times >= 60 * DAY),
+            ds.where(np.zeros(len(ds), dtype=bool)),
+        ):
+            expected = np.unique(view.host_ids, return_counts=True)
+            _assert_same_arrays(view.host_counts(), expected)
+            assert view.host_counts() is view.host_counts()
+        assert ds.store.n_materialized == 0
+
+    @given(tickets=_adversarial_tickets())
+    @settings(max_examples=50, deadline=None)
+    def test_failures_view_is_shared(self, tickets):
+        ds = _columnar(tickets)
+        false_alarm = CATEGORY_CODE[FOTCategory.FALSE_ALARM]
+        failures = ds.failures()
+        assert ds.failures() is failures
+        np.testing.assert_array_equal(
+            failures.fot_ids, ds.where(ds.category_codes != false_alarm).fot_ids
+        )
+        # A sub-view filters its own rows.
+        later = ds.where(ds.error_times >= 60 * DAY)
+        np.testing.assert_array_equal(
+            later.failures().fot_ids,
+            later.where(later.category_codes != false_alarm).fot_ids,
+        )
 
 
 class TestCompositeKey:

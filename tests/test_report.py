@@ -1,9 +1,11 @@
-"""Report rendering helpers."""
+"""Report rendering helpers, and the full report over scarce data."""
 
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis import report
+from repro.core.types import FOTCategory
 
 
 class TestFormatTable:
@@ -66,3 +68,36 @@ class TestFormatters:
         )
         assert "5min" in text
         assert "0.200" in text
+
+
+def _scarce_views(ds):
+    """Views of a trace too small for some report sections."""
+    failures = ds.failures()
+    return {
+        "false_alarms": ds.of_category(FOTCategory.FALSE_ALARM),
+        "empty": ds.where(np.zeros(len(ds), dtype=bool)),
+        "first_failure": failures[:1],
+        "first_2_failures": failures[:2],
+        "first_50_failures": failures[:50],
+        "d_error_only": ds.of_category(FOTCategory.ERROR),
+    }
+
+
+class TestFullReportOnScarceData:
+    """A section the data cannot sustain is recorded as skipped; the
+    report itself never aborts."""
+
+    @pytest.mark.parametrize("view, skipped", [
+        ("false_alarms", {"table_ii", "mtbf", "fig7", "table_vi", "fig9", "table_iv"}),
+        ("empty", {"table_i", "table_ii", "mtbf", "fig7", "table_v", "table_vi",
+                   "fig9", "table_iv"}),
+        ("first_failure", {"mtbf", "fig3", "table_iv"}),
+        ("first_2_failures", {"fig3", "table_iv"}),
+        ("first_50_failures", {"fig3", "table_iv"}),
+        ("d_error_only", {"fig7", "fig9"}),
+    ])
+    def test_sections_skipped(self, tiny_trace, view, skipped):
+        data = _scarce_views(tiny_trace.dataset)[view]
+        full = repro.full_report(data, inventory=tiny_trace.inventory)
+        assert {s.name for s in full if s.skipped} == skipped
+        assert all(s.body for s in full)

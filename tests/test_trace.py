@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import repro
 from repro.config import ScenarioConfig, paper_scenario
 from repro.core.types import ComponentClass, DetectionSource, FOTCategory
 from repro.simulation.trace import generate_paper_trace, generate_trace
@@ -77,9 +78,10 @@ class TestStructure:
 
 
 class TestGoldenOutput:
-    """What the simulator emits for the two session traces, pinned: a
-    reordered draw or a changed default anywhere in fleet, simulation or
-    FMS fails here."""
+    """What the simulator emits for the two session traces, and the
+    report rendered over them, pinned: a reordered draw or a changed
+    default anywhere in fleet, simulation or FMS fails here, and so
+    does a report that changes by one byte."""
 
     @pytest.mark.parametrize("fixture, fingerprint, inventory_sha256", [
         (
@@ -124,6 +126,19 @@ class TestGoldenOutput:
         assert ground_truth_digest([
             [r.tag, r.kind, list(r.server_rows), r.n_events] for r in trace.injections
         ]) == injections
+
+
+    @pytest.mark.parametrize("fixture, report_sha256", [
+        ("tiny_trace", "0375357b34f96c43ae3ab158ad2b81a70bd6752a7f8c29fd62bbac576c47309a"),
+        ("small_trace", "5f844ca2cbdd6272a4eab887d85a8d073c9dbe2e074b5619458219ac2cd26bec"),
+    ])
+    def test_report_pinned(self, request, fixture, report_sha256):
+        """The full report with Table IV, every section rendered."""
+        trace = request.getfixturevalue(fixture)
+        report = repro.full_report(trace.dataset, inventory=trace.inventory)
+        assert not [s.name for s in report if s.skipped]
+        text = report.text()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == report_sha256, text
 
 
 def ground_truth_digest(rows):
