@@ -199,7 +199,9 @@ def mine_incidents(
 
         if len(servers) >= 5:
             kind = "batch"
-            top = max(classes, key=lambda c: sum(t.error_device is c for t in group))
+            # A tie goes to the class declared first, not to set order.
+            top = max(sorted(classes, key=COMPONENT_CODE.__getitem__),
+                      key=lambda c: sum(t.error_device is c for t in group))
             summary = (
                 f"batch: {len(group)} {top.value} tickets across "
                 f"{len(servers)} servers in {span / HOUR:.1f} h"

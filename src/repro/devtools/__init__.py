@@ -5,14 +5,14 @@ complement.
   (``python -m repro.devtools.lint`` / ``repro lint``): one pass over
   the whole rule catalogue, suppressions, baseline, reporters.
 * :mod:`repro.devtools.rules` — the RPL rule catalog and the syntactic
-  RPL000–005 checkers.
+  RPL001 and RPL003–005 checkers.
 * :mod:`repro.devtools.index` — the node index: each scope's own nodes
   and their parents, built once per run for the checkers below.
 * :mod:`repro.devtools.dataflow` — abstract interpretation: per-function
   CFGs (:mod:`~repro.devtools.cfg`) analyzed to fixpoint over a product
-  fact lattice (:mod:`~repro.devtools.lattice`) for the RPL101–104
-  unit/dtype/order rules and interprocedural RPL001/RPL002 via
-  call-graph summaries.
+  fact lattice (:mod:`~repro.devtools.lattice`) for RPL002
+  immutability, the RPL101–104 unit/dtype/order rules and
+  interprocedural RPL001 via call-graph summaries.
 * :mod:`repro.devtools.effects` / :mod:`~repro.devtools.effect_rules` —
   effect summaries and the RPL201–213 concurrency & resource-safety
   rules.

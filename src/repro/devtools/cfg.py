@@ -113,8 +113,9 @@ class _Builder:
             if body_end is not None:
                 self.edge(body_end, header)
             if node.orelse:
-                orelse_end = self.seq(node.orelse, self.new_block())
-                self.edge(header, self.blocks[after.idx])  # already present
+                orelse = self.new_block()
+                self.edge(header, orelse)
+                orelse_end = self.seq(node.orelse, orelse)
                 if orelse_end is not None:
                     self.edge(orelse_end, after)
             return after

@@ -4,9 +4,18 @@ Every function (and each module body) is lowered to a CFG
 (:mod:`repro.devtools.cfg`) and interpreted over the fact lattice in
 :mod:`repro.devtools.lattice` with a classic worklist fixpoint; rules
 query the stable per-block environments instead of doing ad-hoc taint
-walks.  The interpreter powers four semantic rules on top of the
-syntactic RPL001–005 set:
+walks.  The interpreter powers five rules next to the syntactic RPL001
+and RPL003–005:
 
+* **RPL002 — immutability.** A value's ``column`` fact, its only
+  taint, is set when it is a ``ColumnStore``/``FOTDataset`` column (a
+  column property or ``store.column(...)``) or a view of one; a write
+  through it (:func:`written_array`: a subscript store, an augmented
+  assignment, an in-place ndarray method, ``setflags(write=True)``) is
+  flagged, as is thawing any named array.  In ``repro/core`` an array a
+  numpy constructor built must be frozen with ``setflags(write=False)``
+  before any path returns it or stores it into an attribute or a
+  subscript; a freeze through an alias counts.
 * **RPL101 — time-unit safety.** Facts are seeded from
   :mod:`repro.core.timeutil` (``HOUR``/``DAY``/... are *conversion
   constants*: values in seconds whose division yields the target unit),
@@ -33,10 +42,12 @@ syntactic RPL001–005 set:
 
 The :class:`DataflowProject` summary pass additionally makes RPL001 and
 RPL002 **interprocedural**: a per-function call-graph summary records
-(transitively) nondeterministic functions and parameter-mutating
-functions, so a deterministic-package call into an unvetted helper that
-reads the wall clock — or passes a frozen column view to a function
-that writes through its parameter — is flagged at the call site.
+(transitively) nondeterministic functions and the parameters a function
+writes through (by the same :func:`written_array`), so a
+deterministic-package call into an unvetted helper that reads the wall
+clock — or passes a frozen column view to a function that writes
+through its parameter — is flagged at the call site.  RPL002 covers
+``repro/``, ``tests/`` and ``benchmarks/``; the other rules ``repro/``.
 """
 
 from __future__ import annotations
@@ -57,7 +68,6 @@ from repro.devtools.lattice import (
     Env,
     Fact,
     NARROW_WIDTHS,
-    TIME_UNITS,
     TOP,
     conversion,
     dimensionless,
@@ -71,7 +81,6 @@ from repro.devtools.rules import (
     Edit,
     Finding,
     Fix,
-    MUTATOR_METHODS,
     Project,
     module_name,
     module_parts,
@@ -175,6 +184,35 @@ ACCUMULATORS = frozenset({"sum", "cumsum", "nansum", "prod", "cumprod"})
 
 #: Methods returning filesystem-listing-ordered iterables (RPL104).
 FS_LISTING_METHODS = frozenset({"iterdir", "glob", "rglob", "scandir"})
+
+#: ndarray methods that mutate in place (RPL002).
+MUTATOR_METHODS = frozenset(
+    {"sort", "fill", "resize", "put", "partition", "itemset", "byteswap"}
+)
+
+#: numpy constructors whose results must be frozen before escaping
+#: a function in repro/core (RPL002).
+NP_CONSTRUCTORS = frozenset(
+    {
+        "empty",
+        "zeros",
+        "ones",
+        "full",
+        "arange",
+        "asarray",
+        "array",
+        "fromiter",
+        "concatenate",
+        "linspace",
+        "empty_like",
+        "zeros_like",
+        "ones_like",
+        "full_like",
+    }
+)
+
+#: Rounds of return-fact inference over the call graph.
+SUMMARY_ROUNDS = 3
 
 
 def unit_from_name(name: str) -> Optional[str]:
@@ -312,7 +350,6 @@ class FunctionSummary:
     module: str
     name: str
     node: ast.FunctionDef
-    params: List[str]
     declared_unit: Optional[str]
     returns_unit: Optional[str] = None
     returns_unordered: bool = False
@@ -329,41 +366,53 @@ class FunctionSummary:
         return parts[1] if len(parts) > 1 and parts[0] == "repro" else ""
 
 
+def written_array(node: ast.AST) -> Optional[Tuple[ast.expr, str]]:
+    """The array that ``node`` writes through in place, with the RPL002
+    message for the write (``{}`` stands for the array's origin); None
+    when ``node`` writes through no array.  Writes are subscript stores
+    (``a[i] = v``; ``a[i] += v`` counts once, as the augmented
+    assignment), augmented assignment of a name (in place for an
+    ndarray) and calls of an in-place method or ``setflags(write=True)``."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+        return node.value, ("subscript assignment into {} — column views "
+                            "are immutable; build a new array instead")
+    if isinstance(node, ast.AugAssign):
+        if isinstance(node.target, ast.Subscript):
+            return node.target.value, ("augmented subscript assignment "
+                                       "into {} — column views are "
+                                       "immutable")
+        if isinstance(node.target, ast.Name):
+            return node.target, ("augmented assignment mutates {} — column "
+                                 "views are immutable; assign a new array "
+                                 "instead")
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        attr = node.func.attr
+        if attr in MUTATOR_METHODS:
+            return node.func.value, (
+                f".{attr}() mutates {{}} — column views are immutable; use "
+                f"the copying variant (np.{attr}(...)) instead"
+            )
+        if attr == "setflags" and any(
+            kw.arg == "write" and isinstance(kw.value, ast.Constant)
+            and kw.value.value is True
+            for kw in node.keywords
+        ):
+            return node.func.value, "setflags(write=True) thaws {}"
+    return None
+
+
 def _collect_mutated_params(fn: ast.FunctionDef) -> Dict[str, int]:
     params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
     param_set = set(params) | {a.arg for a in fn.args.kwonlyargs}
     index = {name: i for i, name in enumerate(params)}
     mutated: Dict[str, int] = {}
-
-    def root(node: ast.AST) -> Optional[str]:
-        while isinstance(node, (ast.Subscript, ast.Attribute)):
-            node = node.value
-        return node.id if isinstance(node, ast.Name) else None
-
     for node in ast.walk(fn):
-        target_name: Optional[str] = None
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript):
-                    target_name = root(target.value)
-        elif isinstance(node, ast.AugAssign):
-            if isinstance(node.target, ast.Subscript):
-                target_name = root(node.target.value)
-            elif isinstance(node.target, ast.Name):
-                # ``arr += x`` mutates in place when arr is an ndarray.
-                target_name = node.target.id
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            func = node.func
-            if func.attr in MUTATOR_METHODS:
-                target_name = root(func.value)
-            elif func.attr == "setflags" and any(
-                kw.arg == "write" and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-                for kw in node.keywords
-            ):
-                target_name = root(func.value)
-        if target_name and target_name in param_set:
-            mutated.setdefault(target_name, index.get(target_name, -1))
+        written = written_array(node)
+        root = written[0] if written else None
+        while isinstance(root, (ast.Subscript, ast.Attribute)):
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in param_set:
+            mutated.setdefault(root.id, index.get(root.id, -1))
     return mutated
 
 
@@ -371,7 +420,7 @@ class DataflowProject(Project):
     """Cross-file context on top of :class:`Project`: module contexts,
     call graph and summaries."""
 
-    def __init__(self, trees: Dict[Path, ast.Module], summary_rounds: int = 3):
+    def __init__(self, trees: Dict[Path, ast.Module]):
         super().__init__(trees)
         self.trees = trees
         self.contexts: Dict[str, ModuleContext] = {}
@@ -387,7 +436,7 @@ class DataflowProject(Project):
         self._resolve_calls()
         self._seed_nondeterminism()
         self._compute_module_envs()
-        self._infer_summaries(summary_rounds)
+        self._infer_summaries()
         self._propagate_nondeterminism()
 
     # -- construction ---------------------------------------------------
@@ -403,7 +452,6 @@ class DataflowProject(Project):
             module=module,
             name=node.name,
             node=node,
-            params=[a.arg for a in node.args.posonlyargs + node.args.args],
             declared_unit=declared,
             returns_unit=declared,
             mutated_params=_collect_mutated_params(node),
@@ -455,10 +503,10 @@ class DataflowProject(Project):
             analyzer.run()
             ctx.module_env = analyzer.exit_env
 
-    def _infer_summaries(self, rounds: int) -> None:
+    def _infer_summaries(self) -> None:
         """Iterate return-fact inference to a (bounded) fixpoint so unit
         facts flow through helper calls."""
-        for _ in range(max(1, rounds)):
+        for _ in range(SUMMARY_ROUNDS):
             changed = False
             for summary in self.summaries.values():
                 analyzer = _Analyzer(
@@ -530,7 +578,7 @@ class _RuleFlags:
     units: bool = False          # RPL101 + RPL102 + RPL103
     order: bool = False          # RPL104
     inter_determinism: bool = False   # interprocedural RPL001
-    inter_immutability: bool = False  # interprocedural RPL002
+    immutability: bool = False   # RPL002
 
 
 class _Analyzer:
@@ -551,22 +599,27 @@ class _Analyzer:
         self.flags = flags
         #: the scope: a def node, or the module for the module body.
         self.fn = fn
-        self.body = list(fn.body)
         self.cfg: CFG = build_cfg(
-            [s for s in self.body
+            [s for s in fn.body
              if not isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef,
                                    ast.ClassDef))]
         )
         self.findings: List[Finding] = []
         self.declared_unit: Optional[str] = None
+        #: RPL002's creation rule: functions in repro/core only.
+        self.check_creation = False
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             self.declared_unit = (
                 _decorator_unit(fn)
                 or _annotation_unit(fn.returns)
                 or unit_from_name(fn.name)
             )
+            self.check_creation = flags.immutability \
+                and ctx.module.split(".")[:2] == ["repro", "core"]
         self._emitting = False
         self._return_fact = BOTTOM
+        #: creation site -> line of its last escape while maybe writable.
+        self._escapes: Dict[Tuple[int, int, str], int] = {}
         self.exit_env: Env = {}
 
     # -- driver ---------------------------------------------------------
@@ -593,6 +646,12 @@ class _Analyzer:
         for block in self.cfg.blocks:
             if block.idx in in_envs:
                 self._transfer_block(block.idx, dict(in_envs[block.idx]))
+        for (line, col, name), escape in self._escapes.items():
+            self.findings.append(Finding(
+                "RPL002", self.path, line, col,
+                f"array '{name}' created in core/ escapes (line {escape}) "
+                "without setflags(write=False)",
+            ))
         self._emitting = False
         self.exit_env = in_envs.get(self.cfg.exit, {})
         return self._return_fact
@@ -644,26 +703,39 @@ class _Analyzer:
             declared = _annotation_unit(item.annotation)
             fact = self.eval(item.value, env) if item.value is not None else BOTTOM
             if declared:
-                self._check_declared(item, declared, fact)
-                fact = fact.with_unit(declared)
+                self._check_unit(item, declared, fact, "annotated as "
+                                 "{declared} but the value is in {unit}",
+                                 conversion_ok=False)
+                fact = dataclasses.replace(fact, unit=declared, conv=None)
             if isinstance(item.target, ast.Name):
                 self._bind(item.target, item.value, fact, env)
+            elif item.value is not None:
+                self._store(item.target, item.value, env)
         elif isinstance(item, ast.AugAssign):
             value = self.eval(item.value, env)
             if isinstance(item.target, ast.Name):
                 current = env.get(item.target.id, BOTTOM)
-                env[item.target.id] = self._binop_fact(
-                    item, item.op, current, value,
-                    item.target, item.value, env,
+                self._check_write(item, current)
+                # In place for an ndarray: the name keeps its identity.
+                env[item.target.id] = dataclasses.replace(
+                    self._binop_fact(item, item.op, current, value,
+                                     item.target, item.value),
+                    column=current.column, created=current.created,
+                    unfrozen=current.unfrozen,
                 )
+            elif isinstance(item.target, ast.Subscript):
+                self._check_write(item, self.eval(item.target.value, env))
+                self.eval(item.target.slice, env)
             else:
                 self.eval(item.target, env)
         elif isinstance(item, ast.Return):
             if item.value is not None:
                 fact = self.eval(item.value, env)
                 self._return_fact = self._return_fact.join(fact)
-                if self.declared_unit:
-                    self._check_return(item, fact)
+                self._escape(item.value, item, env)
+                self._check_unit(item, self.declared_unit, fact,
+                                 "returns a value in {unit} from a function "
+                                 "declared to return {declared}")
         elif isinstance(item, (ast.If, ast.While)):
             self.eval(item.test, env)
         elif isinstance(item, (ast.For, ast.AsyncFor)):
@@ -680,16 +752,20 @@ class _Analyzer:
             self.eval(item.value, env)
         elif isinstance(item, ast.Assert):
             self.eval(item.test, env)
+            self.eval(item.msg, env)
         elif isinstance(item, ast.Delete):
             for target in item.targets:
                 if isinstance(target, ast.Name):
                     env.pop(target.id, None)
         elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
                                ast.ClassDef)):
+            if isinstance(item, ast.ClassDef):
+                for expr in item.bases + item.keywords + item.decorator_list:
+                    self.eval(expr, env)
             env[item.name] = BOTTOM
         elif isinstance(item, ast.Raise):
-            if item.exc is not None:
-                self.eval(item.exc, env)
+            self.eval(item.exc, env)
+            self.eval(item.cause, env)
         elif isinstance(item, (ast.Global, ast.Nonlocal, ast.Pass,
                                ast.Import, ast.ImportFrom)):
             pass
@@ -723,14 +799,53 @@ class _Analyzer:
               fact: Fact, env: Env) -> None:
         if isinstance(target, ast.Name):
             self._check_declared_name(target, target.id, fact)
+            if self.check_creation and isinstance(value, ast.Call) \
+                    and isinstance(value.func, ast.Attribute) \
+                    and isinstance(value.func.value, ast.Name) \
+                    and value.func.value.id in self.ctx.numpy_aliases \
+                    and value.func.attr in NP_CONSTRUCTORS:
+                site = (value.lineno, value.col_offset, target.id)
+                fact = dataclasses.replace(fact, created=site, unfrozen=True)
             env[target.id] = fact
         elif isinstance(target, ast.Attribute):
             self._check_declared_name(target, target.attr, fact)
+            self._store(target, value, env)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for sub_target in target.elts:
                 self._bind_quiet(sub_target, BOTTOM, env)
         elif isinstance(target, ast.Subscript):
-            self.eval(target.value, env)
+            self._store(target, value, env)
+
+    # -- RPL002 ----------------------------------------------------------
+    def _store(self, target: ast.AST, value: ast.AST, env: Env) -> None:
+        """A name stored into an attribute or a subscript escapes; a
+        subscript store writes through its base."""
+        if isinstance(target, ast.Subscript):
+            self._check_write(target, self.eval(target.value, env))
+        self._escape(value, target, env)
+
+    def _escape(self, value: ast.AST, node: ast.AST, env: Env) -> None:
+        """``value``, a name or a tuple of names, leaves at ``node``."""
+        for name in value.elts if isinstance(value, ast.Tuple) else [value]:
+            fact = env.get(name.id) if isinstance(name, ast.Name) else None
+            if self._emitting and fact and fact.created and fact.unfrozen:
+                self._escapes[fact.created] = max(
+                    self._escapes.get(fact.created, 0), node.lineno)
+
+    def _check_write(self, node: ast.AST, fact: Fact) -> None:
+        """Flag ``node`` when it writes through a column view, or thaws
+        any named array, whose fact is ``fact``."""
+        written = written_array(node)
+        if written is None or not self.flags.immutability:
+            return
+        array, message = written
+        origin = _origin(fact)
+        if origin is None and isinstance(array, ast.Name) \
+                and isinstance(node, ast.Call) \
+                and node.func.attr == "setflags":
+            origin = f"array '{array.id}'"
+        if origin is not None:
+            self._flag("RPL002", node, message.format(origin))
 
     def _bind_quiet(self, target: ast.AST, fact: Fact, env: Env) -> None:
         if isinstance(target, ast.Name):
@@ -739,38 +854,28 @@ class _Analyzer:
         elif isinstance(target, (ast.Tuple, ast.List)):
             for sub in target.elts:
                 self._bind_quiet(sub, BOTTOM, env)
+        elif isinstance(target, ast.Starred):
+            self._bind_quiet(target.value, BOTTOM, env)
 
     def _check_declared_name(self, node: ast.AST, name: str,
                              fact: Fact) -> None:
-        if not self.flags.units:
-            return
-        declared = unit_from_name(name)
-        if declared and is_time_unit(declared) and fact.is_time \
-                and fact.unit != declared and not fact.is_conversion:
-            self._flag(
-                "RPL101", node,
-                f"assigns a value in {fact.unit} to '{name}', which is "
-                f"named as {declared} — convert via core.timeutil first",
-            )
+        if self.flags.units:
+            self._check_unit(node, unit_from_name(name), fact,
+                             f"assigns a value in {{unit}} to '{name}', which "
+                             "is named as {declared} — convert via "
+                             "core.timeutil first")
 
-    def _check_declared(self, node: ast.AST, declared: str,
-                        fact: Fact) -> None:
+    def _check_unit(self, node: ast.AST, declared: Optional[str], fact: Fact,
+                    message: str, conversion_ok: bool = True) -> None:
+        """RPL101 when ``fact`` is in a time unit other than the
+        ``declared`` one (``message`` formats ``{unit}`` and
+        ``{declared}``); a conversion constant passes unless
+        ``conversion_ok`` is False."""
         if self.flags.units and is_time_unit(declared) and fact.is_time \
-                and fact.unit != declared:
-            self._flag(
-                "RPL101", node,
-                f"annotated as {declared} but the value is in {fact.unit}",
-            )
-
-    def _check_return(self, node: ast.AST, fact: Fact) -> None:
-        if self.flags.units and is_time_unit(self.declared_unit) \
-                and fact.is_time and fact.unit != self.declared_unit \
-                and not fact.is_conversion:
-            self._flag(
-                "RPL101", node,
-                f"returns a value in {fact.unit} from a function declared "
-                f"to return {self.declared_unit}",
-            )
+                and fact.unit != declared \
+                and not (conversion_ok and fact.is_conversion):
+            self._flag("RPL101", node,
+                       message.format(unit=fact.unit, declared=declared))
 
     # -- expressions -----------------------------------------------------
     def eval(self, node: Optional[ast.AST], env: Env,
@@ -848,7 +953,7 @@ class _Analyzer:
         fact = self.eval(node.operand, env)
         if isinstance(node.op, ast.Not):
             return dimensionless()
-        return fact
+        return fact.derived()
 
     def _eval_BoolOp(self, node: ast.BoolOp, env: Env,
                      order_ok: bool) -> Fact:
@@ -873,7 +978,7 @@ class _Analyzer:
         result = BOTTOM
         for element in node.elts:
             result = result.join(self.eval(element, env))
-        return dataclasses.replace(result, unordered=True, column=None)
+        return result.derived(unordered=True)
 
     def _eval_Dict(self, node: ast.Dict, env: Env, order_ok: bool) -> Fact:
         for key in node.keys:
@@ -892,6 +997,17 @@ class _Analyzer:
 
     def _eval_Lambda(self, node: ast.Lambda, env: Env,
                      order_ok: bool) -> Fact:
+        # Only RPL002 looks into a lambda: its writes happen in this frame.
+        flags = self.flags
+        self.flags = _RuleFlags(immutability=flags.immutability)
+        for default in node.args.defaults + node.args.kw_defaults:
+            self.eval(default, env)
+        inner = dict(env)
+        args = node.args
+        for arg in args.posonlyargs + args.args + args.kwonlyargs:
+            inner[arg.arg] = BOTTOM
+        self.eval(node.body, inner)
+        self.flags = flags
         return BOTTOM
 
     def _eval_NamedExpr(self, node: ast.NamedExpr, env: Env,
@@ -948,7 +1064,7 @@ class _Analyzer:
                        order_ok: bool) -> Fact:
         inner, unordered = self._eval_comprehension(node, env, order_ok)
         fact = self.eval(node.elt, inner)
-        return dataclasses.replace(fact, unordered=unordered, column=None)
+        return fact.derived(unordered=unordered)
 
     _eval_GeneratorExp = _eval_ListComp
 
@@ -956,7 +1072,7 @@ class _Analyzer:
                       order_ok: bool) -> Fact:
         inner, _ = self._eval_comprehension(node, env, order_ok)
         fact = self.eval(node.elt, inner)
-        return dataclasses.replace(fact, unordered=True, column=None)
+        return fact.derived(unordered=True)
 
     def _eval_DictComp(self, node: ast.DictComp, env: Env,
                        order_ok: bool) -> Fact:
@@ -970,12 +1086,11 @@ class _Analyzer:
         left = self.eval(node.left, env)
         right = self.eval(node.right, env)
         return self._binop_fact(node, node.op, left, right,
-                                node.left, node.right, env)
+                                node.left, node.right)
 
     def _binop_fact(self, node: ast.AST, op: ast.operator,
                     left: Fact, right: Fact,
-                    left_node: ast.AST, right_node: ast.AST,
-                    env: Env) -> Fact:
+                    left_node: ast.AST, right_node: ast.AST) -> Fact:
         if self.flags.units:
             for operand_node in (left_node, right_node):
                 magic = _magic_literal(operand_node)
@@ -1159,11 +1274,13 @@ class _Analyzer:
             arg_order_ok = True
         arg_facts = [self.eval(arg, env, order_ok=arg_order_ok)
                      for arg in node.args]
-        kw_facts: Dict[str, Fact] = {}
         for keyword in node.keywords:
-            kw_facts[keyword.arg or "**"] = self.eval(keyword.value, env)
-            if keyword.arg:
-                self._check_declared_kwarg(keyword, kw_facts[keyword.arg])
+            kw_fact = self.eval(keyword.value, env)
+            if keyword.arg and self.flags.units:
+                self._check_unit(keyword.value, unit_from_name(keyword.arg),
+                                 kw_fact, f"passes a value in {{unit}} as "
+                                 f"'{keyword.arg}', which is named as "
+                                 "{declared}")
         first = arg_facts[0] if arg_facts else BOTTOM
 
         # ---- plain-name callables -------------------------------------
@@ -1171,19 +1288,17 @@ class _Analyzer:
             if func_name in ANNOTATION_UNITS:
                 return unit_fact(ANNOTATION_UNITS[func_name])
             if func_name in {"float", "int", "abs", "round"}:
-                return dataclasses.replace(first, column=None)
+                return first.derived()
             if func_name in {"min", "max", "sum"}:
                 return Fact(unit=first.unit, width=first.width)
             if func_name == "sorted":
-                return dataclasses.replace(first, unordered=False,
-                                           column=None)
+                return first.derived(unordered=False)
             if func_name in {"set", "frozenset"}:
                 return Fact(unit=first.unit, unordered=True)
             if func_name in {"list", "tuple"}:
                 if first.unordered and not order_ok:
                     self._flag_order(node, f"{func_name}() materialization")
-                return dataclasses.replace(first, unordered=False,
-                                           column=None)
+                return first.derived(unordered=False)
             if func_name == "len":
                 return dimensionless()
             summary = self._project_summary(func)
@@ -1197,8 +1312,7 @@ class _Analyzer:
             attr = func.attr
             if isinstance(base, ast.Name):
                 if base.id in self.ctx.numpy_aliases:
-                    return self._eval_numpy_call(node, attr, arg_facts,
-                                                 kw_facts, env)
+                    return self._eval_numpy_call(node, attr, arg_facts)
                 if base.id in self.ctx.os_aliases \
                         and attr in {"listdir", "scandir"}:
                     return Fact(unordered=True)
@@ -1209,22 +1323,16 @@ class _Analyzer:
             if summary is not None:
                 return self._apply_summary(node, summary, arg_facts)
             receiver = self.eval(base, env)
-            return self._eval_method_call(node, attr, receiver, arg_facts,
-                                          kw_facts)
+            self._check_write(node, receiver)
+            if attr == "setflags" and written_array(node) is None \
+                    and receiver.created:
+                # Freezes count per creation site, so through any alias.
+                for name, fact in env.items():
+                    if fact.created == receiver.created:
+                        env[name] = dataclasses.replace(fact, unfrozen=False)
+            return self._eval_method_call(node, attr, receiver)
         self.eval(func, env)
         return BOTTOM
-
-    def _check_declared_kwarg(self, keyword: ast.keyword, fact: Fact) -> None:
-        if not self.flags.units or keyword.arg is None:
-            return
-        declared = unit_from_name(keyword.arg)
-        if declared and is_time_unit(declared) and fact.is_time \
-                and fact.unit != declared and not fact.is_conversion:
-            self._flag(
-                "RPL101", keyword.value,
-                f"passes a value in {fact.unit} as '{keyword.arg}', which "
-                f"is named as {declared}",
-            )
 
     def _project_summary(self, func: ast.AST) -> Optional[FunctionSummary]:
         if self.project is None:
@@ -1240,14 +1348,14 @@ class _Analyzer:
                 f"call to '{summary.name}' ({summary.module}) which is "
                 f"nondeterministic: {summary.nondet_reason}",
             )
-        if self.flags.inter_immutability and summary.mutated_params:
+        if self.flags.immutability and summary.mutated_params:
             mutated_by_index = {index: name for name, index
                                in summary.mutated_params.items()}
             for position, fact in enumerate(arg_facts):
                 if fact.column and position in mutated_by_index:
                     self._flag(
                         "RPL002", node.args[position],
-                        f"passes {fact.column} to '{summary.name}' "
+                        f"passes {_origin(fact)} to '{summary.name}' "
                         f"({summary.module}), which mutates its parameter "
                         f"'{mutated_by_index[position]}' — column views "
                         "are immutable",
@@ -1281,8 +1389,7 @@ class _Analyzer:
             )
 
     def _eval_numpy_call(self, node: ast.Call, attr: str,
-                         arg_facts: List[Fact], kw_facts: Dict[str, Fact],
-                         env: Env) -> Fact:
+                         arg_facts: List[Fact]) -> Fact:
         first = arg_facts[0] if arg_facts else BOTTOM
         dtype_node = next(
             (kw.value for kw in node.keywords if kw.arg == "dtype"), None
@@ -1293,7 +1400,7 @@ class _Analyzer:
         if attr in {"int8", "int16", "int32", "uint8", "uint16", "uint32",
                     "float16", "float32"}:
             self._check_narrowing(node, attr, first, f"np.{attr}(...)")
-            return dataclasses.replace(first, width=attr, column=None)
+            return first.derived(width=attr)
         if attr == "fromiter":
             if first.unordered:
                 self._flag_order(node, "np.fromiter")
@@ -1305,20 +1412,16 @@ class _Analyzer:
             unit = first.unit if first.is_time or first.unit == DIMENSIONLESS \
                 else None
             ordered = attr in {"sort", "unique"}
-            if attr == "where" and len(arg_facts) == 3:
-                joined = arg_facts[1].join(arg_facts[2])
-                unit = joined.unit if is_time_unit(joined.unit) else None
             return Fact(unit=unit, width=width or first.width,
                         unordered=False if ordered else first.unordered)
         return BOTTOM
 
-    def _eval_method_call(self, node: ast.Call, attr: str, receiver: Fact,
-                          arg_facts: List[Fact],
-                          kw_facts: Dict[str, Fact]) -> Fact:
+    def _eval_method_call(self, node: ast.Call, attr: str,
+                          receiver: Fact) -> Fact:
         if attr == "astype" and node.args:
             width = self._dtype_width(node.args[0])
             self._check_narrowing(node, width, receiver, ".astype(...)")
-            return dataclasses.replace(receiver, width=width, column=None)
+            return receiver.derived(width=width)
         if attr in ACCUMULATORS and receiver.is_narrow:
             self._check_narrowing(node, receiver.width, receiver,
                                   f".{attr}() accumulation")
@@ -1328,6 +1431,8 @@ class _Analyzer:
             return Fact(unordered=True)
         if attr in {"keys", "values", "items"}:
             return Fact(unordered=receiver.unordered)
+        if attr == "column":
+            return Fact(column="store.column(...)")
         if attr in METHOD_UNIT_PRESERVING:
             return Fact(unit=receiver.unit
                         if receiver.is_time or receiver.unit == DIMENSIONLESS
@@ -1343,19 +1448,26 @@ def _singular(unit: Optional[str]) -> str:
     return unit.rstrip("s") if unit else "?"
 
 
+def _origin(fact: Fact) -> Optional[str]:
+    """How RPL002 names the column view a value is, if it is one."""
+    return "a column view" if fact.column == TOP else fact.column
+
+
 # ---------------------------------------------------------------------------
 # per-file entry point
 # ---------------------------------------------------------------------------
 def _flags_for(parts: Tuple[str, ...]) -> _RuleFlags:
-    if not parts or parts[0] != "repro":
+    if not parts or parts[0] not in {"repro", "tests", "benchmarks"}:
         return _RuleFlags()
+    if parts[0] != "repro":
+        return _RuleFlags(immutability=True)
     package = parts[1] if len(parts) > 1 else ""
     in_deterministic = package in DETERMINISTIC_PACKAGES
     return _RuleFlags(
         units=True,
         order=in_deterministic,
         inter_determinism=in_deterministic,
-        inter_immutability=True,
+        immutability=True,
     )
 
 
@@ -1365,8 +1477,7 @@ def analyze_module(path: Path, tree: ast.Module,
     function, each run to fixpoint; their findings in that order."""
     parts = module_parts(path)
     flags = _flags_for(parts)
-    if not (flags.units or flags.order or flags.inter_determinism
-            or flags.inter_immutability):
+    if not flags.immutability:
         return []
     module = module_name(path)
     ctx = project.contexts.get(module) or ModuleContext(module, tree)

@@ -1,7 +1,7 @@
 """Join-semilattices of abstract facts for the dataflow analysis.
 
 Every value the analysis tracks is summarized by one :class:`Fact` — a
-product of four independent little lattices:
+product of independent little lattices:
 
 * **unit** — the physical time unit of a number (``"seconds"``,
   ``"hours"``, ``"days"``, ...), ``DIMENSIONLESS`` for plain counts,
@@ -19,18 +19,24 @@ product of four independent little lattices:
   hashing or filesystem listing order; anything folded out of such an
   iteration can differ between serial and sharded runs.
 * **column** — a human-readable origin description when the value is a
-  view of a ``ColumnStore``/``FOTDataset`` column (the immutability
-  taint used by the interprocedural RPL002 check).
+  view of a ``ColumnStore``/``FOTDataset`` column: RPL002's taint, so
+  writing through such a value is flagged.
+* **created** / **unfrozen** — the creation site ``(line, col,
+  name)`` of the array a numpy constructor built in ``repro/core`` that
+  the value is on every path (``None`` when it is not one such array),
+  and whether that array may still be writable.  RPL002 flags a
+  creation that reaches a ``return`` or a store while unfrozen.
 
 Joins are pointwise; each component has finite height (``None`` →
-concrete → :data:`TOP`), so the worklist fixpoint in
+concrete → :data:`TOP`; ``created`` survives a join only when both
+sides name the same site), so the worklist fixpoint in
 :mod:`repro.devtools.dataflow` terminates.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 #: Conflicting information — the top element of the unit/width/column
 #: component lattices.
@@ -82,6 +88,8 @@ class Fact:
     width: Optional[str] = None
     unordered: bool = False
     column: Optional[str] = None
+    created: Optional[Tuple[int, int, str]] = None
+    unfrozen: bool = False
 
     def join(self, other: "Fact") -> "Fact":
         if self == other:
@@ -92,6 +100,8 @@ class Fact:
             width=join_component(self.width, other.width),
             unordered=self.unordered or other.unordered,
             column=join_component(self.column, other.column),
+            created=self.created if self.created == other.created else None,
+            unfrozen=self.unfrozen or other.unfrozen,
         )
 
     # convenience predicates -------------------------------------------
@@ -107,19 +117,16 @@ class Fact:
     def is_narrow(self) -> bool:
         return self.width in NARROW_WIDTHS
 
-    def with_unit(self, unit: Optional[str]) -> "Fact":
-        return dataclasses.replace(self, unit=unit, conv=None)
-
-    def ordered(self) -> "Fact":
-        return dataclasses.replace(self, unordered=False)
+    def derived(self, **changes) -> "Fact":
+        """The fact of a new value computed from this one: the same
+        unit, conversion, width and order, none of its identity (column
+        view, creation site)."""
+        return dataclasses.replace(self, column=None, created=None,
+                                   unfrozen=False, **changes)
 
 
 #: The bottom element — nothing known.
 BOTTOM = Fact()
-
-
-def seconds() -> Fact:
-    return Fact(unit="seconds")
 
 
 def unit_fact(unit: str) -> Fact:
@@ -165,7 +172,6 @@ __all__ = [
     "is_time_unit",
     "join_component",
     "join_envs",
-    "seconds",
     "unit_fact",
     "conversion",
     "dimensionless",

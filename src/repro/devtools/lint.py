@@ -6,9 +6,9 @@ Run it over the default tree::
     repro lint                      # CLI alias, same defaults
 
 Every run checks the whole rule catalogue in one pass: the syntactic
-RPL000–005 rules (:mod:`repro.devtools.rules`), the abstract
-interpretation behind RPL101–104 and interprocedural RPL001/002
-(:mod:`repro.devtools.dataflow`), and the concurrency &
+RPL000, RPL001 and RPL003–005 rules (:mod:`repro.devtools.rules`), the
+abstract interpretation behind RPL002, RPL101–104 and interprocedural
+RPL001 (:mod:`repro.devtools.dataflow`), and the concurrency &
 resource-safety rules RPL201–213 (:mod:`repro.devtools.effect_rules`).
 
 Exit status is 0 when every finding is either inline-suppressed or

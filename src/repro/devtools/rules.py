@@ -1,4 +1,5 @@
-"""Rule implementations for *reprolint* (RPL001–RPL005).
+"""The *reprolint* rule catalogue and the syntactic rules RPL001 and
+RPL003–RPL005.
 
 Each rule encodes one repo-specific invariant that generic linters
 cannot express because it depends on knowledge of this codebase — the
@@ -8,13 +9,6 @@ surface, and the analysis-cache registries:
 * **RPL001 determinism** — no unseeded randomness or wall-clock reads in
   the data-producing packages.  Seeded ``numpy.random.default_rng`` /
   ``SeedSequence`` flows are the only sanctioned entropy source.
-* **RPL002 immutability** — arrays derived from ``ColumnStore`` /
-  ``FOTDataset`` columns are frozen; mutating them (in-place methods,
-  subscript stores, augmented assignment) is a bug even when numpy would
-  raise at runtime, because the raise happens on a data-dependent path.
-  Inside ``repro/core`` every locally created array that escapes the
-  function (returned or stored on an object) must be frozen with
-  ``setflags(write=False)``.
 * **RPL003 cache purity** — functions registered with the
   :class:`~repro.engine.cache.AnalysisCache` (the ``repro.api.ANALYSES``
   registry and the ``full_report`` section builders) must be pure:
@@ -28,8 +22,11 @@ surface, and the analysis-cache registries:
   the source modules' ``__all__``.
 
 The checks are deliberately heuristic (single-pass, order-sensitive,
-no CFG); the runtime sanitizer in :mod:`repro.devtools.sanitize` is the
-ground-truth complement that validates the same invariants dynamically.
+no CFG).  RPL002 (immutability) is emitted by the abstract interpreter
+in :mod:`repro.devtools.dataflow`, from the column taint sources named
+here (:data:`COLUMN_PROPERTIES`); the runtime sanitizer in
+:mod:`repro.devtools.sanitize` is the ground-truth complement that
+validates RPL002 and RPL003 dynamically.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import ast
 import dataclasses
 import inspect
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.devtools.index import NodeIndex
 
@@ -131,7 +128,7 @@ def _schema_fields() -> "frozenset[str]":
 
 def _column_properties() -> "frozenset[str]":
     """Names of ``FOTDataset`` properties that expose store columns —
-    the taint sources for RPL002."""
+    RPL002's taint sources (with ``store.column(...)``)."""
     from repro.core.dataset import FOTDataset
 
     names = set()
@@ -166,31 +163,6 @@ NP_RANDOM_ALLOWED = frozenset(
         "Philox",
         "SFC64",
         "MT19937",
-    }
-)
-
-#: ndarray methods that mutate in place (RPL002).
-MUTATOR_METHODS = frozenset(
-    {"sort", "fill", "resize", "put", "partition", "itemset", "byteswap"}
-)
-
-#: numpy constructors whose results must be frozen before escaping core/.
-NP_CONSTRUCTORS = frozenset(
-    {
-        "empty",
-        "zeros",
-        "ones",
-        "full",
-        "arange",
-        "asarray",
-        "array",
-        "fromiter",
-        "concatenate",
-        "linspace",
-        "empty_like",
-        "zeros_like",
-        "ones_like",
-        "full_like",
     }
 )
 
@@ -578,246 +550,6 @@ def check_determinism(path: Path, parts: Tuple[str, ...],
 
 
 # ---------------------------------------------------------------------------
-# RPL002 — immutability
-# ---------------------------------------------------------------------------
-class _Creation:
-    __slots__ = ("line", "col", "name", "frozen", "escaped", "escape_line")
-
-    def __init__(self, name: str, line: int, col: int):
-        self.name = name
-        self.line = line
-        self.col = col
-        self.frozen = False
-        self.escaped = False
-        self.escape_line = 0
-
-
-class _ImmutabilityScope:
-    """Linear, order-sensitive walk of one function (or module) body."""
-
-    def __init__(self, path: str, check_creation: bool):
-        self.path = path
-        self.check_creation = check_creation
-        self.findings: List[Finding] = []
-        self.tainted: Dict[str, str] = {}  # name -> origin description
-        self.created: Dict[str, _Creation] = {}
-
-    # -- expression classification -------------------------------------
-    def _taint_origin(self, node: ast.AST) -> Optional[str]:
-        """Origin description when ``node`` evaluates to a store/dataset
-        column (or a view of one), else None."""
-        if isinstance(node, ast.Name):
-            return self.tainted.get(node.id)
-        if isinstance(node, ast.Attribute) and node.attr in COLUMN_PROPERTIES:
-            return f"column property '.{node.attr}'"
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "column":
-                return "store.column(...)"
-            return None
-        if isinstance(node, ast.Subscript):
-            origin = self._taint_origin(node.value)
-            return f"view of {origin}" if origin else None
-        return None
-
-    def _np_ctor(self, node: ast.AST) -> Optional[str]:
-        if not isinstance(node, ast.Call):
-            return None
-        func = node.func
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
-                and func.value.id in {"np", "numpy"} \
-                and func.attr in NP_CONSTRUCTORS:
-            return func.attr
-        return None
-
-    def _flag(self, node: ast.AST, message: str) -> None:
-        self.findings.append(
-            Finding("RPL002", self.path, getattr(node, "lineno", 1),
-                    getattr(node, "col_offset", 0), message)
-        )
-
-    # -- statement walk -------------------------------------------------
-    def run(self, body: Sequence[ast.stmt]) -> None:
-        for statement in body:
-            self._statement(statement)
-        if self.check_creation:
-            reported = set()
-            for creation in self.created.values():
-                if creation.escaped and not creation.frozen \
-                        and id(creation) not in reported:
-                    reported.add(id(creation))
-                    self._flag_creation(creation)
-
-    def _flag_creation(self, creation: _Creation) -> None:
-        self.findings.append(
-            Finding(
-                "RPL002", self.path, creation.line, creation.col,
-                f"array '{creation.name}' created in core/ escapes (line "
-                f"{creation.escape_line}) without setflags(write=False)",
-            )
-        )
-
-    def _statement(self, node: ast.stmt) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return  # nested defs get their own scope from the caller
-        if isinstance(node, ast.Assign):
-            self._handle_assign(node.targets, node.value)
-            self._scan_calls(node.value)
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            self._handle_assign([node.target], node.value)
-            self._scan_calls(node.value)
-        elif isinstance(node, ast.AugAssign):
-            self._handle_augassign(node)
-            self._scan_calls(node.value)
-        elif isinstance(node, ast.Return):
-            if node.value is not None:
-                self._mark_escapes(node.value, node.lineno)
-                self._scan_calls(node.value)
-        elif isinstance(node, ast.Expr):
-            self._scan_calls(node.value)
-        elif isinstance(node, (ast.If, ast.For, ast.While, ast.With,
-                               ast.AsyncFor, ast.AsyncWith)):
-            for attr in ("test", "iter"):
-                value = getattr(node, attr, None)
-                if value is not None:
-                    self._scan_calls(value)
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                self._clear_bindings(node.target)
-            for child in node.body:
-                self._statement(child)
-            for child in getattr(node, "orelse", []):
-                self._statement(child)
-        elif isinstance(node, ast.Try):
-            for child in node.body:
-                self._statement(child)
-            for handler in node.handlers:
-                for child in handler.body:
-                    self._statement(child)
-            for child in node.orelse + node.finalbody:
-                self._statement(child)
-        else:
-            for value in ast.iter_child_nodes(node):
-                if isinstance(value, ast.expr):
-                    self._scan_calls(value)
-
-    def _clear_bindings(self, target: ast.AST) -> None:
-        for name_node in ast.walk(target):
-            if isinstance(name_node, ast.Name):
-                self.tainted.pop(name_node.id, None)
-                self.created.pop(name_node.id, None)
-
-    def _handle_assign(self, targets: Iterable[ast.AST], value: ast.expr) -> None:
-        origin = self._taint_origin(value)
-        ctor = self._np_ctor(value)
-        alias = self.created.get(value.id) if isinstance(value, ast.Name) else None
-        for target in targets:
-            if isinstance(target, ast.Name):
-                self.tainted.pop(target.id, None)
-                self.created.pop(target.id, None)
-                if origin:
-                    self.tainted[target.id] = origin
-                if ctor and self.check_creation:
-                    self.created[target.id] = _Creation(
-                        target.id, value.lineno, value.col_offset
-                    )
-                elif alias is not None:
-                    self.created[target.id] = alias
-            elif isinstance(target, ast.Subscript):
-                base_origin = self._taint_origin(target.value)
-                if base_origin:
-                    self._flag(
-                        target,
-                        f"subscript assignment into {base_origin} — column "
-                        "views are immutable; build a new array instead",
-                    )
-                if isinstance(value, ast.Name) and value.id in self.created:
-                    self.created[value.id].escaped = True
-                    self.created[value.id].escape_line = target.lineno
-            elif isinstance(target, ast.Attribute):
-                if isinstance(value, ast.Name) and value.id in self.created:
-                    self.created[value.id].escaped = True
-                    self.created[value.id].escape_line = target.lineno
-            elif isinstance(target, (ast.Tuple, ast.List)):
-                self._clear_bindings(target)
-
-    def _handle_augassign(self, node: ast.AugAssign) -> None:
-        target = node.target
-        if isinstance(target, ast.Name) and target.id in self.tainted:
-            self._flag(
-                node,
-                f"augmented assignment mutates {self.tainted[target.id]} — "
-                "column views are immutable; assign a new array instead",
-            )
-        elif isinstance(target, ast.Subscript):
-            origin = self._taint_origin(target.value)
-            if origin:
-                self._flag(
-                    node,
-                    f"augmented subscript assignment into {origin} — column "
-                    "views are immutable",
-                )
-
-    def _mark_escapes(self, value: ast.expr, line: int) -> None:
-        names = []
-        if isinstance(value, ast.Name):
-            names = [value]
-        elif isinstance(value, ast.Tuple):
-            names = [e for e in value.elts if isinstance(e, ast.Name)]
-        for name_node in names:
-            creation = self.created.get(name_node.id)
-            if creation is not None:
-                creation.escaped = True
-                creation.escape_line = line
-
-    def _scan_calls(self, node: ast.expr) -> None:
-        for call in ast.walk(node):
-            if not isinstance(call, ast.Call):
-                continue
-            func = call.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            if func.attr in MUTATOR_METHODS:
-                origin = self._taint_origin(func.value)
-                if origin:
-                    self._flag(
-                        call,
-                        f".{func.attr}() mutates {origin} — column views are "
-                        f"immutable; use the copying variant (np.{func.attr}"
-                        "(...)) instead",
-                    )
-            elif func.attr == "setflags" and isinstance(func.value, ast.Name):
-                write_true = any(
-                    kw.arg == "write" and isinstance(kw.value, ast.Constant)
-                    and kw.value.value is True
-                    for kw in call.keywords
-                )
-                if write_true:
-                    origin = self._taint_origin(func.value)
-                    target = origin or f"array '{func.value.id}'"
-                    self._flag(call, f"setflags(write=True) thaws {target}")
-                elif func.value.id in self.created:
-                    self.created[func.value.id].frozen = True
-
-
-def check_immutability(path: str, parts: Tuple[str, ...],
-                       tree: ast.Module) -> List[Finding]:
-    if not parts or parts[0] not in {"repro", "tests", "benchmarks"}:
-        return []
-    check_creation = len(parts) >= 2 and parts[0] == "repro" and parts[1] == "core"
-    findings: List[Finding] = []
-    module_scope = _ImmutabilityScope(path, check_creation=False)
-    module_scope.run([n for n in tree.body
-                      if not isinstance(n, (ast.FunctionDef, ast.ClassDef))])
-    findings.extend(module_scope.findings)
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = _ImmutabilityScope(path, check_creation=check_creation)
-            scope.run(node.body)
-            findings.extend(scope.findings)
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # RPL003 — cache purity
 # ---------------------------------------------------------------------------
 def _purity_findings(path: str, fn: ast.FunctionDef,
@@ -1094,7 +826,6 @@ def check_file(path: Path, tree: ast.Module, project: Project) -> List[Finding]:
     rel = path.as_posix()
     findings: List[Finding] = []
     findings.extend(check_determinism(path, parts, project))
-    findings.extend(check_immutability(rel, parts, tree))
     findings.extend(check_cache_purity(rel, parts, tree, project))
     findings.extend(check_schema_integrity(rel, parts, tree))
     findings.extend(check_api_hygiene(rel, parts, tree, project))

@@ -9,12 +9,15 @@ most tests need are generated once per session:
 
 The whole-tree reprolint run is the other expensive step, so it too runs
 once per session (``repo_lint``) and each rule family's test module
-reads its own findings from that one result.
+reads its own findings from that one result.  The same holds for the
+lint of productbench's frozen corpus (``corpus_lint``).
 """
 
 from __future__ import annotations
 
+import tarfile
 from pathlib import Path
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -50,6 +53,20 @@ def repo_lint() -> LintResult:
     baseline."""
     root = Path(__file__).resolve().parents[1]
     return run_lint([str(root / name) for name in ("src", "tests", "benchmarks")])
+
+
+@pytest.fixture(scope="session")
+def corpus_lint(tmp_path_factory) -> Tuple[Path, LintResult]:
+    """``(root, result)``: productbench's frozen copy of ``src/repro``
+    (commit 8d1c491, the ``lint_corpus`` workload's input) extracted
+    under ``root``, and the whole rule catalogue over it, with no
+    baseline."""
+    archive = Path(__file__).resolve().parents[1] / "productbench" \
+        / "corpus" / "src-8d1c491.tar.gz"
+    root = tmp_path_factory.mktemp("lint_corpus")
+    with tarfile.open(archive, "r:gz") as tar:
+        tar.extractall(root, filter="data")
+    return root, run_lint([str(root / "src" / "repro")])
 
 
 @pytest.fixture()

@@ -131,6 +131,20 @@ class TestCFG:
         assert header.idx in body.succs  # genuine back edge
         assert len(header.succs) == 2    # body + after
 
+    def test_loop_else_follows_the_header(self):
+        cfg = cfg_of("for x in xs:\n    a = 1\nelse:\n    b = 2\nc = 3\n")
+        header = next(
+            b for b in cfg.blocks
+            if any(isinstance(i, ast.For) for i in b.items)
+        )
+        orelse = next(
+            b for b in cfg.blocks
+            if any(isinstance(i, ast.Assign)
+                   and getattr(i.targets[0], "id", "") == "b"
+                   for i in b.items)
+        )
+        assert orelse.idx in header.succs  # the else clause is reachable
+
     def test_break_exits_loop(self):
         cfg = cfg_of("while c:\n    break\nb = 2\n")
         header = next(

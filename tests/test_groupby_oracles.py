@@ -32,6 +32,7 @@ from repro.analysis.repeating import RepeatingStats, RepeatKey
 from repro.core.columns import (
     CATEGORY_CODE,
     CATEGORY_ORDER,
+    COMPONENT_CODE,
     COMPONENT_ORDER,
     ColumnBuilder,
 )
@@ -265,7 +266,8 @@ def ref_mine_incidents(
 
         if len(servers) >= 5:
             kind = "batch"
-            top = max(classes, key=lambda c: sum(t.error_device is c for t in group))
+            top = max(sorted(classes, key=COMPONENT_CODE.__getitem__),
+                      key=lambda c: sum(t.error_device is c for t in group))
             summary = (
                 f"batch: {len(group)} {top.value} tickets across "
                 f"{len(servers)} servers in {span / HOUR:.1f} h"

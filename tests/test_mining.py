@@ -1,5 +1,9 @@
 """Incident mining (the Section VII-B tool)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.analysis import mining
 from repro.core.dataset import FOTDataset
@@ -66,6 +70,34 @@ class TestMineIncidents:
         assert batch
         assert len(batch[0]) >= 60
         assert len(batch[0].servers) >= 60
+
+    def test_batch_summary_tie_independent_of_hash_seed(self):
+        # 3 HDD and 3 power tickets: the summary names the class declared
+        # first, under every PYTHONHASHSEED (an Enum hashes its name, so
+        # set order used to pick the class).
+        script = (
+            "from repro.analysis import mining\n"
+            "from repro.core.dataset import FOTDataset\n"
+            "from repro.core.timeutil import DAY, MINUTE\n"
+            "from repro.core.types import ComponentClass\n"
+            "from tests.test_ticket import make_ticket\n"
+            "devices = [ComponentClass.HDD] * 3 + [ComponentClass.POWER] * 3\n"
+            "tickets = [make_ticket(fot_id=i, host_id=host, "
+            "error_time=10 * DAY + i * MINUTE, error_device=device) for i, "
+            "(host, device) in enumerate(zip([0, 1, 2, 2, 3, 4], devices))]\n"
+            "incidents = mining.mine_incidents(FOTDataset(tickets), "
+            "min_batch=3)\n"
+            "print(incidents[0].summary)\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                   str(root)]))
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, check=True)
+            assert out.stdout.startswith("batch: 6 hdd tickets"), (seed,
+                                                                   out.stdout)
 
     def test_incidents_sorted_by_size(self, small_dataset):
         incidents = mining.mine_incidents(small_dataset)

@@ -9,6 +9,7 @@ the module names they key on.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -684,6 +685,29 @@ def test_repo_tree_is_lint_clean(repo_lint):
     """The whole catalogue over the committed tree, with no baseline,
     has zero unsuppressed findings."""
     assert repo_lint.new == [], "\n".join(f.render() for f in repo_lint.new)
+
+
+def test_lint_corpus_findings_pinned(corpus_lint):
+    """productbench's ``lint_corpus`` workload lints this archive: a
+    change that moves any finding, fix or suppression there fails here
+    instead of showing only as a benchmark note.  The frozen corpus
+    still carries two ``disable=RPL301`` comments for a retired rule,
+    so it has 4 RPL000 findings by design."""
+    root, result = corpus_lint
+
+    def render(finding):
+        fix = None if finding.fix is None else [finding.fix.description, [
+            [e.start_line, e.start_col, e.end_line, e.end_col, e.replacement]
+            for e in finding.fix.edits]]
+        return [finding.rule, Path(finding.path).relative_to(root).as_posix(),
+                finding.line, finding.col, finding.message, fix]
+
+    payload = json.dumps({"new": [render(f) for f in result.new],
+                          "suppressed": [render(f) for f in result.suppressed]})
+    assert (len(result.new), len(result.suppressed)) == (4, 1)
+    assert hashlib.sha256(payload.encode()).hexdigest() == (
+        "6fe5de89023da34c3fc887abc17d7d4af3b4979413e25067cef061a9f9373b08"
+    )
 
 
 def test_column_properties_reflect_dataset_surface():
