@@ -1,44 +1,61 @@
 """Wall-time benchmark for reprolint.
 
-Times one ``run_lint`` pass (the whole rule catalogue) over ``src/``
-and over the full default tree (``src tests benchmarks``), prints the
-numbers, and records them in a ``reprolint`` section of
-``BENCH_perf.json`` alongside the core-substrate timings.
+Times one ``run_lint`` pass (the whole rule catalogue) over ``src/``,
+over the full default tree (``src tests benchmarks``) and over a fixed
+input, productbench's frozen copy of ``src/repro`` at commit 8d1c491
+(``corpus``), prints the numbers, and records them in a ``reprolint``
+section of ``BENCH_perf.json`` alongside the core-substrate timings.
 
-The dataflow and effects analyses re-analyze every function against
-call-graph summary fixpoints, so the pass's wall time is what grows
-with the repo; the CI timing gate (``--check --budget 60``) keeps the
-lint of ``src/`` inside the budget that keeps the analysis usable::
+The dataflow and effects analyses run every function to a fixpoint
+against call-graph summaries, so the times of ``src`` and the tree grow
+with the repo, while the corpus is the same input for every change.
+The corpus archive is checked against its sha256 in
+``productbench/pins.json`` and unpacked into a temporary directory.
+The CI timing gate (``--check --budget 60``) keeps the lint of ``src/``
+inside the budget that keeps the analysis usable::
 
     PYTHONPATH=src python benchmarks/bench_reprolint.py --check --budget 60
 
     # record timings into BENCH_perf.json
-    PYTHONPATH=src python benchmarks/bench_reprolint.py --json
+    PYTHONPATH=src python benchmarks/bench_reprolint.py --json --repeats 5
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import sys
+import tarfile
+import tempfile
 import time
 from pathlib import Path
+from typing import Sequence
 
 from repro.devtools.lint import collect_files, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PERF_PATH = REPO_ROOT / "BENCH_perf.json"
-
-#: (label, lint targets) timed.
-TARGETS = (
-    ("src", ("src",)),
-    ("tree", ("src", "tests", "benchmarks")),
-)
+PINS_PATH = REPO_ROOT / "productbench" / "pins.json"
 
 
-def time_lint(paths, repeats: int) -> dict:
-    targets = [str(REPO_ROOT / p) for p in paths]
+def extract_corpus(into: Path) -> Path:
+    """Unpack the pinned lint corpus under ``into`` after checking its
+    sha256; returns its ``src/repro``."""
+    pin = json.loads(PINS_PATH.read_text(encoding="utf-8"))["lint_corpus"]
+    archive = PINS_PATH.parent / pin["archive"]
+    digest = hashlib.sha256(archive.read_bytes()).hexdigest()
+    if digest != pin["sha256"]:
+        raise SystemExit(f"lint corpus {archive.name}: sha256 {digest}, "
+                         f"pinned {pin['sha256']}")
+    with tarfile.open(archive, "r:gz") as tar:
+        tar.extractall(into, filter="data")
+    return into / "src" / "repro"
+
+
+def time_lint(paths: Sequence[Path], repeats: int) -> dict:
+    targets = [str(p) for p in paths]
     best = float("inf")
     findings = 0
     for _ in range(repeats):
@@ -65,8 +82,15 @@ def main(argv=None) -> int:
                         help="record timings in BENCH_perf.json")
     args = parser.parse_args(argv)
 
-    timings = {label: time_lint(paths, args.repeats)
-               for label, paths in TARGETS}
+    with tempfile.TemporaryDirectory() as scratch:
+        targets = {
+            "src": [REPO_ROOT / "src"],
+            "tree": [REPO_ROOT / name
+                     for name in ("src", "tests", "benchmarks")],
+            "corpus": [extract_corpus(Path(scratch))],
+        }
+        timings = {label: time_lint(paths, args.repeats)
+                   for label, paths in targets.items()}
 
     print(f"{'target':<8} {'files':>6} {'seconds':>9}")
     for label, entry in timings.items():

@@ -12,10 +12,13 @@ back edge and the worklist fixpoint in
 Handled control flow: ``if``/``elif``/``else``, ``while``/``for``
 (+ ``else``), ``break``/``continue``, ``try``/``except``/``else``/
 ``finally`` (conservatively: every block of the ``try`` body may jump
-to every handler), ``with``, ``return``/``raise``.  ``match`` is
-treated as opaque straight-line code (none in this repo).  Nested
-function and class definitions are *name bindings only* — their bodies
-get their own CFGs from the caller.
+to every handler; a ``finally`` that no path falls into, because every
+path of the body and the handlers returns, raises, breaks or
+continues, follows every block of the body, the ``else`` and the
+handlers, and falls through to the exit only), ``with``,
+``return``/``raise``.  ``match`` is treated as opaque straight-line
+code (none in this repo).  Nested function and class definitions are
+*name bindings only* — their bodies get their own CFGs from the caller.
 """
 
 from __future__ import annotations
@@ -138,20 +141,32 @@ class _Builder:
                         self.blocks[idx].add_succ(handler_block.idx)
             self.handlers.pop()
             after = self.new_block()
+            reached = False
             if body_end is not None:
-                if node.orelse:
-                    orelse_end = self.seq(node.orelse, body_end)
-                    if orelse_end is not None:
-                        self.edge(orelse_end, after)
-                else:
-                    self.edge(body_end, after)
+                orelse_end = self.seq(node.orelse, body_end)
+                if orelse_end is not None:
+                    self.edge(orelse_end, after)
+                    reached = True
             for handler, block in zip(node.handlers, handler_blocks):
                 handler_end = self.seq(handler.body, block)
                 if handler_end is not None:
                     self.edge(handler_end, after)
-            if node.finalbody:
+                    reached = True
+            if not node.finalbody:
+                return after
+            if reached:
                 return self.seq(node.finalbody, after)
-            return after
+            # Every path leaves the try, and the finally runs on the way
+            # out of each: it follows every block of the body, the else
+            # and the handlers, and falls through to the exit only, so
+            # the code after the try stays unreachable.
+            for block in self.blocks[first_body - len(handler_blocks):]:
+                if block is not after:
+                    self.edge(block, after)
+            final_end = self.seq(node.finalbody, after)
+            if final_end is not None:
+                self.edge(final_end, self.blocks[self.exit])
+            return None
 
         if isinstance(node, (ast.With, ast.AsyncWith)):
             cur.items.append(node)

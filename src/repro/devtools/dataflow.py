@@ -214,6 +214,9 @@ NP_CONSTRUCTORS = frozenset(
 #: Rounds of return-fact inference over the call graph.
 SUMMARY_ROUNDS = 3
 
+#: Worklist visits per CFG block before a fixpoint is cut off.
+VISITS_PER_BLOCK = 50
+
 
 def unit_from_name(name: str) -> Optional[str]:
     """Unit implied by a canonical identifier name, or None."""
@@ -505,10 +508,23 @@ class DataflowProject(Project):
 
     def _infer_summaries(self) -> None:
         """Iterate return-fact inference to a (bounded) fixpoint so unit
-        facts flow through helper calls."""
+        facts flow through helper calls.
+
+        An analysis reads other summaries only through the calls under
+        its def, which are its ``callees``; so after the first round
+        only a summary whose callee changed since its last analysis is
+        analyzed again, and the rest would reproduce their result."""
+        callers: Dict[str, List[str]] = {}
+        for summary in self.summaries.values():
+            for callee in summary.callees:
+                callers.setdefault(callee, []).append(summary.key)
+        dirty = set(self.summaries)
         for _ in range(SUMMARY_ROUNDS):
             changed = False
             for summary in self.summaries.values():
+                if summary.key not in dirty:
+                    continue
+                dirty.discard(summary.key)
                 analyzer = _Analyzer(
                     path="",
                     ctx=self.contexts[summary.module],
@@ -525,6 +541,7 @@ class DataflowProject(Project):
                     summary.returns_unit = inferred_unit
                     summary.returns_unordered = returned.unordered
                     changed = True
+                    dirty.update(callers.get(summary.key, ()))
             if not changed:
                 break
 
@@ -581,9 +598,21 @@ class _RuleFlags:
     immutability: bool = False   # RPL002
 
 
+@dataclasses.dataclass
+class _BlockReport:
+    """What one transfer of a block reports, in transfer order."""
+
+    findings: List[Finding] = dataclasses.field(default_factory=list)
+    #: facts of the block's ``return`` expressions.
+    returns: List[Fact] = dataclasses.field(default_factory=list)
+    #: (creation site, line) of each core array escaping while writable.
+    escapes: List[Tuple[Tuple[int, int, str], int]] = dataclasses.field(
+        default_factory=list)
+
+
 class _Analyzer:
-    """Worklist fixpoint + reporting pass over one function or module
-    scope."""
+    """Worklist fixpoint over one function or module scope; each block
+    reports from its last transfer."""
 
     def __init__(
         self,
@@ -616,45 +645,58 @@ class _Analyzer:
             )
             self.check_creation = flags.immutability \
                 and ctx.module.split(".")[:2] == ["repro", "core"]
-        self._emitting = False
-        self._return_fact = BOTTOM
-        #: creation site -> line of its last escape while maybe writable.
-        self._escapes: Dict[Tuple[int, int, str], int] = {}
+        #: per block index, the report of its latest transfer.
+        self._reports: List[Optional[_BlockReport]] = \
+            [None] * len(self.cfg.blocks)
+        self._report = _BlockReport()
         self.exit_env: Env = {}
 
     # -- driver ---------------------------------------------------------
     def run(self) -> Fact:
-        """Fixpoint then reporting pass; returns the joined fact of all
-        ``return`` expressions (the function's summary fact)."""
+        """Fixpoint, then the blocks' reports in block order; returns
+        the joined fact of all ``return`` expressions (the function's
+        summary fact).
+
+        A block is queued again whenever its in-environment changes, so
+        its last transfer ran on the converged one and what that
+        transfer reported is the block's report."""
         in_envs: Dict[int, Env] = {self.cfg.entry: self._seed_env()}
         worklist = deque([self.cfg.entry])
         iterations = 0
-        limit = 50 * max(1, len(self.cfg.blocks))
+        limit = VISITS_PER_BLOCK * max(1, len(self.cfg.blocks))
         while worklist and iterations < limit:
             iterations += 1
             idx = worklist.popleft()
-            env = dict(in_envs.get(idx, {}))
-            out = self._transfer_block(idx, env)
+            out = self._transfer_block(idx, dict(in_envs[idx]))
             for succ in self.cfg.blocks[idx].succs:
                 joined = join_envs(in_envs.get(succ), out)
                 if joined != in_envs.get(succ):
                     in_envs[succ] = joined
                     if succ not in worklist:
                         worklist.append(succ)
-        self._emitting = True
-        self._return_fact = BOTTOM
-        for block in self.cfg.blocks:
-            if block.idx in in_envs:
-                self._transfer_block(block.idx, dict(in_envs[block.idx]))
-        for (line, col, name), escape in self._escapes.items():
+        # Cut off by the bound: a block still queued has not run on its
+        # final in-environment yet.
+        for idx in worklist:
+            self._transfer_block(idx, dict(in_envs[idx]))
+        returned = BOTTOM
+        # creation site -> line of its last escape while maybe writable
+        escapes: Dict[Tuple[int, int, str], int] = {}
+        for report in self._reports:
+            if report is None:
+                continue
+            self.findings += report.findings
+            for fact in report.returns:
+                returned = returned.join(fact)
+            for site, line in report.escapes:
+                escapes[site] = max(escapes.get(site, 0), line)
+        for (line, col, name), escape in escapes.items():
             self.findings.append(Finding(
                 "RPL002", self.path, line, col,
                 f"array '{name}' created in core/ escapes (line {escape}) "
                 "without setflags(write=False)",
             ))
-        self._emitting = False
         self.exit_env = in_envs.get(self.cfg.exit, {})
-        return self._return_fact
+        return returned
 
     def _seed_env(self) -> Env:
         env: Env = {}
@@ -670,14 +712,16 @@ class _Analyzer:
     # -- reporting ------------------------------------------------------
     def _flag(self, rule: str, node: ast.AST, message: str,
               fix: Optional[Fix] = None) -> None:
-        if self._emitting:
-            self.findings.append(
-                Finding(rule, self.path, getattr(node, "lineno", 1),
-                        getattr(node, "col_offset", 0), message, fix=fix)
-            )
+        self._report.findings.append(
+            Finding(rule, self.path, getattr(node, "lineno", 1),
+                    getattr(node, "col_offset", 0), message, fix=fix)
+        )
 
     # -- block transfer --------------------------------------------------
     def _transfer_block(self, idx: int, env: Env) -> Env:
+        """Interpret block ``idx`` on ``env``; its report replaces the
+        one of the block's previous transfer."""
+        self._report = self._reports[idx] = _BlockReport()
         for item in self.cfg.blocks[idx].items:
             self._transfer_item(item, env)
         return env
@@ -731,7 +775,7 @@ class _Analyzer:
         elif isinstance(item, ast.Return):
             if item.value is not None:
                 fact = self.eval(item.value, env)
-                self._return_fact = self._return_fact.join(fact)
+                self._report.returns.append(fact)
                 self._escape(item.value, item, env)
                 self._check_unit(item, self.declared_unit, fact,
                                  "returns a value in {unit} from a function "
@@ -828,9 +872,8 @@ class _Analyzer:
         """``value``, a name or a tuple of names, leaves at ``node``."""
         for name in value.elts if isinstance(value, ast.Tuple) else [value]:
             fact = env.get(name.id) if isinstance(name, ast.Name) else None
-            if self._emitting and fact and fact.created and fact.unfrozen:
-                self._escapes[fact.created] = max(
-                    self._escapes.get(fact.created, 0), node.lineno)
+            if fact and fact.created and fact.unfrozen:
+                self._report.escapes.append((fact.created, node.lineno))
 
     def _check_write(self, node: ast.AST, fact: Fact) -> None:
         """Flag ``node`` when it writes through a column view, or thaws
@@ -1473,7 +1516,7 @@ def _flags_for(parts: Tuple[str, ...]) -> _RuleFlags:
 
 def analyze_module(path: Path, tree: ast.Module,
                    project: DataflowProject) -> List[Finding]:
-    """The reporting pass over one file: its module body, then every
+    """The dataflow findings of one file: its module body, then every
     function, each run to fixpoint; their findings in that order."""
     parts = module_parts(path)
     flags = _flags_for(parts)

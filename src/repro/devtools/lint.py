@@ -97,7 +97,13 @@ class Suppression:
 def _parse_suppressions(source: str, path: str) -> Tuple[List[Suppression],
                                                          List[Finding]]:
     """Extract suppression comments via tokenize so comment-lookalikes
-    inside string literals (e.g. linter test fixtures) are ignored."""
+    inside string literals (e.g. linter test fixtures) are ignored.
+
+    Every suppression and every malformed-comment RPL000 needs a
+    comment holding ``reprolint:``, so a source without that marker is
+    not tokenized."""
+    if "reprolint:" not in source:
+        return [], []
     suppressions: List[Suppression] = []
     findings: List[Finding] = []
     try:

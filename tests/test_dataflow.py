@@ -95,6 +95,17 @@ def cfg_of(source: str):
     return build_cfg(tree.body)
 
 
+def block_holding(cfg, kind, name=None):
+    """The first block with an item of type ``kind`` (an assignment to
+    ``name`` when given)."""
+    return next(
+        b for b in cfg.blocks
+        if any(isinstance(i, kind)
+               and (name is None or getattr(i.targets[0], "id", "") == name)
+               for i in b.items)
+    )
+
+
 class TestCFG:
     def test_straight_line_single_block(self):
         cfg = cfg_of("a = 1\nb = a + 1\n")
@@ -185,6 +196,37 @@ class TestCFG:
         )
         for handler_idx in handler_blocks:
             assert handler_idx in body.succs
+
+    def test_finally_after_a_leaving_try_follows_its_blocks(self):
+        # No path falls out of the try, so nothing would reach the
+        # finally; it follows every block of the body and the handlers
+        # instead, and the code after the try stays unreachable.
+        cfg = cfg_of(
+            "try:\n    a = f()\n    return a\n"
+            "except ValueError:\n    if a:\n        x = 1\n    raise\n"
+            "finally:\n    b = 2\n"
+            "c = 3\n"
+        )
+        final = block_holding(cfg, ast.Assign, "b")
+        for block in (block_holding(cfg, ast.Assign, "a"),
+                      block_holding(cfg, ast.ExceptHandler),
+                      block_holding(cfg, ast.Assign, "x"),
+                      block_holding(cfg, ast.Raise)):
+            assert final.idx in block.succs
+        assert final.succs == [cfg.exit]
+        after = block_holding(cfg, ast.Assign, "c")
+        assert after is not final
+        assert not any(after.idx in b.succs for b in cfg.blocks)
+
+    def test_finally_after_a_falling_try_keeps_its_graph(self):
+        cfg = cfg_of("try:\n    return f()\nexcept ValueError:\n"
+                     "    a = 1\nfinally:\n    b = 2\nc = 3\n")
+        # The handler falls into the finally, and the finally into the
+        # code after the try; the return does not pass through it.
+        final = block_holding(cfg, ast.Assign, "b")
+        assert final is block_holding(cfg, ast.Assign, "c")
+        assert final.idx in block_holding(cfg, ast.Assign, "a").succs
+        assert final.idx not in block_holding(cfg, ast.Return).succs
 
     def test_unreachable_code_keeps_analysis_total(self):
         cfg = cfg_of("raise ValueError()\nx = 1\n")
