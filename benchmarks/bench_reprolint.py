@@ -9,6 +9,12 @@ section of ``BENCH_perf.json`` alongside the core-substrate timings.
 The dataflow and effects analyses run every function to a fixpoint
 against call-graph summaries, so the times of ``src`` and the tree grow
 with the repo, while the corpus is the same input for every change.
+Each target's fastest run is also split into phases: parsing, building
+the ``DataflowProject`` and the ``EffectsProject``, and the per-file
+passes (``check_file``, ``analyze_module`` and the effect rules), each
+timed by wrapping those functions from outside, as productbench's
+tracer times layers; the rest is reading files, suppressions and
+fingerprints.
 The corpus archive is checked against its sha256 in
 ``productbench/pins.json`` and unpacked into a temporary directory.
 The CI timing gate (``--check --budget 60``) keeps the lint of ``src/``
@@ -23,21 +29,63 @@ inside the budget that keeps the analysis usable::
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import importlib
 import json
 import platform
 import sys
 import tarfile
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Dict, Iterator, Sequence
 
 from repro.devtools.lint import collect_files, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PERF_PATH = REPO_ROOT / "BENCH_perf.json"
 PINS_PATH = REPO_ROOT / "productbench" / "pins.json"
+
+#: phase -> the (module, function) pairs whose calls it sums.
+PHASES = {
+    "parse": [("ast", "parse")],
+    "dataflow_project": [("repro.devtools.dataflow", "DataflowProject")],
+    "effects_project": [("repro.devtools.effects", "EffectsProject")],
+    "file_passes": [("repro.devtools.lint", "check_file"),
+                    ("repro.devtools.dataflow", "analyze_module"),
+                    ("repro.devtools.effect_rules", "check_module")],
+}
+
+
+@contextmanager
+def phase_timer() -> Iterator[Dict[str, float]]:
+    """Wrap every :data:`PHASES` function for the duration; yields the
+    seconds spent in each phase so far."""
+    seconds = dict.fromkeys(PHASES, 0.0)
+    originals = []
+
+    def timed(function, phase):
+        @functools.wraps(function)
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                seconds[phase] += time.perf_counter() - start
+        return wrapper
+
+    for phase, functions in PHASES.items():
+        for module_name, attr in functions:
+            module = importlib.import_module(module_name)
+            originals.append((module, attr, getattr(module, attr)))
+            setattr(module, attr, timed(getattr(module, attr), phase))
+    try:
+        yield seconds
+    finally:
+        for module, attr, original in reversed(originals):
+            setattr(module, attr, original)
 
 
 def extract_corpus(into: Path) -> Path:
@@ -58,14 +106,18 @@ def time_lint(paths: Sequence[Path], repeats: int) -> dict:
     targets = [str(p) for p in paths]
     best = float("inf")
     findings = 0
+    phases: Dict[str, float] = {}
     for _ in range(repeats):
-        start = time.perf_counter()
-        result = run_lint(targets,
-                          baseline=REPO_ROOT / "reprolint-baseline.json")
-        best = min(best, time.perf_counter() - start)
+        with phase_timer() as spent:
+            start = time.perf_counter()
+            result = run_lint(targets,
+                              baseline=REPO_ROOT / "reprolint-baseline.json")
+            seconds = time.perf_counter() - start
+        if seconds < best:
+            best, phases = seconds, spent
         findings = len(result.new)
     return {"seconds": best, "files": len(collect_files(targets)),
-            "new_findings": findings}
+            "new_findings": findings, "phases": phases}
 
 
 def main(argv=None) -> int:
@@ -92,9 +144,12 @@ def main(argv=None) -> int:
         timings = {label: time_lint(paths, args.repeats)
                    for label, paths in targets.items()}
 
-    print(f"{'target':<8} {'files':>6} {'seconds':>9}")
+    print(f"{'target':<8} {'files':>6} {'seconds':>9}  "
+          + "  ".join(f"{phase:>16}" for phase in PHASES))
     for label, entry in timings.items():
-        print(f"{label:<8} {entry['files']:>6} {entry['seconds']:>9.3f}")
+        print(f"{label:<8} {entry['files']:>6} {entry['seconds']:>9.3f}  "
+              + "  ".join(f"{entry['phases'][phase]:>16.3f}"
+                          for phase in PHASES))
     src_seconds = timings["src"]["seconds"]
     print(f"\nlint of src/: {src_seconds:.3f}s "
           f"(budget {args.budget:.0f}s)")

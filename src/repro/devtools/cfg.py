@@ -15,7 +15,8 @@ Handled control flow: ``if``/``elif``/``else``, ``while``/``for``
 to every handler; a ``finally`` that no path falls into, because every
 path of the body and the handlers returns, raises, breaks or
 continues, follows every block of the body, the ``else`` and the
-handlers, and falls through to the exit only), ``with``,
+handlers, and falls through to the exit and to the target of every
+``break``/``continue`` in the ``try`` that leaves it), ``with``,
 ``return``/``raise``.  ``match`` is treated as opaque straight-line
 code (none in this repo).  Nested function and class definitions are
 *name bindings only* — their bodies get their own CFGs from the caller.
@@ -57,6 +58,8 @@ class _Builder:
         self.loops: List[tuple] = []
         #: handler-entry block ids per enclosing ``try``.
         self.handlers: List[List[int]] = []
+        #: (loop depth, target block id) of every ``break``/``continue``.
+        self.jumps: List[tuple] = []
         self.exit = -1
 
     def new_block(self) -> Block:
@@ -128,7 +131,7 @@ class _Builder:
             for handler, block in zip(node.handlers, handler_blocks):
                 block.items.append(handler)
             self.handlers.append([b.idx for b in handler_blocks])
-            first_body = len(self.blocks)
+            first_body, first_jump = len(self.blocks), len(self.jumps)
             body_start = self.new_block()
             self.edge(cur, body_start)
             self._may_raise_to_handlers(cur)
@@ -158,14 +161,17 @@ class _Builder:
                 return self.seq(node.finalbody, after)
             # Every path leaves the try, and the finally runs on the way
             # out of each: it follows every block of the body, the else
-            # and the handlers, and falls through to the exit only, so
-            # the code after the try stays unreachable.
+            # and the handlers, and falls through to the exit and to the
+            # try's break/continue targets; the code after it stays dead.
             for block in self.blocks[first_body - len(handler_blocks):]:
                 if block is not after:
                     self.edge(block, after)
             final_end = self.seq(node.finalbody, after)
             if final_end is not None:
                 self.edge(final_end, self.blocks[self.exit])
+                for depth, target in self.jumps[first_jump:]:
+                    if depth == len(self.loops):  # not a nested loop's
+                        final_end.add_succ(target)
             return None
 
         if isinstance(node, (ast.With, ast.AsyncWith)):
@@ -178,14 +184,11 @@ class _Builder:
             self.edge(cur, self.blocks[self.exit])
             return None
 
-        if isinstance(node, ast.Break):
+        if isinstance(node, (ast.Break, ast.Continue)):
             if self.loops:
-                self.edge(cur, self.loops[-1][1])
-            return None
-
-        if isinstance(node, ast.Continue):
-            if self.loops:
-                self.edge(cur, self.loops[-1][0])
+                target = self.loops[-1][isinstance(node, ast.Break)]
+                self.edge(cur, target)
+                self.jumps.append((len(self.loops), target.idx))
             return None
 
         # Simple statement (or nested def/class treated as a binding).

@@ -54,14 +54,14 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import re
 from collections import deque
 from pathlib import Path
-from typing import (
-    Callable, Dict, List, Optional, Set, Tuple,
-)
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.devtools.cfg import CFG, build_cfg
+from repro.devtools.index import NodeIndex
 from repro.devtools.lattice import (
     BOTTOM,
     DIMENSIONLESS,
@@ -218,8 +218,9 @@ SUMMARY_ROUNDS = 3
 VISITS_PER_BLOCK = 50
 
 
+@functools.lru_cache(maxsize=None)
 def unit_from_name(name: str) -> Optional[str]:
-    """Unit implied by a canonical identifier name, or None."""
+    """Unit implied by a canonical identifier name, or None (cached)."""
     lowered = name.lower()
     exact = _EXACT_TIME_NAMES.get(lowered)
     if exact:
@@ -267,7 +268,7 @@ def _decorator_unit(fn: ast.AST) -> Optional[str]:
 class ModuleContext:
     """Import aliases and seeded global facts for one module."""
 
-    def __init__(self, module: str, tree: ast.Module):
+    def __init__(self, module: str, tree: ast.Module, index: NodeIndex):
         self.module = module
         self.numpy_aliases: Set[str] = set()
         self.os_aliases: Set[str] = set()
@@ -287,7 +288,7 @@ class ModuleContext:
         self.import_insert_line: int = 1
         #: final abstract env of the module body (module constants).
         self.module_env: Env = {}
-        self._collect(tree)
+        self._collect(index.walk_order(tree))
         self._locate_import_insert(tree)
         if module.endswith("core.timeutil"):
             # Inside timeutil itself ``DAY = 86400.0`` is a bare number;
@@ -297,8 +298,9 @@ class ModuleContext:
             for const, unit in TIMEUTIL_UNIT_EXPORTS.items():
                 self.global_facts[const] = unit_fact(unit)
 
-    def _collect(self, tree: ast.Module) -> None:
-        for node in ast.walk(tree):
+    def _collect(self, nodes: List[ast.AST]) -> None:
+        """Read the imports among ``nodes``, given in ``ast.walk`` order."""
+        for node in nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
@@ -404,18 +406,19 @@ def written_array(node: ast.AST) -> Optional[Tuple[ast.expr, str]]:
     return None
 
 
-def _collect_mutated_params(fn: ast.FunctionDef) -> Dict[str, int]:
+def _collect_mutated_params(fn: ast.FunctionDef,
+                            index: NodeIndex) -> Dict[str, int]:
     params = [a.arg for a in fn.args.posonlyargs + fn.args.args]
     param_set = set(params) | {a.arg for a in fn.args.kwonlyargs}
-    index = {name: i for i, name in enumerate(params)}
+    position = {name: i for i, name in enumerate(params)}
     mutated: Dict[str, int] = {}
-    for node in ast.walk(fn):
+    for node in index.subtree(fn):
         written = written_array(node)
         root = written[0] if written else None
         while isinstance(root, (ast.Subscript, ast.Attribute)):
             root = root.value
         if isinstance(root, ast.Name) and root.id in param_set:
-            mutated.setdefault(root.id, index.get(root.id, -1))
+            mutated.setdefault(root.id, position.get(root.id, -1))
     return mutated
 
 
@@ -432,7 +435,7 @@ class DataflowProject(Project):
         self.resolution: Dict[str, Dict[str, str]] = {}
         for path, tree in trees.items():
             module = module_name(path)
-            self.contexts[module] = ModuleContext(module, tree)
+            self.contexts[module] = ModuleContext(module, tree, self.index)
             for node in tree.body:
                 if isinstance(node, ast.FunctionDef):
                     self._add_summary(module, node)
@@ -457,7 +460,7 @@ class DataflowProject(Project):
             node=node,
             declared_unit=declared,
             returns_unit=declared,
-            mutated_params=_collect_mutated_params(node),
+            mutated_params=_collect_mutated_params(node, self.index),
         )
 
     def _resolve_calls(self) -> None:
@@ -472,7 +475,7 @@ class DataflowProject(Project):
                     table[bound] = key
             self.resolution[module] = table
         for summary in self.summaries.values():
-            for node in ast.walk(summary.node):
+            for node in self.index.subtree(summary.node):
                 if isinstance(node, ast.Call):
                     callee = self.summary_for_call(summary.module, node.func)
                     if callee is not None:
@@ -1523,14 +1526,14 @@ def analyze_module(path: Path, tree: ast.Module,
     if not flags.immutability:
         return []
     module = module_name(path)
-    ctx = project.contexts.get(module) or ModuleContext(module, tree)
+    ctx = project.contexts[module]
     rel = path.as_posix()
 
     module_scope = _Analyzer(rel, ctx, project, flags, fn=tree)
     module_scope.run()
     ctx.module_env = module_scope.exit_env
     findings = module_scope.findings
-    for node in ast.walk(tree):
+    for node in project.index.walk_order(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             analyzer = _Analyzer(rel, ctx, project, flags, fn=node)
             analyzer.run()

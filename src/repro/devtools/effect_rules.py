@@ -97,7 +97,7 @@ def check_async_blocking(
     project: EffectsProject, path: str, findings: List[Finding],
 ) -> None:
     ctx = project.contexts[module]
-    exempt = executor_exempt_nodes(fn)
+    exempt = executor_exempt_nodes(fn, project)
     local_types = project.local_types(module, fn)
     for node in project.index.own(fn):
         if not isinstance(node, ast.Call) or id(node) in exempt:
@@ -376,14 +376,14 @@ def _mutable_module_globals(tree: ast.Module) -> Set[str]:
     return mutable
 
 
-def _globals_assigned_by(fn: ast.AST) -> Set[str]:
+def _globals_assigned_by(fn: ast.AST, project: EffectsProject) -> Set[str]:
     return {
-        name for node in ast.walk(fn) if isinstance(node, ast.Global)
-        for name in node.names
+        name for node in project.index.subtree(fn)
+        if isinstance(node, ast.Global) for name in node.names
     }
 
 
-def _free_names(fn: ast.AST) -> Set[str]:
+def _free_names(fn: ast.AST, project: EffectsProject) -> Set[str]:
     """Names a nested function loads but does not bind locally."""
     bound = {a.arg for a in list(fn.args.posonlyargs) + list(fn.args.args)
              + list(fn.args.kwonlyargs)}
@@ -392,7 +392,7 @@ def _free_names(fn: ast.AST) -> Set[str]:
     if fn.args.kwarg:
         bound.add(fn.args.kwarg.arg)
     loads: Set[str] = set()
-    for node in ast.walk(fn):
+    for node in project.index.subtree(fn):
         if isinstance(node, ast.Name):
             if isinstance(node.ctx, ast.Store):
                 bound.add(node.id)
@@ -477,7 +477,7 @@ def check_pool_captures(
     for name in initializer_names:
         init_fn = local_defs.get(name) or module_defs.get(name)
         if init_fn is not None:
-            allowed_globals |= _globals_assigned_by(init_fn)
+            allowed_globals |= _globals_assigned_by(init_fn, project)
     mutable_globals = _mutable_module_globals(tree)
 
     for node in own:
@@ -501,7 +501,8 @@ def check_pool_captures(
             work_fn = local_defs.get(work.id)
             if work_fn is not None:
                 captured = sorted(
-                    _free_names(work_fn) - set(module_defs) - allowed_globals
+                    _free_names(work_fn, project) - set(module_defs)
+                    - allowed_globals
                 )
                 if captured:
                     _flag(
@@ -524,13 +525,12 @@ def check_pool_captures(
                         "SeedSequence-derived seed through the task instead",
                     )
                 reads = {
-                    n.id for n in ast.walk(work_fn_node)
-                    if isinstance(n, ast.Name)
-                    and isinstance(n.ctx, ast.Load)
+                    n.id for n in project.index.subtree(work_fn_node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
                 }
                 bad = sorted(
                     (reads & mutable_globals) - allowed_globals
-                    - _globals_assigned_by(work_fn_node)
+                    - _globals_assigned_by(work_fn_node, project)
                 )
                 if bad:
                     _flag(

@@ -170,12 +170,12 @@ def is_executor_handoff(call: ast.Call) -> bool:
             and call.func.attr in EXECUTOR_METHODS)
 
 
-def executor_exempt_nodes(fn: ast.AST) -> "Set[int]":
+def executor_exempt_nodes(fn: ast.AST, project: "EffectsProject") -> "Set[int]":
     """ids of every AST node that executes off the event loop: the
     argument subtrees of executor handoffs (callables, their bound
     arguments, and lambda bodies shipped to a worker thread)."""
     exempt: Set[int] = set()
-    for node in ast.walk(fn):
+    for node in project.index.subtree(fn):
         if isinstance(node, ast.Call) and is_executor_handoff(node):
             for arg in list(node.args) + [kw.value for kw in node.keywords]:
                 for sub in ast.walk(arg):
@@ -351,7 +351,7 @@ class EffectsProject:
                             key = self.resolve_class(info.module, name)
                             if key is not None:
                                 param_types[arg.arg] = key
-                for node in ast.walk(fn):
+                for node in self.index.subtree(fn):
                     targets: List[ast.expr] = []
                     value: Optional[ast.expr] = None
                     if isinstance(node, ast.Assign):

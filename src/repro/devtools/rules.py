@@ -290,7 +290,7 @@ class Project:
         """Functions referenced in ``repro.api.ANALYSES`` are cached via
         ``AnalysisCache.call`` and must be pure."""
         alias_to_module: Dict[str, str] = {}
-        for node in ast.walk(tree):
+        for node in self.index.walk_order(tree):
             if isinstance(node, ast.ImportFrom) and node.module:
                 for alias in node.names:
                     bound = alias.asname or alias.name
@@ -299,7 +299,7 @@ class Project:
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
                     alias_to_module.setdefault(bound, alias.name)
-        for node in ast.walk(tree):
+        for node in self.index.subtree(tree):
             if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
                 continue
             target = node.targets[0]
@@ -324,10 +324,9 @@ class Project:
         local_functions = {
             node.name for node in tree.body if isinstance(node, ast.FunctionDef)
         }
-        called = {
-            id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
-        }
-        for node in ast.walk(tree):
+        called = {id(node.func) for node in self.index.subtree(tree)
+                  if isinstance(node, ast.Call)}
+        for node in self.index.subtree(tree):
             if (
                 isinstance(node, ast.Name)
                 and isinstance(node.ctx, ast.Load)
@@ -671,7 +670,7 @@ def _check_field_literal(path: str, value: str, line: int, col: int,
 
 
 def check_schema_integrity(path: str, parts: Tuple[str, ...],
-                           tree: ast.Module) -> List[Finding]:
+                           tree: ast.Module, project: Project) -> List[Finding]:
     findings: List[Finding] = []
     module = module_name(Path(path))
     in_record_module = module in RECORD_MODULES
@@ -697,7 +696,7 @@ def check_schema_integrity(path: str, parts: Tuple[str, ...],
     if not in_record_module:
         return findings
 
-    for node in ast.walk(tree):
+    for node in project.index.subtree(tree):
         if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
                 and node.value.id in RECORD_NAMES and _is_str(node.slice):
             assert isinstance(node.slice, ast.Constant)
@@ -827,7 +826,7 @@ def check_file(path: Path, tree: ast.Module, project: Project) -> List[Finding]:
     findings: List[Finding] = []
     findings.extend(check_determinism(path, parts, project))
     findings.extend(check_cache_purity(rel, parts, tree, project))
-    findings.extend(check_schema_integrity(rel, parts, tree))
+    findings.extend(check_schema_integrity(rel, parts, tree, project))
     findings.extend(check_api_hygiene(rel, parts, tree, project))
     findings.sort(key=lambda f: (f.line, f.col, f.rule))
     return findings

@@ -5,6 +5,7 @@ try/except edges)."""
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +15,10 @@ from repro.devtools.dataflow import (
     ModuleContext,
     _Analyzer,
     _RuleFlags,
+    analyze_module,
     unit_from_name,
 )
+from repro.devtools.index import NodeIndex
 from repro.devtools.lattice import (
     BOTTOM,
     DIMENSIONLESS,
@@ -228,6 +231,27 @@ class TestCFG:
         assert final.idx in block_holding(cfg, ast.Assign, "a").succs
         assert final.idx not in block_holding(cfg, ast.Return).succs
 
+    def test_finally_after_a_leaving_try_reaches_its_jump_targets(self):
+        # The break and the continue leave the try through the finally,
+        # so its end reaches the block after the loop and the loop's
+        # header besides the exit; the continue of the loop inside the
+        # try does not pass through it.
+        tree = ast.parse(
+            "for row in rows:\n    try:\n"
+            "        for x in row:\n            continue\n"
+            "        if row:\n            break\n        continue\n"
+            "    finally:\n        b = 2\n"
+            "c = 3\n"
+        )
+        cfg = build_cfg(tree.body)
+        outer, inner = tree.body[0], tree.body[0].body[0].body[0]
+        headers = [b for b in cfg.blocks
+                   if any(i is outer or i is inner for i in b.items)]
+        final = block_holding(cfg, ast.Assign, "b")
+        after = block_holding(cfg, ast.Assign, "c")
+        assert final.succs == [cfg.exit, after.idx, headers[0].idx]
+        assert headers[1].idx not in final.succs
+
     def test_unreachable_code_keeps_analysis_total(self):
         cfg = cfg_of("raise ValueError()\nx = 1\n")
         # the statement after raise still lives in some block
@@ -244,7 +268,7 @@ def analyze_function(source: str):
     """Analyze the single function in ``source`` with all rules on;
     returns (analyzer, findings)."""
     tree = ast.parse(source)
-    ctx = ModuleContext("repro.analysis.fixture", tree)
+    ctx = ModuleContext("repro.analysis.fixture", tree, NodeIndex([tree]))
     fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))
     flags = _RuleFlags(units=True, order=True)
     analyzer = _Analyzer("fixture.py", ctx, None, flags, fn=fn)
@@ -289,6 +313,24 @@ class TestFixpoint:
             "    return window + limit_seconds\n"
         )
         assert [f.rule for f in findings] == ["RPL101"]
+
+    def test_continue_through_a_finally_reaches_the_next_iteration(self):
+        # What the finally binds on the way out of the continue reaches
+        # the write in the next iteration, as it does without the try.
+        source = ("def f(ds, rows):\n"
+                  "    v = rows.copy()\n"
+                  "    for row in rows:\n"
+                  "        v[0] = row\n"
+                  "{}")
+        found = []
+        for tail in ("        try:\n            continue\n"
+                     "        finally:\n            v = ds.error_times\n",
+                     "        v = ds.error_times\n        continue\n"):
+            path = Path("src/repro/analysis/fixture.py")
+            tree = ast.parse(source.format(tail))
+            found.append([(f.rule, f.line, f.col) for f in analyze_module(
+                path, tree, DataflowProject({path: tree}))])
+        assert found[0] == found[1] == [("RPL002", 4, 8)]
 
     def test_fixpoint_terminates_on_nested_loops(self):
         analyzer, _ = analyze_function(

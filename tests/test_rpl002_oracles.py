@@ -33,6 +33,7 @@ from repro.devtools.dataflow import (
     _collect_mutated_params,
     analyze_module,
 )
+from repro.devtools.index import NodeIndex
 from repro.devtools.lint import collect_files
 from repro.devtools.rules import COLUMN_PROPERTIES, Finding, module_parts
 
@@ -356,9 +357,11 @@ def test_mutated_params_match_reference(corpus_lint):
     # Summaries are built for module-level functions only.
     root, _ = corpus_lint
     for path in _tree_paths() + collect_files([str(root / "src" / "repro")]):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        index = NodeIndex([tree])
+        for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                assert _collect_mutated_params(node) \
+                assert _collect_mutated_params(node, index) \
                     == _ref_collect_mutated_params(node), (path, node.name)
 
 
@@ -644,8 +647,8 @@ class TestInterproceduralCheck:
             """))
         fn = tree.body[0]
         assert _ref_collect_mutated_params(fn) == {"more": 2}
-        assert _collect_mutated_params(fn) == {"arr": 0, "other": 1,
-                                               "more": 2}
+        assert _collect_mutated_params(fn, NodeIndex([tree])) \
+            == {"arr": 0, "other": 1, "more": 2}
 
 
 class TestFoldReportsLess:
