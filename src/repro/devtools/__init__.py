@@ -16,8 +16,6 @@ complement.
 * :mod:`repro.devtools.effects` / :mod:`~repro.devtools.effect_rules` —
   effect summaries and the RPL201–213 concurrency & resource-safety
   rules.
-* :mod:`repro.devtools.fixer` — applies the fixes rules attach
-  (``--fix``).
 * :mod:`repro.devtools.sarif` — SARIF 2.1.0 reporter for code-scanning
   upload (``--format sarif``).
 * :mod:`repro.devtools.sanitize` — runtime sanitizer that asserts

@@ -12,14 +12,15 @@ back edge and the worklist fixpoint in
 Handled control flow: ``if``/``elif``/``else``, ``while``/``for``
 (+ ``else``), ``break``/``continue``, ``try``/``except``/``else``/
 ``finally`` (conservatively: every block of the ``try`` body may jump
-to every handler; a ``finally`` that no path falls into, because every
-path of the body and the handlers returns, raises, breaks or
-continues, follows every block of the body, the ``else`` and the
-handlers, and falls through to the exit and to the target of every
-``break``/``continue`` in the ``try`` that leaves it), ``with``,
-``return``/``raise``.  ``match`` is treated as opaque straight-line
-code (none in this repo).  Nested function and class definitions are
-*name bindings only* — their bodies get their own CFGs from the caller.
+to every handler; the ``finally`` runs on every way out of the
+``try``, so it follows every block of the body, the ``else`` and the
+handlers, and falls through to the exit, to the target of every
+``break``/``continue`` in the ``try`` that leaves it, and, when some
+path of the body or the handlers falls into it, to the code after the
+``try``), ``with``, ``return``/``raise``.  ``match`` is treated as
+opaque straight-line code (none in this repo).  Nested function and
+class definitions are *name bindings only* — their bodies get their own
+CFGs from the caller.
 """
 
 from __future__ import annotations
@@ -157,22 +158,25 @@ class _Builder:
                     reached = True
             if not node.finalbody:
                 return after
-            if reached:
-                return self.seq(node.finalbody, after)
-            # Every path leaves the try, and the finally runs on the way
-            # out of each: it follows every block of the body, the else
-            # and the handlers, and falls through to the exit and to the
-            # try's break/continue targets; the code after it stays dead.
+            # The finally runs on every way out of the try: it follows
+            # every block of the body, the else and the handlers, and
+            # its end reaches the exit, the try's break/continue targets
+            # and, when some path falls into it, the code after the try.
             for block in self.blocks[first_body - len(handler_blocks):]:
                 if block is not after:
                     self.edge(block, after)
             final_end = self.seq(node.finalbody, after)
-            if final_end is not None:
-                self.edge(final_end, self.blocks[self.exit])
-                for depth, target in self.jumps[first_jump:]:
-                    if depth == len(self.loops):  # not a nested loop's
-                        final_end.add_succ(target)
-            return None
+            if final_end is None:
+                return None
+            self.edge(final_end, self.blocks[self.exit])
+            for depth, target in self.jumps[first_jump:]:
+                if depth == len(self.loops):  # not a nested loop's
+                    final_end.add_succ(target)
+            if not reached:
+                return None
+            rest = self.new_block()
+            self.edge(final_end, rest)
+            return rest
 
         if isinstance(node, (ast.With, ast.AsyncWith)):
             cur.items.append(node)

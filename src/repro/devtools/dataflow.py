@@ -55,7 +55,6 @@ from __future__ import annotations
 import ast
 import dataclasses
 import functools
-import re
 from collections import deque
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -78,9 +77,7 @@ from repro.devtools.lattice import (
 from repro.devtools.rules import (
     COLUMN_PROPERTIES,
     DETERMINISTIC_PACKAGES,
-    Edit,
     Finding,
-    Fix,
     Project,
     module_name,
     module_parts,
@@ -280,16 +277,9 @@ class ModuleContext:
         self.module_aliases: Dict[str, str] = {}
         #: facts for names bound at import time (timeutil constants).
         self.global_facts: Dict[str, Fact] = {}
-        #: timeutil constant name -> the local name it is bound to
-        #: (``from ... import DAY as D`` -> {"DAY": "D"}); the RPL102
-        #: auto-fix uses it to reuse existing imports.
-        self.conversion_bindings: Dict[str, str] = {}
-        #: 1-based line *before* which a new import can be inserted.
-        self.import_insert_line: int = 1
         #: final abstract env of the module body (module constants).
         self.module_env: Env = {}
         self._collect(index.walk_order(tree))
-        self._locate_import_insert(tree)
         if module.endswith("core.timeutil"):
             # Inside timeutil itself ``DAY = 86400.0`` is a bare number;
             # the module is the root of trust, so seed its own constants.
@@ -323,25 +313,9 @@ class ModuleContext:
                         target = CONVERSION_CONSTANTS.get(alias.name)
                         if target:
                             self.global_facts[bound] = conversion(target)
-                            self.conversion_bindings[alias.name] = bound
                         unit = TIMEUTIL_UNIT_EXPORTS.get(alias.name)
                         if unit:
                             self.global_facts[bound] = unit_fact(unit)
-
-    def _locate_import_insert(self, tree: ast.Module) -> None:
-        """Line before which an added import keeps the module valid:
-        after the last top-level import, else after the docstring."""
-        line = 1
-        for node in tree.body:
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                line = (getattr(node, "end_lineno", node.lineno) or
-                        node.lineno) + 1
-            elif isinstance(node, ast.Expr) \
-                    and isinstance(node.value, ast.Constant) \
-                    and isinstance(node.value.value, str) and line == 1:
-                line = (getattr(node, "end_lineno", node.lineno) or
-                        node.lineno) + 1
-        self.import_insert_line = line
 
 
 # ---------------------------------------------------------------------------
@@ -713,11 +687,10 @@ class _Analyzer:
         return env
 
     # -- reporting ------------------------------------------------------
-    def _flag(self, rule: str, node: ast.AST, message: str,
-              fix: Optional[Fix] = None) -> None:
+    def _flag(self, rule: str, node: ast.AST, message: str) -> None:
         self._report.findings.append(
             Finding(rule, self.path, getattr(node, "lineno", 1),
-                    getattr(node, "col_offset", 0), message, fix=fix)
+                    getattr(node, "col_offset", 0), message)
         )
 
     # -- block transfer --------------------------------------------------
@@ -1149,7 +1122,6 @@ class _Analyzer:
                         f"{ast.literal_eval(operand_node):g} folded into "
                         f"arithmetic — use core.timeutil.{constant} so the "
                         "unit is visible",
-                        fix=self._rpl102_fix(operand_node, constant),
                     )
         # Treat a magic literal as the conversion constant it encodes so
         # downstream unit inference stays coherent.
@@ -1249,48 +1221,6 @@ class _Analyzer:
             return BOTTOM
 
         return BOTTOM
-
-    def _rpl102_fix(self, operand_node: ast.AST,
-                    constant_expr: str) -> Optional[Fix]:
-        """Span rewrite replacing a magic literal with the named
-        ``core.timeutil`` constant(s), reusing an existing import or
-        adding one."""
-        end_line = getattr(operand_node, "end_lineno", None)
-        end_col = getattr(operand_node, "end_col_offset", None)
-        if end_line is None or end_col is None or not self.path:
-            return None
-        rendered = constant_expr
-        imports_needed: List[str] = []
-        for name in CONVERSION_CONSTANTS:
-            if not re.search(rf"\b{name}\b", constant_expr):
-                continue
-            bound = self.ctx.conversion_bindings.get(name)
-            if bound is not None:
-                if bound != name:
-                    rendered = re.sub(rf"\b{name}\b", bound, rendered)
-            elif self.ctx.timeutil_aliases:
-                alias = sorted(self.ctx.timeutil_aliases)[0]
-                rendered = re.sub(rf"\b{name}\b", f"{alias}.{name}", rendered)
-            else:
-                imports_needed.append(name)
-        if " " in rendered:
-            rendered = f"({rendered})"
-        edits = [
-            Edit(operand_node.lineno, operand_node.col_offset,
-                 end_line, end_col, rendered)
-        ]
-        if imports_needed:
-            line = self.ctx.import_insert_line
-            names = ", ".join(sorted(set(imports_needed)))
-            edits.append(
-                Edit(line, 0, line, 0,
-                     f"from repro.core.timeutil import {names}\n")
-            )
-        return Fix(
-            description=f"replace magic time constant with "
-                        f"core.timeutil {constant_expr}",
-            edits=tuple(edits),
-        )
 
     def _mult_conversion(self, node: ast.AST, value: Fact,
                          conv: Fact) -> Fact:

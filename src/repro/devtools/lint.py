@@ -31,14 +31,10 @@ JSON file (default ``reprolint-baseline.json``) keyed by content
 fingerprints (rule + path + source line text + occurrence), so
 pre-existing accepted findings survive unrelated line drift without
 blocking CI.  New code starts from an empty baseline.
-
-**Fixes**: rules may attach span-based rewrites to findings;
-``--fix`` applies them (looping lint→fix until stable, so a second
-``--fix`` is always a no-op) and SARIF output carries them as
-``fixes`` for IDE quick-fix surfaces.  ``--update-baseline`` rewrites
-the baseline keeping only fingerprints that still match a current
-finding — entries for deleted files or fixed findings are pruned and
-counted, and no new debt is ever added silently.
+``--update-baseline`` rewrites the baseline keeping only fingerprints
+that still match a current finding — entries for deleted files or
+fixed findings are pruned and counted, and no new debt is ever added
+silently.
 
 ``--changed-since <ref>`` restricts *reported* findings to files that
 differ from a git ref (analysis still sees the whole tree, so
@@ -457,12 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
              "never adds new debt) and exit 0",
     )
     parser.add_argument(
-        "--fix", action="store_true",
-        help="apply machine-attached fixes (looping lint→fix until "
-             "stable), then report what remains; a second --fix run "
-             "is a no-op",
-    )
-    parser.add_argument(
         "--changed-since", default=None, metavar="REF",
         help="only report findings in files that differ from git REF "
              "(tracked changes plus untracked files); analysis still "
@@ -575,19 +565,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "matching any finding"
         )
         return 0
-
-    if args.fix:
-        from repro.devtools.fixer import fix_paths
-
-        fixed = fix_paths(args.paths, baseline=baseline,
-                          restrict_to=restrict)
-        note = (
-            f"reprolint: applied {fixed.applied} fix(es) in "
-            f"{len(fixed.files)} file(s) over {fixed.passes} pass(es)"
-        )
-        if fixed.cycle:
-            note += " — WARNING: fixable findings remain (fix cycle?)"
-        print(note)
 
     result = run_lint(args.paths, baseline=baseline, restrict_to=restrict)
     if args.fmt == "json":

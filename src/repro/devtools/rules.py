@@ -65,53 +65,14 @@ RULES: Dict[str, str] = {
 
 
 @dataclasses.dataclass(frozen=True)
-class Edit:
-    """One span replacement in a source file.
-
-    Spans use 1-based lines and 0-based columns (AST coordinates); the
-    replacement text substitutes the half-open region
-    ``[(start_line, start_col), (end_line, end_col))``.
-    """
-
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
-    replacement: str
-
-    @property
-    def start(self) -> Tuple[int, int]:
-        return (self.start_line, self.start_col)
-
-    @property
-    def end(self) -> Tuple[int, int]:
-        return (self.end_line, self.end_col)
-
-
-@dataclasses.dataclass(frozen=True)
-class Fix:
-    """A machine-applicable fix: a description plus one or more edits
-    in the finding's own file.  Applied by ``fouryears lint --fix``
-    (:mod:`repro.devtools.fixer`) and surfaced as SARIF ``fixes``."""
-
-    description: str
-    edits: Tuple[Edit, ...]
-
-
-@dataclasses.dataclass(frozen=True)
 class Finding:
-    """One linter finding, anchored to a file position.
-
-    ``fix`` optionally carries a machine-applicable rewrite (it does not
-    participate in fingerprints).
-    """
+    """One linter finding, anchored to a file position."""
 
     rule: str
     path: str
     line: int
     col: int
     message: str
-    fix: Optional[Fix] = None
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -834,9 +795,7 @@ def check_file(path: Path, tree: ast.Module, project: Project) -> List[Finding]:
 
 __all__ = [
     "RULES",
-    "Edit",
     "Finding",
-    "Fix",
     "Project",
     "SCHEMA_FIELDS",
     "COLUMN_PROPERTIES",

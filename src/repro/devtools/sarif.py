@@ -35,40 +35,8 @@ def _rule_descriptor(rule_id: str, description: str) -> Dict:
     }
 
 
-def _fix(finding: Finding) -> Dict:
-    """SARIF ``fix`` object for a finding's machine-attached rewrite.
-
-    Regions are 1-based in SARIF; :class:`~repro.devtools.rules.Edit`
-    columns are 0-based character offsets.
-    """
-    fix = finding.fix
-    return {
-        "description": {"text": fix.description},
-        "artifactChanges": [
-            {
-                "artifactLocation": {
-                    "uri": finding.path,
-                    "uriBaseId": "SRCROOT",
-                },
-                "replacements": [
-                    {
-                        "deletedRegion": {
-                            "startLine": edit.start_line,
-                            "startColumn": edit.start_col + 1,
-                            "endLine": edit.end_line,
-                            "endColumn": edit.end_col + 1,
-                        },
-                        "insertedContent": {"text": edit.replacement},
-                    }
-                    for edit in fix.edits
-                ],
-            }
-        ],
-    }
-
-
 def _result(finding: Finding, fingerprint: str) -> Dict:
-    result = {
+    return {
         "ruleId": finding.rule,
         "level": "error",
         "message": {"text": finding.message},
@@ -92,9 +60,6 @@ def _result(finding: Finding, fingerprint: str) -> Dict:
         # the version suffix changes whenever that hash does.
         "partialFingerprints": {"reprolintFingerprint/v3": fingerprint},
     }
-    if finding.fix is not None:
-        result["fixes"] = [_fix(finding)]
-    return result
 
 
 def to_sarif(findings: Iterable[Finding],
@@ -190,18 +155,6 @@ def validate_sarif(payload: Dict) -> List[str]:
                        .get("artifactLocation", {}).get("uri"))
                 need(isinstance(uri, str) and uri,
                      f"{where}.locations[{k}] artifactLocation.uri required")
-            for k, fix in enumerate(result.get("fixes", [])):
-                need(isinstance(fix.get("description", {}).get("text"), str),
-                     f"{where}.fixes[{k}].description.text required")
-                for change in fix.get("artifactChanges", []):
-                    for m, repl in enumerate(change.get("replacements", [])):
-                        region = repl.get("deletedRegion", {})
-                        for key in ("startLine", "startColumn",
-                                    "endLine", "endColumn"):
-                            value = region.get(key)
-                            need(isinstance(value, int) and value >= 1,
-                                 f"{where}.fixes[{k}] replacement[{m}] "
-                                 f"deletedRegion.{key} must be a 1-based int")
     return problems
 
 

@@ -224,12 +224,15 @@ class TestCFG:
     def test_finally_after_a_falling_try_keeps_its_graph(self):
         cfg = cfg_of("try:\n    return f()\nexcept ValueError:\n"
                      "    a = 1\nfinally:\n    b = 2\nc = 3\n")
-        # The handler falls into the finally, and the finally into the
-        # code after the try; the return does not pass through it.
+        # The handler falls into the finally and the return leaves
+        # through it, so its end reaches the exit and, in a block of
+        # its own, the code after the try.
         final = block_holding(cfg, ast.Assign, "b")
-        assert final is block_holding(cfg, ast.Assign, "c")
+        after = block_holding(cfg, ast.Assign, "c")
+        assert final is not after
         assert final.idx in block_holding(cfg, ast.Assign, "a").succs
-        assert final.idx not in block_holding(cfg, ast.Return).succs
+        assert final.idx in block_holding(cfg, ast.Return).succs
+        assert final.succs == [cfg.exit, after.idx]
 
     def test_finally_after_a_leaving_try_reaches_its_jump_targets(self):
         # The break and the continue leave the try through the finally,
@@ -276,6 +279,15 @@ def analyze_function(source: str):
     return analyzer, analyzer.findings
 
 
+def finding_sites(source: str):
+    """``(rule, line, col)`` of every finding in ``source``, analyzed as
+    a module of ``repro.analysis``."""
+    path = Path("src/repro/analysis/fixture.py")
+    tree = ast.parse(source)
+    return [(f.rule, f.line, f.col)
+            for f in analyze_module(path, tree, DataflowProject({path: tree}))]
+
+
 class TestFixpoint:
     def test_loop_reaches_fixpoint_and_joins(self):
         # x is seconds on iteration 0 and days after the loop body —
@@ -314,23 +326,54 @@ class TestFixpoint:
         )
         assert [f.rule for f in findings] == ["RPL101"]
 
+    def test_break_through_a_falling_finally_reaches_the_loop_exit(self):
+        assert finding_sites(
+            "def f(ds, rows, c):\n"
+            "    v = rows.copy()\n"
+            "    for row in rows:\n"
+            "        try:\n"
+            "            if c:\n"
+            "                break\n"
+            "        finally:\n"
+            "            v = ds.error_times\n"
+            "        v = rows.copy()\n"
+            "    v[0] = 1\n"
+        ) == [("RPL002", 10, 4)]
+
+    def test_return_through_a_falling_finally_carries_its_facts(self):
+        # The finally sees the column bound before the return, although
+        # the path that falls out of the try rebinds it to a copy.
+        assert finding_sites(
+            "def f(ds, rows, c):\n"
+            "    try:\n"
+            "        v = ds.error_times\n"
+            "        if c:\n"
+            "            return 1\n"
+            "        v = rows.copy()\n"
+            "    finally:\n"
+            "        v[0] = 1\n"
+        ) == [("RPL002", 8, 8)]
+
     def test_continue_through_a_finally_reaches_the_next_iteration(self):
         # What the finally binds on the way out of the continue reaches
-        # the write in the next iteration, as it does without the try.
-        source = ("def f(ds, rows):\n"
+        # the write in the next iteration, as it does without the try,
+        # also when another path falls out of the try.
+        source = ("def f(ds, rows, c):\n"
                   "    v = rows.copy()\n"
                   "    for row in rows:\n"
                   "        v[0] = row\n"
                   "{}")
-        found = []
-        for tail in ("        try:\n            continue\n"
-                     "        finally:\n            v = ds.error_times\n",
-                     "        v = ds.error_times\n        continue\n"):
-            path = Path("src/repro/analysis/fixture.py")
-            tree = ast.parse(source.format(tail))
-            found.append([(f.rule, f.line, f.col) for f in analyze_module(
-                path, tree, DataflowProject({path: tree}))])
-        assert found[0] == found[1] == [("RPL002", 4, 8)]
+        found = [
+            finding_sites(source.format(tail))
+            for tail in ("        try:\n            continue\n"
+                         "        finally:\n            v = ds.error_times\n",
+                         "        try:\n            if c:\n"
+                         "                continue\n"
+                         "        finally:\n            v = ds.error_times\n"
+                         "        v = rows.copy()\n",
+                         "        v = ds.error_times\n        continue\n")
+        ]
+        assert found == [[("RPL002", 4, 8)]] * 3
 
     def test_fixpoint_terminates_on_nested_loops(self):
         analyzer, _ = analyze_function(

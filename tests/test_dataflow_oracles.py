@@ -106,11 +106,11 @@ class _TwoPassAnalyzer(_Analyzer):
         self.exit_env = in_envs.get(self.cfg.exit, {})
         return self._return_fact
 
-    def _flag(self, rule, node, message, fix=None) -> None:
+    def _flag(self, rule, node, message) -> None:
         if self._emitting:
             self.findings.append(
                 Finding(rule, self.path, getattr(node, "lineno", 1),
-                        getattr(node, "col_offset", 0), message, fix=fix)
+                        getattr(node, "col_offset", 0), message)
             )
 
     def _escape(self, value, node, env) -> None:

@@ -6,6 +6,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
+from repro.devtools.dataflow import MAGIC_LITERALS
 from repro.devtools.lint import LintResult, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -129,15 +132,19 @@ class TestRPL101:
 # RPL102 — magic unit constants
 # ---------------------------------------------------------------------------
 class TestRPL102:
-    def test_flags_magic_day_divisor(self, tmp_path):
+    @pytest.mark.parametrize("literal", sorted(MAGIC_LITERALS))
+    def test_flags_magic_day_divisor(self, tmp_path, literal):
+        # The message is the only place that names the replacement.
         path = write(
             tmp_path, "src/repro/analysis/bad.py",
             "def f(span_seconds):\n"
-            "    return span_seconds / 86400.0\n",
+            f"    return span_seconds / {literal!r}\n",
         )
         result = lint_dataflow(path)
         assert rules_hit(result) == {"RPL102"}
-        assert "timeutil.DAY" in result.new[0].message
+        replacement = MAGIC_LITERALS[literal][0]
+        assert f"use core.timeutil.{replacement} so the unit is visible" \
+            in result.new[0].message
 
     def test_flags_magic_hour_multiplier_int(self, tmp_path):
         path = write(

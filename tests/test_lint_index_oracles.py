@@ -123,7 +123,6 @@ class _WalkContext(ModuleContext):
                         target = CONVERSION_CONSTANTS.get(alias.name)
                         if target:
                             self.global_facts[bound] = conversion(target)
-                            self.conversion_bindings[alias.name] = bound
                         unit = TIMEUTIL_UNIT_EXPORTS.get(alias.name)
                         if unit:
                             self.global_facts[bound] = unit_fact(unit)
@@ -254,11 +253,10 @@ def _check_module(path: Path, tree: ast.Module, index: NodeIndex) -> int:
 
 
 def _context_state(ctx: ModuleContext) -> dict:
-    """Every collected alias set, and the four dicts with their order."""
+    """Every collected alias set, and the three dicts with their order."""
     state = {name: value for name, value in vars(ctx).items()
              if name != "_tree"}
-    for name in ("from_imports", "module_aliases", "global_facts",
-                 "conversion_bindings"):
+    for name in ("from_imports", "module_aliases", "global_facts"):
         state[name] = list(state[name].items())
     return state
 
@@ -375,7 +373,7 @@ def test_name_bound_twice_keeps_the_walks_winner():
     assert ctx.module_aliases["json"] == "orjson"
     assert ctx.from_imports["loads"] == ("orjson", "loads")
     assert ctx.global_facts["D"] == conversion("hours")
-    assert ctx.conversion_bindings["DAY"] == "T"
+    assert ctx.global_facts["T"] == conversion("days")
 
 
 def test_lint_walks_each_node_about_once(corpus_lint):

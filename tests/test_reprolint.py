@@ -678,6 +678,109 @@ def test_cli_list_rules(capsys):
         assert rule in out
 
 
+def test_cli_has_no_fix_option(capsys):
+    """reprolint reports findings and never edits files: ``--fix`` is
+    an unknown option, a usage error."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--fix"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --fix" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# CLI: --update-baseline
+# ---------------------------------------------------------------------------
+BAD_EFFECTS = (
+    "import time\n"
+    "async def f():\n"
+    "    time.sleep(1)\n"
+)
+
+
+class TestUpdateBaseline:
+    def test_prunes_missing_files_and_stale_entries(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "src/repro/analysis/kept.py", BAD_EFFECTS)
+        write(tmp_path, "src/repro/analysis/gone.py", BAD_EFFECTS)
+        write(tmp_path, "src/repro/analysis/fixed.py", BAD_EFFECTS)
+        baseline = tmp_path / "baseline.json"
+        assert main(["src", "--baseline",
+                     str(baseline), "--write-baseline"]) == 0
+        capsys.readouterr()
+        assert len(json.loads(baseline.read_text())["findings"]) == 3
+
+        (tmp_path / "src/repro/analysis/gone.py").unlink()
+        write(tmp_path, "src/repro/analysis/fixed.py",
+              "def f():\n    return 1\n")
+        assert main(["src", "--baseline",
+                     str(baseline), "--update-baseline"]) == 0
+        out = capsys.readouterr().out
+        assert "kept 1 entry" in out
+        assert "pruned 1 for missing files" in out
+        assert "1 no longer matching any finding" in out
+        payload = json.loads(baseline.read_text())
+        assert len(payload["findings"]) == 1
+        assert "kept.py" in payload["findings"][0]["path"]
+
+    def test_never_adds_new_debt(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "src/repro/analysis/old.py", BAD_EFFECTS)
+        baseline = tmp_path / "baseline.json"
+        assert main(["src", "--baseline",
+                     str(baseline), "--write-baseline"]) == 0
+        # A brand-new defect appears after the baseline was recorded.
+        write(tmp_path, "src/repro/analysis/new.py", BAD_EFFECTS)
+        assert main(["src", "--baseline",
+                     str(baseline), "--update-baseline"]) == 0
+        capsys.readouterr()
+        entries = json.loads(baseline.read_text())["findings"]
+        assert len(entries) == 1
+        assert "old.py" in entries[0]["path"]
+
+
+# ---------------------------------------------------------------------------
+# CLI: --changed-since degradation
+# ---------------------------------------------------------------------------
+class TestChangedSinceDegradation:
+    def _git(self, cwd: Path, *argv: str) -> None:
+        proc = subprocess.run(
+            ["git", *argv], cwd=cwd, capture_output=True, text=True,
+            env={
+                "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
+                "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t",
+                "HOME": str(cwd),
+            },
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_repo_without_commits_exits_two(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        write(tmp_path, "src/repro/analysis/mod.py", "def f():\n    return 1\n")
+        self._git(tmp_path, "init", "-q")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["src", "--no-baseline", "--changed-since", "HEAD"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--changed-since" in err
+        assert "at least one commit" in err
+
+    def test_invalid_ref_exits_two(self, tmp_path, monkeypatch, capsys):
+        write(tmp_path, "src/repro/analysis/mod.py", "def f():\n    return 1\n")
+        self._git(tmp_path, "init", "-q")
+        self._git(tmp_path, "add", ".")
+        self._git(tmp_path, "commit", "-q", "-m", "seed")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["src", "--no-baseline",
+                  "--changed-since", "no-such-ref"])
+        assert excinfo.value.code == 2
+        assert "no-such-ref" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # the real tree
 # ---------------------------------------------------------------------------
@@ -689,24 +792,21 @@ def test_repo_tree_is_lint_clean(repo_lint):
 
 def test_lint_corpus_findings_pinned(corpus_lint):
     """productbench's ``lint_corpus`` workload lints this archive: a
-    change that moves any finding, fix or suppression there fails here
+    change that moves any finding or suppression there fails here
     instead of showing only as a benchmark note.  The frozen corpus
     still carries two ``disable=RPL301`` comments for a retired rule,
     so it has 4 RPL000 findings by design."""
     root, result = corpus_lint
 
     def render(finding):
-        fix = None if finding.fix is None else [finding.fix.description, [
-            [e.start_line, e.start_col, e.end_line, e.end_col, e.replacement]
-            for e in finding.fix.edits]]
         return [finding.rule, Path(finding.path).relative_to(root).as_posix(),
-                finding.line, finding.col, finding.message, fix]
+                finding.line, finding.col, finding.message]
 
     payload = json.dumps({"new": [render(f) for f in result.new],
                           "suppressed": [render(f) for f in result.suppressed]})
     assert (len(result.new), len(result.suppressed)) == (4, 1)
     assert hashlib.sha256(payload.encode()).hexdigest() == (
-        "6fe5de89023da34c3fc887abc17d7d4af3b4979413e25067cef061a9f9373b08"
+        "31e84ae8cff8baad76ff6da033e6b3c44c5a36a0bbca046d1cf8241cd1beea3e"
     )
 
 
