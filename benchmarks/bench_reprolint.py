@@ -10,10 +10,11 @@ The dataflow and effects analyses run every function to a fixpoint
 against call-graph summaries, so the times of ``src`` and the tree grow
 with the repo, while the corpus is the same input for every change.
 Each target's fastest run is also split into phases: parsing, building
-the ``DataflowProject`` and the ``EffectsProject``, and the per-file
-passes (``check_file``, ``analyze_module`` and the effect rules), each
-timed by wrapping those functions from outside, as productbench's
-tracer times layers; the rest is reading files, suppressions and
+the ``DataflowProject`` (which holds the one call graph), the effect
+summaries over it (``effect_summaries``), and the per-file passes
+(``check_file``, ``analyze_module`` and the effect rules), each timed
+by wrapping those functions from outside, as productbench's tracer
+times layers; the rest is reading files, suppressions and
 fingerprints.
 The corpus archive is checked against its sha256 in
 ``productbench/pins.json`` and unpacked into a temporary directory.
@@ -52,7 +53,7 @@ PINS_PATH = REPO_ROOT / "productbench" / "pins.json"
 PHASES = {
     "parse": [("ast", "parse")],
     "dataflow_project": [("repro.devtools.dataflow", "DataflowProject")],
-    "effects_project": [("repro.devtools.effects", "EffectsProject")],
+    "effect_summaries": [("repro.devtools.effect_rules", "effect_summaries")],
     "file_passes": [("repro.devtools.lint", "check_file"),
                     ("repro.devtools.dataflow", "analyze_module"),
                     ("repro.devtools.effect_rules", "check_module")],

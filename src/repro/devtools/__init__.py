@@ -12,10 +12,10 @@ complement.
   CFGs (:mod:`~repro.devtools.cfg`) analyzed to fixpoint over a product
   fact lattice (:mod:`~repro.devtools.lattice`) for RPL002
   immutability, the RPL101–104 unit/dtype/order rules and
-  interprocedural RPL001 via call-graph summaries.
-* :mod:`repro.devtools.effects` / :mod:`~repro.devtools.effect_rules` —
-  effect summaries and the RPL201–213 concurrency & resource-safety
-  rules.
+  interprocedural RPL001 via call-graph summaries; its project holds
+  the run's one call graph.
+* :mod:`repro.devtools.effect_rules` — effect summaries over that call
+  graph and the RPL201–213 concurrency & resource-safety rules.
 * :mod:`repro.devtools.sarif` — SARIF 2.1.0 reporter for code-scanning
   upload (``--format sarif``).
 * :mod:`repro.devtools.sanitize` — runtime sanitizer that asserts

@@ -48,6 +48,14 @@ deterministic-package call into an unvetted helper that reads the wall
 clock — or passes a frozen column view to a function that writes
 through its parameter — is flagged at the call site.  RPL002 covers
 ``repro/``, ``tests/`` and ``benchmarks/``; the other rules ``repro/``.
+
+The project is also the one call graph of a lint run.  It holds every
+module-level def and every method of a top-level class, the classes
+with their attribute type sets (``self.store = DiskStore()`` in one
+branch and ``MemoryStore()`` in another), and
+:meth:`DataflowProject.resolve_call`, the only call resolver: the
+RPL001/RPL002 summaries and the RPL201/RPL212 effect summaries of
+:mod:`repro.devtools.effect_rules` both resolve calls through it.
 """
 
 from __future__ import annotations
@@ -345,6 +353,43 @@ class FunctionSummary:
         return parts[1] if len(parts) > 1 and parts[0] == "repro" else ""
 
 
+@dataclasses.dataclass
+class FunctionEffects:
+    """One def of the call graph, with the effect summary that
+    :func:`repro.devtools.effect_rules.effect_summaries` fills in."""
+
+    key: str                  # "module.func" or "module.Class.func"
+    module: str
+    qualname: str             # "func" or "Class.func"
+    node: ast.AST             # FunctionDef | AsyncFunctionDef
+    is_async: bool
+    class_key: Optional[str] = None
+    #: can calling this (synchronously) block the thread?
+    blocking: bool = False
+    #: human reason for direct blocking ("open() performs ...").
+    blocking_reason: str = ""
+    #: callee key the blocking effect arrived through (chain rendering).
+    blocking_via: Optional[str] = None
+    #: does a return value carry an open OS resource?
+    returns_resource: bool = False
+    #: resolved callee keys of the function's own calls.
+    callees: Set[str] = dataclasses.field(default_factory=set)
+
+
+@dataclasses.dataclass
+class ClassInfo:
+    """What the analysis knows about one class definition."""
+
+    key: str                  # "module.Class"
+    module: str
+    name: str
+    bases: List[str] = dataclasses.field(default_factory=list)
+    methods: Dict[str, str] = dataclasses.field(default_factory=dict)
+    #: attribute -> set of class keys it may hold (union over branches,
+    #: e.g. the router's DeadLetterStore | MemoryDeadLetterStore).
+    attr_types: Dict[str, Set[str]] = dataclasses.field(default_factory=dict)
+
+
 def written_array(node: ast.AST) -> Optional[Tuple[ast.expr, str]]:
     """The array that ``node`` writes through in place, with the RPL002
     message for the write (``{}`` stands for the array's origin); None
@@ -398,21 +443,29 @@ def _collect_mutated_params(fn: ast.FunctionDef,
 
 class DataflowProject(Project):
     """Cross-file context on top of :class:`Project`: module contexts,
-    call graph and summaries."""
+    the call graph, its classes and the dataflow summaries."""
 
     def __init__(self, trees: Dict[Path, ast.Module]):
         super().__init__(trees)
         self.trees = trees
         self.contexts: Dict[str, ModuleContext] = {}
+        #: summaries of the module-level sync defs.
         self.summaries: Dict[str, FunctionSummary] = {}
-        #: per-module resolution map: local name -> summary key.
-        self.resolution: Dict[str, Dict[str, str]] = {}
+        #: every module-level def and every method of a top-level class.
+        self.functions: Dict[str, FunctionEffects] = {}
+        self.classes: Dict[str, ClassInfo] = {}
+        #: bare class name -> defining keys (fallback when an import
+        #: goes through a package facade rather than the source module).
+        self._class_by_name: Dict[str, List[str]] = {}
+        #: (module, qualname, lineno) of every async def the effect
+        #: rules visited: no coroutine may be skipped silently.
+        self.analyzed_async: Set[Tuple[str, str, int]] = set()
+        self._local_types_of: Dict[int, Dict[str, str]] = {}
         for path, tree in trees.items():
             module = module_name(path)
             self.contexts[module] = ModuleContext(module, tree, self.index)
-            for node in tree.body:
-                if isinstance(node, ast.FunctionDef):
-                    self._add_summary(module, node)
+            self._collect(module, tree)
+        self._infer_attr_types()
         self._resolve_calls()
         self._seed_nondeterminism()
         self._compute_module_envs()
@@ -420,6 +473,40 @@ class DataflowProject(Project):
         self._propagate_nondeterminism()
 
     # -- construction ---------------------------------------------------
+    def _collect(self, module: str, tree: ast.Module) -> None:
+        """The module's defs, a summary for each sync one, and its
+        classes with their methods."""
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._add_function(module, node.name, node, None)
+                if isinstance(node, ast.FunctionDef):
+                    self._add_summary(module, node)
+            elif isinstance(node, ast.ClassDef):
+                info = ClassInfo(key=f"{module}.{node.name}", module=module,
+                                 name=node.name)
+                for base in node.bases:
+                    if isinstance(base, ast.Name):
+                        info.bases.append(base.id)
+                self.classes[info.key] = info
+                self._class_by_name.setdefault(node.name, []).append(info.key)
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                        info.methods[item.name] = self._add_function(
+                            module, f"{node.name}.{item.name}", item,
+                            info.key,
+                        )
+
+    def _add_function(self, module: str, qualname: str, node: ast.AST,
+                      class_key: Optional[str]) -> str:
+        key = f"{module}.{qualname}"
+        self.functions[key] = FunctionEffects(
+            key=key, module=module, qualname=qualname, node=node,
+            is_async=isinstance(node, ast.AsyncFunctionDef),
+            class_key=class_key,
+        )
+        return key
+
     def _add_summary(self, module: str, node: ast.FunctionDef) -> None:
         key = f"{module}.{node.name}"
         declared = (
@@ -438,16 +525,6 @@ class DataflowProject(Project):
         )
 
     def _resolve_calls(self) -> None:
-        for module, ctx in self.contexts.items():
-            table: Dict[str, str] = {}
-            for key, summary in self.summaries.items():
-                if summary.module == module:
-                    table[summary.name] = key
-            for bound, (source, original) in ctx.from_imports.items():
-                key = f"{source}.{original}"
-                if key in self.summaries:
-                    table[bound] = key
-            self.resolution[module] = table
         for summary in self.summaries.values():
             for node in self.index.subtree(summary.node):
                 if isinstance(node, ast.Call):
@@ -542,23 +619,198 @@ class DataflowProject(Project):
                         changed = True
                         break
 
-    # -- lookups --------------------------------------------------------
+    # -- classes ----------------------------------------------------------
+    def resolve_class(self, module: str, name: str) -> Optional[str]:
+        """Class key for ``name`` as written in ``module``."""
+        ctx = self.contexts.get(module)
+        if ctx is not None:
+            imported = ctx.from_imports.get(name)
+            if imported is not None:
+                direct = f"{imported[0]}.{imported[1]}"
+                if direct in self.classes:
+                    return direct
+                name = imported[1]  # facade import: fall through by name
+        local = f"{module}.{name}"
+        if local in self.classes:
+            return local
+        keys = self._class_by_name.get(name, [])
+        return keys[0] if len(keys) == 1 else None
+
+    def method_key(self, class_key: str, method: str,
+                   _seen: Optional[Set[str]] = None) -> Optional[str]:
+        """Function key of ``method`` on ``class_key``, walking bases."""
+        seen = _seen if _seen is not None else set()
+        if class_key in seen:
+            return None
+        seen.add(class_key)
+        info = self.classes.get(class_key)
+        if info is None:
+            return None
+        if method in info.methods:
+            return info.methods[method]
+        for base in info.bases:
+            base_key = self.resolve_class(info.module, base)
+            if base_key is not None:
+                found = self.method_key(base_key, method, seen)
+                if found is not None:
+                    return found
+        return None
+
+    def _infer_attr_types(self) -> None:
+        """``self.attr = ClassName(...)`` (any method, any branch) and
+        annotated assigns feed ``ClassInfo.attr_types`` as a type set."""
+        for info in self.classes.values():
+            for method_key in info.methods.values():
+                fn = self.functions[method_key].node
+                param_types: Dict[str, str] = {}
+                args = getattr(fn, "args", None)
+                if args is not None:
+                    for arg in list(args.posonlyargs) + list(args.args) \
+                            + list(args.kwonlyargs):
+                        ann = arg.annotation
+                        name: Optional[str] = None
+                        if isinstance(ann, ast.Name):
+                            name = ann.id
+                        elif isinstance(ann, ast.Constant) \
+                                and isinstance(ann.value, str):
+                            name = ann.value.split(".")[-1]
+                        if name is not None:
+                            key = self.resolve_class(info.module, name)
+                            if key is not None:
+                                param_types[arg.arg] = key
+                for node in self.index.subtree(fn):
+                    targets: List[ast.expr] = []
+                    value: Optional[ast.expr] = None
+                    if isinstance(node, ast.Assign):
+                        targets, value = node.targets, node.value
+                    elif isinstance(node, ast.AnnAssign) and node.value:
+                        targets, value = [node.target], node.value
+                    for target in targets:
+                        if not (isinstance(target, ast.Attribute)
+                                and isinstance(target.value, ast.Name)
+                                and target.value.id == "self"):
+                            continue
+                        key = self._class_of_expr(info.module, value)
+                        if key is None and isinstance(value, ast.Name):
+                            key = param_types.get(value.id)
+                        if key is not None:
+                            info.attr_types.setdefault(
+                                target.attr, set()
+                            ).add(key)
+
+    def _class_of_expr(self, module: str,
+                       expr: Optional[ast.expr]) -> Optional[str]:
+        """Class key of a constructor call expression, else None."""
+        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
+            return self.resolve_class(module, expr.func.id)
+        return None
+
+    def local_types(self, module: str, fn: ast.AST) -> Dict[str, str]:
+        """``x = ClassName(...)`` local variable typing (plus ``with
+        Ctor() as x``) of ``fn``, best effort, computed once per def."""
+        out = self._local_types_of.get(id(fn))
+        if out is not None:
+            return out
+        out = self._local_types_of[id(fn)] = {}
+        for node in self.index.own(fn):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name):
+                key = self._class_of_expr(module, node.value)
+                if key is not None:
+                    out[node.targets[0].id] = key
+            elif isinstance(node, (ast.With, ast.AsyncWith)):
+                for item in node.items:
+                    if isinstance(item.optional_vars, ast.Name):
+                        key = self._class_of_expr(module, item.context_expr)
+                        if key is not None:
+                            out[item.optional_vars.id] = key
+        return out
+
+    # -- call resolution ------------------------------------------------
+    def resolve_call(
+        self,
+        module: str,
+        func: ast.expr,
+        class_key: Optional[str] = None,
+        local_types: Optional[Dict[str, str]] = None,
+    ) -> List[str]:
+        """Candidate function keys for a call's func expression in
+        ``module``; ``class_key`` and ``local_types`` type ``self`` and
+        locals where the caller knows them.
+
+        Returns every key the call may dispatch to (a type-set
+        attribute like the router's dead-letter store yields one key
+        per member class); empty when unresolvable.
+        """
+        ctx = self.contexts.get(module)
+        if ctx is None:
+            return []
+        if isinstance(func, ast.Name):
+            name = func.id
+            imported = ctx.from_imports.get(name)
+            if imported is not None:
+                target = f"{imported[0]}.{imported[1]}"
+                if target in self.functions:
+                    return [target]
+            local = f"{module}.{name}"
+            if local in self.functions:
+                return [local]
+            cls = self.resolve_class(module, name)
+            if cls is not None:  # constructor call
+                init = self.method_key(cls, "__init__")
+                return [init] if init is not None else []
+            return []
+        if not isinstance(func, ast.Attribute):
+            return []
+        if isinstance(func.value, ast.Name):
+            base = func.value.id
+            if base == "self" and class_key is not None:
+                found = self.method_key(class_key, func.attr)
+                return [found] if found is not None else []
+            if local_types and base in local_types:
+                found = self.method_key(local_types[base], func.attr)
+                return [found] if found is not None else []
+            # m.f(): ``import pkg.m as m`` first, then ``from pkg import m``.
+            imported = ctx.from_imports.get(base)
+            target_module = ctx.module_aliases.get(base)
+            if target_module is None and imported is not None:
+                target_module = f"{imported[0]}.{imported[1]}"
+            if target_module is not None:
+                target = f"{target_module}.{func.attr}"
+                if target in self.functions:
+                    return [target]
+            if imported is not None:  # Cls.f() on an imported class
+                cls = self.resolve_class(module, base)
+                if cls is not None:
+                    found = self.method_key(cls, func.attr)
+                    return [found] if found is not None else []
+            return []
+        # self.attr.method(...) through the inferred attribute type set
+        if isinstance(func.value, ast.Attribute) \
+                and isinstance(func.value.value, ast.Name) \
+                and func.value.value.id == "self" and class_key is not None:
+            info = self.classes.get(class_key)
+            if info is None:
+                return []
+            out: List[str] = []
+            for cls in sorted(info.attr_types.get(func.value.attr, ())):
+                found = self.method_key(cls, func.attr)
+                if found is not None:
+                    out.append(found)
+            return out
+        return []
+
     def summary_for_call(self, module: str,
                          func: ast.AST) -> Optional[FunctionSummary]:
-        table = self.resolution.get(module, {})
-        ctx = self.contexts.get(module)
+        """The dataflow summary of the first key :meth:`resolve_call`
+        gives that has one, then, for a bare name, its local def's: a
+        from-imported def without one (a coroutine) must not hide it."""
+        keys = self.resolve_call(module, func)
         if isinstance(func, ast.Name):
-            key = table.get(func.id)
-            return self.summaries.get(key) if key else None
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
-                and ctx is not None:
-            target_module = ctx.module_aliases.get(func.value.id)
-            if target_module is None:
-                imported = ctx.from_imports.get(func.value.id)
-                if imported:
-                    target_module = f"{imported[0]}.{imported[1]}"
-            if target_module:
-                return self.summaries.get(f"{target_module}.{func.attr}")
+            keys.append(f"{module}.{func.id}")
+        for key in keys:
+            if key in self.summaries:
+                return self.summaries[key]
         return None
 
 

@@ -1,12 +1,29 @@
-"""RPL201–RPL213: the concurrency & resource-safety rule checkers.
+"""RPL201–RPL213: the concurrency & resource-safety rules.
 
-Six rules over the :class:`~repro.devtools.effects.EffectsProject`
-summaries, scoped to the ``repro`` package (fixtures exercise them via
-synthetic ``src/repro/...`` trees, same as the dataflow rules):
+:func:`effect_summaries` runs once per lint run, on the
+:class:`~repro.devtools.dataflow.DataflowProject` whose call graph the
+dataflow summaries also use, and fills in each function's effects:
+
+* **blocking** — can calling the function block the thread (file I/O,
+  ``time.sleep``, subprocess, unbounded JSON decode)?  Propagated
+  caller-ward through a callee fixpoint, so an async handler that calls
+  a sync helper three frames above ``open()`` is still caught at the
+  handler.  Blocking never propagates *through* an async callee:
+  awaiting a coroutine that itself blocks is reported once, inside that
+  coroutine, where the fix belongs.
+* **resource-return** — does a function hand its caller an open OS
+  resource it must manage?
+
+Six rules read them, scoped to the ``repro`` package (fixtures exercise
+them via synthetic ``src/repro/...`` trees, same as the dataflow rules):
 
 * **RPL201** — blocking calls inside ``async def``; direct (classifier
   tables) and interprocedural (blocking summaries), with the executor
   allowlist carving out ``run_in_executor`` / ``to_thread`` arguments.
+  Every ``async def`` it visits is recorded in
+  :attr:`~repro.devtools.dataflow.DataflowProject.analyzed_async`; a
+  property test asserts the set covers every coroutine in
+  ``repro.serve``.
 * **RPL202** — shared mutable state (``self.*`` chains, declared
   globals) read before an ``await`` and written after it: a per-location
   {clean, read, read-then-await} lattice run to fixpoint over the
@@ -43,15 +60,53 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.devtools.cfg import build_cfg
-from repro.devtools.effects import (
-    EffectsProject,
-    blocking_call_reason,
-    executor_exempt_nodes,
-    is_executor_handoff,
-    _dotted,
-    _qual_prefix,
-)
+from repro.devtools.dataflow import DataflowProject, ModuleContext
 from repro.devtools.rules import Finding, module_name, module_parts
+
+#: ``module -> {function}`` calls that can block the calling thread.
+#: Scoped to the call surface this codebase actually uses plus the
+#: classic offenders; ``json.dumps`` is deliberately absent (response
+#: encoding is bounded by what the process already holds in memory,
+#: while ``json.loads`` on a request body is attacker-sized).
+BLOCKING_MODULE_CALLS: Dict[str, frozenset] = {
+    "time": frozenset({"sleep"}),
+    "subprocess": frozenset(
+        {"run", "call", "check_call", "check_output", "Popen"}
+    ),
+    "os": frozenset(
+        {"replace", "rename", "unlink", "remove", "makedirs", "listdir",
+         "scandir", "stat", "fsync", "system", "popen"}
+    ),
+    "shutil": frozenset({"copy", "copy2", "copyfile", "copytree", "rmtree",
+                         "move"}),
+    "json": frozenset({"load", "loads"}),
+    "pickle": frozenset({"load", "loads", "dump", "dumps"}),
+    "tempfile": frozenset({"mkstemp", "mkdtemp", "NamedTemporaryFile",
+                           "TemporaryDirectory"}),
+    "urllib.request": frozenset({"urlopen"}),
+    "socket": frozenset({"create_connection", "getaddrinfo"}),
+    "gzip": frozenset({"open"}),
+    "bz2": frozenset({"open"}),
+    "lzma": frozenset({"open"}),
+    "mmap": frozenset({"mmap"}),
+}
+
+#: Builtin calls that block (console input, file open).
+BLOCKING_BUILTINS = frozenset({"open", "input"})
+
+#: Attribute-call names that mean file I/O on any receiver we cannot
+#: type (``Path`` methods dominate; the names are distinctive enough
+#: that untyped receivers do not false-positive in this codebase).
+PATH_BLOCKING_METHODS = frozenset(
+    {"read_text", "read_bytes", "write_text", "write_bytes", "mkdir",
+     "rmdir", "touch", "glob", "rglob", "iterdir", "hardlink_to",
+     "symlink_to"}
+)
+
+#: Attribute-call names treated as executor handoffs: every call inside
+#: their argument list runs off the event loop and is exempt from
+#: RPL201 (the allowlist for executor-wrapped calls).
+EXECUTOR_METHODS = frozenset({"run_in_executor", "to_thread"})
 
 #: Packages whose durable files must be written atomically (RPL213).
 ATOMIC_WRITE_PACKAGES = frozenset({"core", "serve", "engine", "robustness"})
@@ -89,12 +144,155 @@ def _flag(findings: List[Finding], rule: str, path: str, node: ast.AST,
     )
 
 
+def _dotted(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` attribute chains rooted at a Name, else None."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def _qual_prefix(ctx: ModuleContext, func: ast.expr) -> Optional[Tuple[str, str]]:
+    """Resolve a call's func expression to ``(module, name)`` through
+    the import context, e.g. ``t.sleep`` with ``import time as t`` ->
+    ``("time", "sleep")`` and a bare ``sleep`` with ``from time import
+    sleep`` -> the same."""
+    if isinstance(func, ast.Name):
+        return ctx.from_imports.get(func.id)
+    if isinstance(func, ast.Attribute):
+        dotted = _dotted(func)
+        if dotted is None:
+            return None
+        head, _, rest = dotted.partition(".")
+        target = ctx.module_aliases.get(head)
+        if target is None:
+            imported = ctx.from_imports.get(head)
+            if imported is not None:
+                target = f"{imported[0]}.{imported[1]}"
+        if target is None:
+            return None
+        full = f"{target}.{rest}" if rest else target
+        module, _, name = full.rpartition(".")
+        return (module, name) if module else None
+    return None
+
+
+# ---------------------------------------------------------------------------
+# effect summaries
+# ---------------------------------------------------------------------------
+def blocking_call_reason(ctx: ModuleContext, call: ast.Call) -> Optional[str]:
+    """Why ``call`` blocks the calling thread, or None.
+
+    Purely syntactic classification (module tables + builtins + the
+    distinctive ``Path`` method names); interprocedural blocking goes
+    through the functions' blocking summaries instead.
+    """
+    func = call.func
+    if isinstance(func, ast.Name) and func.id in BLOCKING_BUILTINS \
+            and func.id not in ctx.from_imports:
+        return f"{func.id}() performs blocking I/O"
+    resolved = _qual_prefix(ctx, func)
+    if resolved is not None:
+        module, name = resolved
+        names = BLOCKING_MODULE_CALLS.get(module)
+        if names is not None and name in names:
+            return f"{module}.{name}() blocks the calling thread"
+        if module == "requests":
+            return "requests performs synchronous network I/O"
+    if isinstance(func, ast.Attribute) and func.attr in PATH_BLOCKING_METHODS:
+        receiver = _dotted(func.value) or "<expr>"
+        return f"{receiver}.{func.attr}() performs file I/O"
+    if isinstance(func, ast.Attribute) and func.attr == "open" \
+            and _qual_prefix(ctx, func) is None:
+        receiver = _dotted(func.value) or "<expr>"
+        return f"{receiver}.open() performs file I/O"
+    return None
+
+
+def effect_summaries(project: DataflowProject) -> None:
+    """Fill in every function's effects: one pass over each function's
+    own calls seeds the blocking effect from the first blocking call it
+    meets and collects the keys every call resolves to; then blocking
+    flows caller-ward to a fixpoint through sync functions only; then
+    the resource returns are marked.  Runs once, before any rule."""
+    for effects in project.functions.values():
+        ctx = project.contexts[effects.module]
+        local_types = project.local_types(effects.module, effects.node)
+        for node in project.index.own(effects.node):
+            if not isinstance(node, ast.Call):
+                continue
+            if not effects.blocking:
+                reason = blocking_call_reason(ctx, node)
+                if reason is not None:
+                    effects.blocking = True
+                    effects.blocking_reason = reason
+            for key in project.resolve_call(
+                effects.module, node.func, effects.class_key, local_types,
+            ):
+                if key != effects.key:
+                    effects.callees.add(key)
+    callers: Dict[str, Set[str]] = {}
+    for effects in project.functions.values():
+        for callee in effects.callees:
+            callers.setdefault(callee, set()).add(effects.key)
+    worklist = [e.key for e in project.functions.values() if e.blocking]
+    while worklist:
+        key = worklist.pop()
+        if project.functions[key].is_async:
+            continue  # never propagate through a coroutine
+        for caller_key in sorted(callers.get(key, ())):
+            caller = project.functions[caller_key]
+            if not caller.blocking:
+                caller.blocking = True
+                caller.blocking_via = key
+                worklist.append(caller_key)
+    seed_resource_returns(project)
+
+
+def describe_blocking(project: DataflowProject, key: str) -> str:
+    """``a -> b -> c: open() performs ...`` for messages: the chain of
+    at most six functions from ``key`` down to the direct blocking
+    call."""
+    chain = [key]
+    while len(chain) < 6:
+        via = project.functions[chain[-1]].blocking_via
+        if via is None or via in chain:
+            break
+        chain.append(via)
+    names = [project.functions[k].qualname for k in chain]
+    reason = project.functions[chain[-1]].blocking_reason or "blocks"
+    return " -> ".join(names) + f": {reason}"
+
+
 # ---------------------------------------------------------------------------
 # RPL201 — blocking calls on the event loop
 # ---------------------------------------------------------------------------
+def is_executor_handoff(call: ast.Call) -> bool:
+    """``loop.run_in_executor(...)`` / ``asyncio.to_thread(...)``."""
+    return (isinstance(call.func, ast.Attribute)
+            and call.func.attr in EXECUTOR_METHODS)
+
+
+def executor_exempt_nodes(fn: ast.AST, project: DataflowProject) -> Set[int]:
+    """ids of every AST node that executes off the event loop: the
+    argument subtrees of executor handoffs (callables, their bound
+    arguments, and lambda bodies shipped to a worker thread)."""
+    exempt: Set[int] = set()
+    for node in project.index.subtree(fn):
+        if isinstance(node, ast.Call) and is_executor_handoff(node):
+            for arg in list(node.args) + [kw.value for kw in node.keywords]:
+                for sub in ast.walk(arg):
+                    exempt.add(id(sub))
+    return exempt
+
+
 def check_async_blocking(
     fn: ast.AsyncFunctionDef, module: str, class_key: Optional[str],
-    project: EffectsProject, path: str, findings: List[Finding],
+    project: DataflowProject, path: str, findings: List[Finding],
 ) -> None:
     ctx = project.contexts[module]
     exempt = executor_exempt_nodes(fn, project)
@@ -120,7 +318,7 @@ def check_async_blocking(
                 _flag(
                     findings, "RPL201", path, node,
                     "call blocks the event loop through "
-                    f"{project.describe_blocking(key)}; wrap the call in "
+                    f"{describe_blocking(project, key)}; wrap the call in "
                     "loop.run_in_executor()/asyncio.to_thread()",
                 )
                 break
@@ -315,7 +513,7 @@ def _is_task_spawn(ctx, call: ast.Call) -> bool:
 
 
 def check_fire_and_forget(
-    fn: ast.AST, module: str, project: EffectsProject, path: str,
+    fn: ast.AST, module: str, project: DataflowProject, path: str,
     findings: List[Finding],
 ) -> None:
     ctx = project.contexts[module]
@@ -376,14 +574,14 @@ def _mutable_module_globals(tree: ast.Module) -> Set[str]:
     return mutable
 
 
-def _globals_assigned_by(fn: ast.AST, project: EffectsProject) -> Set[str]:
+def _globals_assigned_by(fn: ast.AST, project: DataflowProject) -> Set[str]:
     return {
         name for node in project.index.subtree(fn)
         if isinstance(node, ast.Global) for name in node.names
     }
 
 
-def _free_names(fn: ast.AST, project: EffectsProject) -> Set[str]:
+def _free_names(fn: ast.AST, project: DataflowProject) -> Set[str]:
     """Names a nested function loads but does not bind locally."""
     bound = {a.arg for a in list(fn.args.posonlyargs) + list(fn.args.args)
              + list(fn.args.kwonlyargs)}
@@ -429,7 +627,7 @@ def _work_fn_rng_reason(ctx, fn: ast.AST) -> Optional[str]:
 
 
 def check_pool_captures(
-    fn: ast.AST, module: str, tree: ast.Module, project: EffectsProject,
+    fn: ast.AST, module: str, tree: ast.Module, project: DataflowProject,
     path: str, findings: List[Finding],
 ) -> None:
     ctx = project.contexts[module]
@@ -555,7 +753,7 @@ def check_pool_captures(
 # RPL212 — resource lifetime & buffer escape
 # ---------------------------------------------------------------------------
 def _resource_call_reason(ctx, call: ast.Call,
-                          project: EffectsProject, module: str,
+                          project: DataflowProject, module: str,
                           class_key: Optional[str]) -> Optional[str]:
     func = call.func
     if isinstance(func, ast.Name) and func.id == "open" \
@@ -624,11 +822,11 @@ def _name_is_returned(own: List[ast.AST], name: str) -> bool:
     return False
 
 
-def seed_resource_returns(project: EffectsProject) -> None:
-    """Mark every summary whose function hands back an open resource
-    (directly returned, or bound to a name that is returned without a
-    local close).  Runs at project-build time so callers see callee
-    summaries regardless of file order."""
+def seed_resource_returns(project: DataflowProject) -> None:
+    """Mark every function that hands back an open resource (directly
+    returned, or bound to a name that is returned without a local
+    close).  :func:`effect_summaries` runs it before any rule, so
+    callers see callee summaries regardless of file order."""
     for effects in project.functions.values():
         ctx = project.contexts[effects.module]
         own = project.index.own(effects.node)
@@ -651,8 +849,7 @@ def seed_resource_returns(project: EffectsProject) -> None:
 
 def check_resource_lifetime(
     fn: ast.AST, module: str, class_key: Optional[str],
-    project: EffectsProject, path: str, findings: List[Finding],
-    summary_key: Optional[str] = None,
+    project: DataflowProject, path: str, findings: List[Finding],
 ) -> None:
     ctx = project.contexts[module]
     local_types = project.local_types(module, fn)
@@ -691,9 +888,7 @@ def check_resource_lifetime(
                 if _name_has_close(own, target.id):
                     continue
                 if _name_is_returned(own, target.id):
-                    if summary_key is not None:
-                        project.functions[summary_key].returns_resource = True
-                    continue
+                    continue  # effect_summaries marked returns_resource
                 _flag(
                     findings, "RPL212", path, node,
                     f"{reason} result bound to '{target.id}' is never "
@@ -719,10 +914,6 @@ def check_resource_lifetime(
                 "no reference survives to close it — open under a `with` "
                 "and pass the handle",
             )
-            continue
-        if isinstance(parent, ast.Return):
-            if summary_key is not None:
-                project.functions[summary_key].returns_resource = True
             continue
         if isinstance(parent, ast.Expr):
             _flag(
@@ -825,7 +1016,7 @@ def _mentions_temp(node: ast.AST) -> bool:
 
 
 def check_atomic_writes(
-    fn: ast.AST, module: str, project: EffectsProject, path: str,
+    fn: ast.AST, module: str, project: DataflowProject, path: str,
     findings: List[Finding],
 ) -> None:
     ctx = project.contexts[module]
@@ -880,7 +1071,7 @@ def _iter_functions(
 
 
 def check_module(path: Path, tree: ast.Module,
-                 project: EffectsProject) -> List[Finding]:
+                 project: DataflowProject) -> List[Finding]:
     parts = module_parts(path)
     if not parts or parts[0] != "repro":
         return []
@@ -891,8 +1082,6 @@ def check_module(path: Path, tree: ast.Module,
     functions: List[Tuple[ast.AST, Optional[str], str]] = []
     _iter_functions(tree.body, module, None, "", functions)
     for fn, class_key, qualname in functions:
-        summary_key = f"{module}.{qualname}" \
-            if f"{module}.{qualname}" in project.functions else None
         if isinstance(fn, ast.AsyncFunctionDef):
             project.analyzed_async.add((module, qualname, fn.lineno))
             check_async_blocking(fn, module, class_key, project, rel,
@@ -901,8 +1090,7 @@ def check_module(path: Path, tree: ast.Module,
                                  rel).run(findings)
         check_fire_and_forget(fn, module, project, rel, findings)
         check_pool_captures(fn, module, tree, project, rel, findings)
-        check_resource_lifetime(fn, module, class_key, project, rel,
-                                findings, summary_key)
+        check_resource_lifetime(fn, module, class_key, project, rel, findings)
         if package in ATOMIC_WRITE_PACKAGES:
             check_atomic_writes(fn, module, project, rel, findings)
     return findings
@@ -910,10 +1098,13 @@ def check_module(path: Path, tree: ast.Module,
 
 __all__ = [
     "ATOMIC_WRITE_PACKAGES",
+    "blocking_call_reason",
     "check_async_blocking",
     "check_atomic_writes",
     "check_fire_and_forget",
     "check_module",
     "check_pool_captures",
     "check_resource_lifetime",
+    "describe_blocking",
+    "effect_summaries",
 ]

@@ -108,11 +108,13 @@ def _parse_suppressions(source: str, path: str) -> Tuple[List[Suppression],
     except tokenize.TokenizeError:  # pragma: no cover - file already parsed
         return [], []
     for token in comments:
+        line, col = token.start
+        col = len(token.line[:col].encode("utf-8"))  # bytes, as ``ast``
         match = _SUPPRESS_RE.search(token.string)
         if match is None:
             if "reprolint:" in token.string:
                 findings.append(
-                    Finding("RPL000", path, token.start[0], token.start[1],
+                    Finding("RPL000", path, line, col,
                             f"malformed reprolint comment {token.string.strip()!r}")
                 )
             continue
@@ -122,21 +124,21 @@ def _parse_suppressions(source: str, path: str) -> Tuple[List[Suppression],
         unknown = [code for code in codes if code not in RULES]
         if unknown:
             findings.append(
-                Finding("RPL000", path, token.start[0], token.start[1],
+                Finding("RPL000", path, line, col,
                         f"suppression names unknown rule(s) {unknown}")
             )
         justified = bool(_JUSTIFY_RE.match(match.group("tail")))
         if not justified:
             findings.append(
                 Finding(
-                    "RPL000", path, token.start[0], token.start[1],
+                    "RPL000", path, line, col,
                     "suppression is missing its justification — write "
                     "'# reprolint: disable=RPLxxx -- <why this is safe>'",
                 )
             )
         suppressions.append(
             Suppression(
-                line=token.start[0],
+                line=line,
                 codes=codes,
                 file_level=match.group(1) == "disable-file",
                 justified=justified,
@@ -272,6 +274,7 @@ class LintResult:
     baselined: List[Finding]
     suppressed: List[Finding]
     new_fingerprints: List[str]
+    sources: Dict[str, List[str]]  # lines split at "\n", as ``ast`` numbers
 
     @property
     def exit_code(self) -> int:
@@ -319,7 +322,7 @@ def run_lint(paths: Sequence[str],
     # the usage-error paths need.
     from repro.devtools.dataflow import DataflowProject, analyze_module
     from repro.devtools.effect_rules import check_module as check_effects
-    from repro.devtools.effects import EffectsProject
+    from repro.devtools.effect_rules import effect_summaries
 
     files = collect_files(paths)
     trees: Dict[Path, ast.Module] = {}
@@ -335,10 +338,10 @@ def run_lint(paths: Sequence[str],
         except (SyntaxError, ValueError) as exc:
             _usage_error(f"cannot parse {path}: {exc}")
         raw_sources[path] = text
-        sources[path.as_posix()] = text.splitlines()
+        sources[path.as_posix()] = text.split("\n")
 
     project = DataflowProject(trees)
-    effects_project = EffectsProject(project)
+    effect_summaries(project)
     all_findings: List[Finding] = []
     suppressed_all: List[Finding] = []
     for path in files:
@@ -349,7 +352,7 @@ def run_lint(paths: Sequence[str],
         tree = trees[path]
         raw_findings = check_file(path, tree, project)
         raw_findings += analyze_module(path, tree, project)
-        raw_findings += check_effects(path, tree, effects_project)
+        raw_findings += check_effects(path, tree, project)
         raw_findings.sort(key=lambda f: (f.line, f.col, f.rule, f.message))
         suppressions, meta = _parse_suppressions(raw_sources[path], rel)
         active, suppressed, unused = _apply_suppressions(
@@ -376,6 +379,7 @@ def run_lint(paths: Sequence[str],
         baselined=baselined,
         suppressed=suppressed_all,
         new_fingerprints=new_prints,
+        sources=sources,
     )
 
 
@@ -408,7 +412,8 @@ def _report_sarif(result: LintResult) -> str:
     from repro.devtools.sarif import render_sarif
 
     fingerprints = dict(zip(result.new, result.new_fingerprints))
-    return render_sarif(result.new, fingerprints).rstrip("\n")
+    return render_sarif(result.new, fingerprints,
+                        result.sources).rstrip("\n")
 
 
 def _report_text(result: LintResult) -> str:

@@ -54,7 +54,7 @@ RULES: Dict[str, str] = {
     "RPL103": "dtype width: no narrowing casts/accumulation over time-unit values",
     "RPL104": "shard determinism: sort set/dict/fs-listing iteration before ordered folds",
     # Concurrency & resource-safety rules over the effect summaries
-    # (repro.devtools.effects / effect_rules).
+    # (repro.devtools.effect_rules) of the dataflow project's call graph.
     "RPL201": "async blocking: no synchronous blocking calls on the event loop",
     "RPL202": "async sharing: no shared mutable state read-then-written across an await",
     "RPL203": "async tasks: create_task results must be retained or given a done-callback",
@@ -71,7 +71,7 @@ class Finding:
     rule: str
     path: str
     line: int
-    col: int
+    col: int              # 0-based, in UTF-8 bytes like ``ast``'s offsets
     message: str
 
     def render(self) -> str:

@@ -6,13 +6,15 @@ small, stable subset of the format that GitHub code scanning consumes
 is produced: tool driver metadata with one ``reportingDescriptor`` per
 rule, and one ``result`` per finding with a physical location and a
 content-stable ``partialFingerprints`` entry (the same fingerprint the
-baseline machinery uses, so dedup survives line drift).
+baseline machinery uses, so dedup survives line drift).  Columns count
+UTF-16 code units, as the log declares, where the finding's source line
+is given; ``ast`` counts UTF-8 bytes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.devtools.rules import Finding, RULES
 
@@ -35,7 +37,12 @@ def _rule_descriptor(rule_id: str, description: str) -> Dict:
     }
 
 
-def _result(finding: Finding, fingerprint: str) -> Dict:
+def _result(finding: Finding, fingerprint: str,
+            line: Optional[str]) -> Dict:
+    col = finding.col
+    if line is not None:  # UTF-8 byte offset -> UTF-16 code units
+        prefix = line.encode("utf-8")[:col].decode("utf-8", "replace")
+        col = len(prefix.encode("utf-16-le")) // 2
     return {
         "ruleId": finding.rule,
         "level": "error",
@@ -48,10 +55,9 @@ def _result(finding: Finding, fingerprint: str) -> Dict:
                         "uriBaseId": "SRCROOT",
                     },
                     "region": {
-                        # SARIF regions are 1-based; Finding.col is the
-                        # 0-based AST col_offset.
+                        # SARIF regions are 1-based, Finding's 0-based.
                         "startLine": max(1, finding.line),
-                        "startColumn": finding.col + 1,
+                        "startColumn": col + 1,
                     },
                 }
             }
@@ -63,12 +69,16 @@ def _result(finding: Finding, fingerprint: str) -> Dict:
 
 
 def to_sarif(findings: Iterable[Finding],
-             fingerprints: Dict[Finding, str]) -> Dict:
+             fingerprints: Dict[Finding, str],
+             sources: Optional[Dict[str, Sequence[str]]] = None) -> Dict:
     """Build the SARIF log dict for ``findings``.
 
     ``fingerprints`` maps each finding to its content-stable baseline
     fingerprint (see :mod:`repro.devtools.lint`); findings without an
-    entry get a positional fallback.
+    entry get a positional fallback.  ``sources`` maps a finding's path
+    to its source lines (``LintResult.sources``), through which its
+    column, a UTF-8 byte offset, becomes UTF-16 code units; a finding
+    whose line is not there (a synthetic one) keeps its column.
     """
     results: List[Dict] = []
     for finding in findings:
@@ -76,7 +86,10 @@ def to_sarif(findings: Iterable[Finding],
             finding,
             f"{finding.rule}:{finding.path}:{finding.line}:{finding.col}",
         )
-        results.append(_result(finding, fingerprint))
+        lines = (sources or {}).get(finding.path, ())
+        line = lines[finding.line - 1] \
+            if 0 < finding.line <= len(lines) else None
+        results.append(_result(finding, fingerprint, line))
     return {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,
@@ -100,8 +113,9 @@ def to_sarif(findings: Iterable[Finding],
 
 
 def render_sarif(findings: Iterable[Finding],
-                 fingerprints: Dict[Finding, str]) -> str:
-    return json.dumps(to_sarif(findings, fingerprints), indent=2,
+                 fingerprints: Dict[Finding, str],
+                 sources: Optional[Dict[str, Sequence[str]]] = None) -> str:
+    return json.dumps(to_sarif(findings, fingerprints, sources), indent=2,
                       sort_keys=True) + "\n"
 
 

@@ -466,3 +466,27 @@ class TestSummaries(object):
         project = DataflowProject(trees)
         summary = project.summaries["repro.stats.mut.clobber"]
         assert summary.mutated_params == {"arr": 0}
+
+    def test_local_def_shadows_an_imported_coroutine(self):
+        # ``f`` is bound by a from-import of a coroutine, which has no
+        # summary, and by a module-level def: the call gets the def's
+        # summary, and with it the write through its parameter.
+        imported = Path("src/repro/analysis/a.py")
+        path = Path("src/repro/analysis/b.py")
+        trees = {
+            imported: ast.parse("async def f(v):\n    return v\n"),
+            path: ast.parse(
+                "from repro.analysis.a import f\n"
+                "\n"
+                "\n"
+                "def f(v):\n"
+                "    v[0] = 1\n"
+                "\n"
+                "\n"
+                "def g(ds):\n"
+                "    f(ds.error_times)\n"
+            ),
+        }
+        findings = analyze_module(path, trees[path], DataflowProject(trees))
+        assert [(f.rule, f.line, f.col) for f in findings] \
+            == [("RPL002", 9, 6)]

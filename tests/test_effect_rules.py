@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.devtools.lint import LintResult, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -77,6 +79,36 @@ class TestRPL201:
         assert len(rpl201) == 1
         assert "outer -> inner" in rpl201[0].message
         assert rpl201[0].line == 6
+
+    @pytest.mark.parametrize("binding, call", [
+        ("from repro.serve import helpers", "helpers.slow()"),
+        ("from repro.serve.helpers import slow", "slow()"),
+        ("import repro.serve.helpers as helpers", "helpers.slow()"),
+    ])
+    def test_flags_blocking_helper_in_another_module(self, tmp_path,
+                                                     binding, call):
+        """Every spelling of a call into a helper module resolves to the
+        helper, the from-imported module too."""
+        helpers = write(
+            tmp_path, "src/repro/serve/helpers.py",
+            "import time\n"
+            "def slow():\n"
+            "    time.sleep(1)\n",
+        )
+        handlers = write(
+            tmp_path, "src/repro/serve/handlers.py",
+            f"{binding}\n"
+            "async def handler():\n"
+            f"    {call}\n",
+        )
+        result = lint_effects(helpers, handlers)
+        assert [(f.rule, Path(f.path).name, f.line, f.message)
+                for f in result.new] == [(
+                    "RPL201", "handlers.py", 3,
+                    "call blocks the event loop through slow: time.sleep() "
+                    "blocks the calling thread; wrap the call in "
+                    "loop.run_in_executor()/asyncio.to_thread()",
+                )]
 
     def test_allows_executor_wrapped_call(self, tmp_path):
         path = write(
@@ -419,6 +451,30 @@ class TestRPL212:
         assert len(result.new) == 1
         assert "acquire" in result.new[0].message
         assert result.new[0].line == 5
+
+    def test_flags_discarded_resource_from_an_imported_module(
+        self, tmp_path
+    ):
+        """``handles.acquire(path)`` resolves through ``from repro.core
+        import handles`` to the function that returns the open file."""
+        handles = write(
+            tmp_path, "src/repro/core/handles.py",
+            "def acquire(path):\n"
+            "    return open(path)\n",
+        )
+        caller = write(
+            tmp_path, "src/repro/analysis/leak.py",
+            "from repro.core import handles\n"
+            "def leak(path):\n"
+            "    handles.acquire(path)\n",
+        )
+        result = lint_effects(handles, caller)
+        assert [(f.rule, Path(f.path).name, f.line, f.message)
+                for f in result.new] == [(
+                    "RPL212", "leak.py", 3,
+                    "result of acquire() is discarded but carries an open "
+                    "resource the caller must close",
+                )]
 
     def test_flags_mkstemp_fd_without_fdopen(self, tmp_path):
         path = write(

@@ -12,8 +12,11 @@ from pathlib import Path
 import pytest
 
 from repro.devtools.dataflow import DataflowProject
-from repro.devtools.effect_rules import check_module
-from repro.devtools.effects import EffectsProject
+from repro.devtools.effect_rules import (
+    check_module,
+    describe_blocking,
+    effect_summaries,
+)
 from repro.devtools.lint import (
     changed_files,
     collect_files,
@@ -32,11 +35,13 @@ def write(tmp_path: Path, rel: str, source: str) -> Path:
     return path
 
 
-def build_project(*paths: Path) -> EffectsProject:
+def build_project(*paths: Path) -> DataflowProject:
     trees = {
         p: ast.parse(p.read_text(encoding="utf-8")) for p in paths
     }
-    return EffectsProject(DataflowProject(trees))
+    project = DataflowProject(trees)
+    effect_summaries(project)
+    return project
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +63,8 @@ class TestBlockingSummaries:
         assert fns["repro.analysis.mod.low"].blocking
         assert fns["repro.analysis.mod.mid"].blocking
         assert fns["repro.analysis.mod.top"].blocking
-        chain = project.blocking_chain("repro.analysis.mod.top")
-        assert chain == [
-            "repro.analysis.mod.top",
-            "repro.analysis.mod.mid",
-            "repro.analysis.mod.low",
-        ]
-        assert "open() performs" in project.describe_blocking(
-            "repro.analysis.mod.top"
+        assert describe_blocking(project, "repro.analysis.mod.top") == (
+            "top -> mid -> low: open() performs blocking I/O"
         )
 
     def test_blocking_stops_at_async_callees(self, tmp_path):
@@ -145,7 +144,7 @@ class TestBlockingSummaries:
             "    return helper(path)\n",
         )
         project = build_project(path)
-        assert project.describe_blocking("repro.serve.mixed.helper") == (
+        assert describe_blocking(project, "repro.serve.mixed.helper") == (
             "helper: time.sleep() blocks the calling thread"
         )
         messages = [f.message for f in run_lint([str(path)]).new]
@@ -175,7 +174,8 @@ class TestServeCoverage:
         trees = {
             p: ast.parse(p.read_text(encoding="utf-8")) for p in files
         }
-        project = EffectsProject(DataflowProject(trees))
+        project = DataflowProject(trees)
+        effect_summaries(project)
         serve_files = [
             p for p in files if "serve" in p.parts
         ]
@@ -204,6 +204,16 @@ class TestServeCoverage:
             entry for entry in census if (entry[0], entry[1]) not in covered
         ]
         assert missed == []
+
+    def test_facade_blocks_through_a_from_imported_module(
+        self, serve_analysis
+    ):
+        """``repro.api.load`` reads its file through ``_io.load``, which
+        ``from repro.core import io as _io`` binds."""
+        project, *_rest = serve_analysis
+        load = project.functions["repro.api.load"]
+        assert load.blocking
+        assert load.blocking_via == "repro.core.io.load"
 
     def test_serve_has_no_effects_findings(self, serve_analysis):
         *_rest, findings = serve_analysis

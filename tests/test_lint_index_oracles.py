@@ -1,4 +1,5 @@
-"""The reprolint node index against the walkers it replaced.
+"""The reprolint node index and call resolver against the code they
+replaced.
 
 :mod:`repro.devtools.index` is the only code that decides what a scope
 owns, and its walk is the only whole-tree walk of a lint run.  It
@@ -11,6 +12,16 @@ under ``src``, ``tests`` and ``benchmarks`` and of productbench's
 frozen lint corpus, the index must give the nodes each reference gave,
 in the same order, with the same parents, and every pass that now
 reads the index must give what its walk gave.
+
+:meth:`DataflowProject.resolve_call` replaced two resolvers: the
+dataflow's per-module ``resolution`` tables behind ``summary_for_call``
+and the effects analysis's own ``resolve_call``.  Both are kept below
+verbatim.  Over the same trees, and over a small project with the
+doubly bound names they lack, ``summary_for_call`` must give what the
+tables gave at every call site, and ``resolve_call`` what the effects
+resolver gave at every call a function owns, except for the one shape
+only the tables knew: ``m.f()`` where ``from pkg import m`` binds
+``m``.
 """
 
 from __future__ import annotations
@@ -29,14 +40,15 @@ from repro.devtools import dataflow
 from repro.devtools.dataflow import (
     CONVERSION_CONSTANTS,
     TIMEUTIL_UNIT_EXPORTS,
+    ClassInfo,
     DataflowProject,
+    FunctionSummary,
     ModuleContext,
     analyze_module,
     conversion,
     unit_fact,
     written_array,
 )
-from repro.devtools.effects import EffectsProject
 from repro.devtools.index import SCOPES, NodeIndex
 from repro.devtools.lint import collect_files, run_lint
 from repro.devtools.rules import module_name
@@ -164,7 +176,7 @@ def _walk_defs(tree: ast.Module) -> Iterable[ast.AST]:
             yield node
 
 
-def _walk_infer_attr_types(self: EffectsProject) -> None:
+def _walk_infer_attr_types(self: DataflowProject) -> None:
     """The former ``EffectsProject._infer_attr_types``."""
     for info in self.classes.values():
         for method_key in info.methods.values():
@@ -204,6 +216,171 @@ def _walk_infer_attr_types(self: EffectsProject) -> None:
                         info.attr_types.setdefault(
                             target.attr, set()
                         ).add(key)
+
+
+class _TableResolver:
+    """The former ``DataflowProject`` resolution tables, built as its
+    ``_resolve_calls`` built them, and its ``summary_for_call``."""
+
+    def __init__(self, project: DataflowProject):
+        self.contexts = project.contexts
+        self.summaries = project.summaries
+        self.resolution: Dict[str, Dict[str, str]] = {}
+        for module, ctx in self.contexts.items():
+            table: Dict[str, str] = {}
+            for key, summary in self.summaries.items():
+                if summary.module == module:
+                    table[summary.name] = key
+            for bound, (source, original) in ctx.from_imports.items():
+                key = f"{source}.{original}"
+                if key in self.summaries:
+                    table[bound] = key
+            self.resolution[module] = table
+
+    def summary_for_call(self, module: str,
+                         func: ast.AST) -> Optional[FunctionSummary]:
+        table = self.resolution.get(module, {})
+        ctx = self.contexts.get(module)
+        if isinstance(func, ast.Name):
+            key = table.get(func.id)
+            return self.summaries.get(key) if key else None
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                and ctx is not None:
+            target_module = ctx.module_aliases.get(func.value.id)
+            if target_module is None:
+                imported = ctx.from_imports.get(func.value.id)
+                if imported:
+                    target_module = f"{imported[0]}.{imported[1]}"
+            if target_module:
+                return self.summaries.get(f"{target_module}.{func.attr}")
+        return None
+
+
+class _EffectsResolver:
+    """The former ``EffectsProject`` call resolution: its
+    ``_class_base_keys``, ``method_key``, ``_local_types`` and
+    ``resolve_call``, over a project's tables."""
+
+    def __init__(self, project: DataflowProject):
+        self.contexts = project.contexts
+        self.functions = project.functions
+        self.classes = project.classes
+        self.index = project.index
+        self.resolve_class = project.resolve_class
+        self._class_of_expr = project._class_of_expr
+
+    def _class_base_keys(self, info: ClassInfo) -> List[str]:
+        out = []
+        for base in info.bases:
+            key = self.resolve_class(info.module, base)
+            if key is not None:
+                out.append(key)
+        return out
+
+    def method_key(self, class_key: str, method: str,
+                   _seen: Optional[Set[str]] = None) -> Optional[str]:
+        """Summary key of ``method`` on ``class_key``, walking bases."""
+        seen = _seen if _seen is not None else set()
+        if class_key in seen:
+            return None
+        seen.add(class_key)
+        info = self.classes.get(class_key)
+        if info is None:
+            return None
+        if method in info.methods:
+            return info.methods[method]
+        for base_key in self._class_base_keys(info):
+            found = self.method_key(base_key, method, seen)
+            if found is not None:
+                return found
+        return None
+
+    def _local_types(self, module: str, fn: ast.AST) -> Dict[str, str]:
+        """``x = ClassName(...)`` local variable typing (plus ``with
+        Ctor() as x``), best effort."""
+        out: Dict[str, str] = {}
+        for node in self.index.own(fn):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name):
+                key = self._class_of_expr(module, node.value)
+                if key is not None:
+                    out[node.targets[0].id] = key
+            elif isinstance(node, (ast.With, ast.AsyncWith)):
+                for item in node.items:
+                    if isinstance(item.optional_vars, ast.Name):
+                        key = self._class_of_expr(module, item.context_expr)
+                        if key is not None:
+                            out[item.optional_vars.id] = key
+        return out
+
+    def resolve_call(
+        self,
+        module: str,
+        func: ast.expr,
+        class_key: Optional[str] = None,
+        local_types: Optional[Dict[str, str]] = None,
+    ) -> List[str]:
+        """Candidate summary keys for a call's func expression.
+
+        Returns every key the call may dispatch to (a type-set
+        attribute like the router's dead-letter store yields one key
+        per member class); empty when unresolvable.
+        """
+        ctx = self.contexts.get(module)
+        if ctx is None:
+            return []
+        if isinstance(func, ast.Name):
+            name = func.id
+            imported = ctx.from_imports.get(name)
+            if imported is not None:
+                target = f"{imported[0]}.{imported[1]}"
+                if target in self.functions:
+                    return [target]
+            local = f"{module}.{name}"
+            if local in self.functions:
+                return [local]
+            cls = self.resolve_class(module, name)
+            if cls is not None:  # constructor call
+                init = self.method_key(cls, "__init__")
+                return [init] if init is not None else []
+            return []
+        if not isinstance(func, ast.Attribute):
+            return []
+        # self.method(...)
+        if isinstance(func.value, ast.Name):
+            base = func.value.id
+            if base == "self" and class_key is not None:
+                found = self.method_key(class_key, func.attr)
+                return [found] if found is not None else []
+            if local_types and base in local_types:
+                found = self.method_key(local_types[base], func.attr)
+                return [found] if found is not None else []
+            target_module = ctx.module_aliases.get(base)
+            if target_module is not None:
+                target = f"{target_module}.{func.attr}"
+                if target in self.functions:
+                    return [target]
+            imported = ctx.from_imports.get(base)
+            if imported is not None:
+                cls = self.resolve_class(module, base)
+                if cls is not None:
+                    found = self.method_key(cls, func.attr)
+                    return [found] if found is not None else []
+            return []
+        # self.attr.method(...) through the inferred attribute type set
+        if isinstance(func.value, ast.Attribute) \
+                and isinstance(func.value.value, ast.Name) \
+                and func.value.value.id == "self" and class_key is not None:
+            info = self.classes.get(class_key)
+            if info is None:
+                return []
+            out: List[str] = []
+            for cls in sorted(info.attr_types.get(func.value.attr, ())):
+                found = self.method_key(cls, func.attr)
+                if found is not None:
+                    out.append(found)
+            return out
+        return []
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +504,117 @@ def test_passes_match_their_walks(project):
             == _walk_collect_mutated_params(summary.node), summary.key
         assert summary.callees == _walk_callees(project, summary), \
             summary.key
-    effects = EffectsProject(project)
-    walked = copy.copy(effects)
+    walked = copy.copy(project)
     walked.classes = {key: dataclasses.replace(info, attr_types={})
-                      for key, info in effects.classes.items()}
+                      for key, info in project.classes.items()}
     _walk_infer_attr_types(walked)
-    assert {key: info.attr_types for key, info in effects.classes.items()} \
+    assert {key: info.attr_types for key, info in project.classes.items()} \
         == {key: info.attr_types for key, info in walked.classes.items()}
+
+
+def _summaries_match_the_tables(project: DataflowProject) -> int:
+    """Assert ``summary_for_call`` against the tables at every call
+    site of ``project``; returns how many sites were checked."""
+    tables = _TableResolver(project)
+    sites = 0
+    for path, tree in project.trees.items():
+        module = module_name(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                sites += 1
+                assert project.summary_for_call(module, node.func) \
+                    is tables.summary_for_call(module, node.func), \
+                    (path, node.lineno, node.col_offset)
+    return sites
+
+
+def test_summary_for_call_matches_the_resolution_tables(project):
+    assert _summaries_match_the_tables(project) > len(project.trees)
+
+
+def test_summary_for_call_keeps_the_tables_precedence():
+    # Shapes none of the four trees has: a name bound by a from-import
+    # and by a local def, the import a coroutine (``f``), a sync def
+    # (``h``) or a def the module defines again later (``k``); and a
+    # module name bound by ``import x as m`` and by ``from y import m``.
+    sources = {
+        "a": """
+            async def f(v):
+                return v
+            def h(v):
+                v[0] = 1
+            def k(v):
+                return v
+            """,
+        "b": """
+            import repro.analysis.a as m
+            from repro.analysis import c as m
+            from repro.analysis.a import f, h, k
+            def f(v):
+                v[0] = 1
+            def h(v):
+                return v
+            def g(ds):
+                f(ds.x), h(ds.x), k(ds.x), m.h(ds.x), m.q(ds.x)
+            def k(v):
+                v[1] = 2
+            """,
+        "c": """
+            def h(v):
+                return v
+            def q(v):
+                v[0] = 1
+            """,
+    }
+    project = DataflowProject({
+        Path(f"src/repro/analysis/{name}.py"): ast.parse(
+            textwrap.dedent(source))
+        for name, source in sources.items()
+    })
+    assert _summaries_match_the_tables(project) == 5
+    resolved = {
+        node.func.id if isinstance(node.func, ast.Name)
+        else f"m.{node.func.attr}":
+            getattr(project.summary_for_call("repro.analysis.b", node.func),
+                    "key", None)
+        for node in ast.walk(project.trees[Path("src/repro/analysis/b.py")])
+        if isinstance(node, ast.Call)
+    }
+    assert resolved == {
+        "f": "repro.analysis.b.f", "h": "repro.analysis.a.h",
+        "k": "repro.analysis.a.k", "m.h": "repro.analysis.a.h",
+        "m.q": None,
+    }
+
+
+def test_resolve_call_matches_the_effects_resolver(project):
+    """Equal at every call a function owns, but where the effects
+    resolver found nothing for ``m.f()`` with ``m`` from-imported and
+    ``pkg.m.f`` a function of the tree: that call now resolves to it."""
+    effects = _EffectsResolver(project)
+    sites = 0
+    for fn in project.functions.values():
+        ctx = project.contexts[fn.module]
+        local_types = project.local_types(fn.module, fn.node)
+        assert local_types == effects._local_types(fn.module, fn.node)
+        for node in project.index.own(fn.node):
+            if not isinstance(node, ast.Call):
+                continue
+            sites += 1
+            got = project.resolve_call(fn.module, node.func, fn.class_key,
+                                       local_types)
+            want = effects.resolve_call(fn.module, node.func, fn.class_key,
+                                        local_types)
+            if got != want:
+                where = (fn.key, node.lineno, node.col_offset)
+                func = node.func
+                assert want == [], where
+                assert isinstance(func, ast.Attribute) \
+                    and isinstance(func.value, ast.Name), where
+                source, original = ctx.from_imports[func.value.id]
+                assert got == [f"{source}.{original}.{func.attr}"], where
+                assert got[0] in project.functions, where
+    assert sites > len(project.functions)
 
 
 def test_name_bound_twice_keeps_the_walks_winner():

@@ -21,6 +21,7 @@ import pytest
 from repro.devtools.lint import (
     LintResult,
     collect_files,
+    fingerprint,
     load_baseline,
     main,
     run_lint,
@@ -533,6 +534,21 @@ def test_baseline_survives_line_drift(tmp_path):
     drifted = run_lint([str(bad)], baseline=baseline_path)
     assert drifted.exit_code == 0
     assert len(drifted.baselined) == 2
+
+
+def test_fingerprint_hashes_the_line_ast_numbers(tmp_path):
+    # ``str.splitlines`` also splits at a form feed, ``ast`` does not.
+    bad = write(tmp_path, "src/repro/analysis/bad.py",
+                "x = 1\n"
+                "# page break \f here\n"
+                "def f(span_seconds, window_days):\n"
+                "    return span_seconds + window_days\n")
+    result = lint(bad)
+    [finding] = result.new
+    assert (finding.rule, finding.line) == ("RPL101", 4)
+    assert result.new_fingerprints == [
+        fingerprint(finding, "    return span_seconds + window_days", 0)
+    ]
 
 
 def test_baseline_does_not_hide_new_findings(tmp_path):

@@ -236,3 +236,45 @@ def test_sarif_fingerprints_match_lint_result(tmp_path):
     emitted = {r["partialFingerprints"]["reprolintFingerprint/v3"]
                for r in payload["runs"][0]["results"]}
     assert emitted == set(result.new_fingerprints)
+
+
+@pytest.mark.parametrize("text, byte_col, column", [
+    ("eee", 23, 24),
+    ("ééé", 26, 24),  # two UTF-8 bytes, one UTF-16 code unit each
+    ("𝄞", 24, 23),    # four UTF-8 bytes, two UTF-16 code units
+])
+def test_sarif_columns_count_utf16_code_units(tmp_path, capsys, text,
+                                              byte_col, column):
+    path = tmp_path / "src" / "repro" / "analysis" / "bad.py"
+    path.parent.mkdir(parents=True)
+    path.write_text(
+        "def f(span_seconds):\n"
+        f'    return {{"{text}": 1}}, span_seconds / 86400.0\n',
+        encoding="utf-8",
+    )
+    [finding] = run_lint([str(path)]).new
+    assert (finding.rule, finding.line, finding.col) == ("RPL102", 2,
+                                                         byte_col)
+    assert main(["--format", "sarif", "--no-baseline", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    [result] = payload["runs"][0]["results"]
+    region = result["locations"][0]["physicalLocation"]["region"]
+    assert (region["startLine"], region["startColumn"]) == (2, column)
+
+
+def test_sarif_suppression_comment_column_counts_utf16_code_units(
+        tmp_path, capsys):
+    # The comment starts at code point 11 and UTF-8 byte 14; the
+    # unused-suppression finding sits at column 0.
+    path = tmp_path / "src" / "repro" / "analysis" / "bad.py"
+    path.parent.mkdir(parents=True)
+    path.write_text('x = "ééé"  # reprolint: disable=RPL999 -- ok\n',
+                    encoding="utf-8")
+    assert [(f.rule, f.line, f.col) for f in run_lint([str(path)]).new] \
+        == [("RPL000", 1, 14), ("RPL000", 1, 0)]
+    assert main(["--format", "sarif", "--no-baseline", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [result["locations"][0]["physicalLocation"]["region"]
+            for result in payload["runs"][0]["results"]] \
+        == [{"startLine": 1, "startColumn": 12},
+            {"startLine": 1, "startColumn": 1}]

@@ -7,7 +7,9 @@ file.  The parent's scan is kept below verbatim as the reference, and
 on drawn sources (lines of code; well-formed, unjustified,
 unknown-rule and malformed ``# reprolint:`` comments; lookalikes
 without the marker; the marker inside strings and docstrings) both
-return equal suppressions and findings.
+return equal suppressions and findings.  The drawn sources are ASCII:
+the scan now gives an RPL000 column in UTF-8 bytes, as ``ast`` does,
+where the reference counted code points.
 """
 
 from __future__ import annotations
